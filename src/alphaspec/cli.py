@@ -286,7 +286,7 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--max-iters", dest="max_iters", type=int, help="power iteration cap")
     sub.add_argument("--workers", type=int, help="scan worker processes")
     sub.add_argument("--long-runs", dest="long_runs", action="store_true",
-                     help="allow the n=6 scan and the n=7 tournament search")
+                     help="allow the n=7 tournament search (n=6 scans are refused)")
     sub.add_argument("--output", choices=OUTPUT_FORMATS, help="report format")
     sub.add_argument("--out", help="write the report to this file instead of stdout")
 
@@ -476,7 +476,6 @@ def cmd_scan(args: argparse.Namespace, cfg: RunConfig) -> int:
                     "class_count": e.class_count,
                     "representatives": [to_text(g) for g in e.representatives],
                     "runner_up": e.runner_up,
-                    "overflow": e.overflow,
                 }
                 for e in report.entries
             ],

@@ -159,18 +159,6 @@ def _reach(rows: Sequence[int], start_mask: int) -> int:
     return seen
 
 
-def _transpose(rows: Sequence[int], n: int) -> list[int]:
-    cols = [0] * n
-    for i in range(n):
-        m = rows[i]
-        bi = 1 << i
-        while m:
-            b = m & -m
-            m ^= b
-            cols[b.bit_length() - 1] |= bi
-    return cols
-
-
 def _is_strong(rows: Sequence[int], cols: Sequence[int], n: int) -> bool:
     full = (1 << n) - 1
     if _reach(rows, 1) != full:

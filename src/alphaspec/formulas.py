@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .spectral import _check_alpha
+
 __all__ = [
     "lambda_knkm",
     "knkm_quadratic",
@@ -20,13 +22,6 @@ __all__ = [
 def _check_knkm_params(n: int, k: int, m: int) -> None:
     if k < 1 or m < 1 or n - k - m < 1:
         raise ValueError(f"need k >= 1, m >= 1 and n-k-m >= 1, got n={n}, k={k}, m={m}")
-
-
-def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
-    return alpha
 
 
 def lambda_knkm(n: int, k: int, m: int, alpha: float) -> float:

@@ -2,8 +2,11 @@
 
 Every labeled digraph on n vertices is an integer code: bit p of the code is
 arc cell p in the row-major list of off-diagonal cells (0,1), (0,2), ...,
-(n-1, n-2).  Codes are scanned in ascending order, filtered to the strongly
-connected ones, and reduced to per-parameter extremal statistics:
+(n-1, n-2).  Codes are scanned in ascending order and filtered to the
+strongly connected ones.  Each of those becomes one row of a columnar table:
+its code, girth, clique number, vertex and arc connectivity, minimum degree
+and out-degree range, and its certified radius for every alpha.  All
+statistics are numpy queries on that table:
 
 * for each parameter value (girth, clique number, vertex or arc connectivity)
   the minimum and maximum radius per alpha, all codes within 1e-8 of the
@@ -12,8 +15,8 @@ connected ones, and reduced to per-parameter extremal statistics:
 * spectral bound violations (row-sum sandwich, cycle/complete equalities,
   strict alpha * max-out-degree lower bound).
 
-The code space splits into contiguous ranges merged by a deterministic
-reducer, so multi-process scans reproduce the serial result exactly.
+The code space splits into contiguous chunks whose rows are concatenated in
+code order, so multi-process scans build the same table as the serial one.
 """
 from __future__ import annotations
 
@@ -37,7 +40,9 @@ from .digraph import (
 from .spectral import (
     DEFAULT_MAX_ITERS,
     DEFAULT_TOL,
+    ConvergenceError,
     NotStronglyConnected,
+    _check_alpha,
     batch_cw_radius,
     spectral_radius,
     spectral_radius_general,
@@ -67,10 +72,10 @@ __all__ = [
 
 ENUM_CAP = 6
 ATTAIN_TOL = 1e-8
-GROUP_CODE_CAP = 16384
-TOP_KEEP = 512
 VIOLATION_CAP = 50
-CHUNK_BITS = 16
+CHUNK_BITS = 15
+# strongly connected labelled digraphs on 6 vertices (OEIS A003030)
+_STRONG_COUNT_6 = 734_774_776
 
 SCAN_PARAMETERS = ("girth", "clique", "vertex_conn", "arc_conn", "arc_conn_tight")
 PUBLIC_PARAMETERS = ("girth", "clique", "vertex_conn", "arc_conn")
@@ -189,7 +194,7 @@ def _check_enum_order(n: int, long_runs_enabled: bool) -> None:
 
 
 # ---------------------------------------------------------------------------
-# streaming extremal statistics
+# the scan table and the statistics derived from it
 
 @dataclass(frozen=True)
 class GroupExtreme:
@@ -197,7 +202,6 @@ class GroupExtreme:
     codes: tuple[int, ...]
     count: int
     runner_up: float | None
-    overflow: bool
 
     @property
     def gap(self) -> float | None:
@@ -211,364 +215,192 @@ class TopBucket:
     value: float
     codes: tuple[int, ...]
     count: int
-    complete: bool
 
 
-class _Extreme:
-    """One streaming extremum: best value, attaining codes, runner-up."""
-
-    __slots__ = ("mode", "best", "entries", "runner", "overflow")
-
-    def __init__(self, mode: str):
-        self.mode = mode
-        self.best: float | None = None
-        self.entries: list[tuple[float, int]] = []
-        self.runner: float | None = None
-        self.overflow = False
-
-    def _improves(self, a: float, b: float) -> bool:
-        return a < b if self.mode == "min" else a > b
-
-    def _threshold(self) -> float:
-        assert self.best is not None
-        return self.best + ATTAIN_TOL if self.mode == "min" else self.best - ATTAIN_TOL
-
-    def _inside(self, vals: np.ndarray) -> np.ndarray:
-        thr = self._threshold()
-        return vals <= thr if self.mode == "min" else vals >= thr
-
-    def _note_runner(self, v: float) -> None:
-        if self.runner is None or self._improves(v, self.runner):
-            self.runner = v
-
-    def update(self, vals: np.ndarray, codes: np.ndarray) -> None:
-        if vals.size == 0:
-            return
-        batch_best = float(vals.min() if self.mode == "min" else vals.max())
-        if self.best is None:
-            self.best = batch_best
-        elif self._improves(batch_best, self.best):
-            self.best = batch_best
-            thr = self._threshold()
-            kept = []
-            for v, c in self.entries:
-                if (v <= thr) if (self.mode == "min") else (v >= thr):
-                    kept.append((v, c))
-                else:
-                    self._note_runner(v)
-            self.entries = kept
-        inside = self._inside(vals)
-        outside = vals[~inside]
-        if outside.size:
-            cand = float(outside.min() if self.mode == "min" else outside.max())
-            self._note_runner(cand)
-        room = GROUP_CODE_CAP - len(self.entries)
-        take_v = vals[inside]
-        take_c = codes[inside]
-        if take_v.size > room:
-            self.overflow = True
-            take_v = take_v[:room]
-            take_c = take_c[:room]
-        self.entries.extend(zip(take_v.tolist(), take_c.tolist()))
-
-    def absorb(self, other: "_Extreme") -> None:
-        if other.best is None:
-            return
-        if other.runner is not None:
-            self._note_runner(other.runner)
-        if self.best is None or self._improves(other.best, self.best):
-            self.best = other.best
-        self.overflow |= other.overflow
-        thr = self._threshold()
-        for v, c in other.entries:
-            if (v <= thr) if (self.mode == "min") else (v >= thr):
-                if len(self.entries) >= GROUP_CODE_CAP:
-                    self.overflow = True
-                    break
-                self.entries.append((v, c))
-            else:
-                self._note_runner(v)
-        # merged best may beat the earlier threshold; re-filter
-        thr = self._threshold()
-        kept = []
-        for v, c in self.entries:
-            if (v <= thr) if (self.mode == "min") else (v >= thr):
-                kept.append((v, c))
-            else:
-                self._note_runner(v)
-        self.entries = kept
-
-    def finalized(self) -> GroupExtreme:
-        assert self.best is not None
-        thr = self._threshold()
-        codes = []
-        for v, c in self.entries:
-            if (v <= thr) if (self.mode == "min") else (v >= thr):
-                codes.append(c)
-            else:
-                self._note_runner(v)
-        codes.sort()
-        return GroupExtreme(
-            value=self.best,
-            codes=tuple(codes),
-            count=len(codes),
-            runner_up=self.runner,
-            overflow=self.overflow,
-        )
+# Invariant columns of the scan table.  In a strongly connected digraph every
+# out-degree is at least 1, so "is a cycle" is max_out == 1 and "is complete"
+# is min_out == n - 1.
+_INVARIANTS = ("girth", "clique", "vertex_conn", "arc_conn", "delta0", "min_out", "max_out")
 
 
-class _Top:
-    """Largest radii seen, enough to resolve the top few value buckets."""
-
-    __slots__ = ("entries", "truncated", "cutoff")
-
-    def __init__(self):
-        self.entries: list[tuple[float, int]] = []
-        self.truncated = False
-        self.cutoff = -math.inf
-
-    def update(self, vals: np.ndarray, codes: np.ndarray) -> None:
-        if vals.size == 0:
-            return
-        if vals.size > TOP_KEEP:
-            idx = np.argpartition(-vals, TOP_KEEP)[:TOP_KEEP]
-            idx.sort()
-            dropped = float(np.partition(-vals, TOP_KEEP)[TOP_KEEP] * -1)
-            self.truncated = True
-            self.cutoff = max(self.cutoff, dropped)
-            vals, codes = vals[idx], codes[idx]
-        self.entries.extend(zip(vals.tolist(), codes.tolist()))
-        self._prune()
-
-    def _prune(self) -> None:
-        if len(self.entries) <= 4 * TOP_KEEP:
-            return
-        self.entries.sort(key=lambda e: (-e[0], e[1]))
-        for v, _c in self.entries[TOP_KEEP:]:
-            self.truncated = True
-            if v > self.cutoff:
-                self.cutoff = v
-        del self.entries[TOP_KEEP:]
-
-    def absorb(self, other: "_Top") -> None:
-        self.entries.extend(other.entries)
-        self.truncated |= other.truncated
-        self.cutoff = max(self.cutoff, other.cutoff)
-        self._prune()
-
-    def finalized(self, buckets: int = 3) -> list[TopBucket]:
-        self.entries.sort(key=lambda e: (-e[0], e[1]))
-        entries = self.entries[:TOP_KEEP]
-        if len(self.entries) > TOP_KEEP:
-            self.truncated = True
-            self.cutoff = max(self.cutoff, entries[-1][0])
-        out: list[TopBucket] = []
-        i = 0
-        while i < len(entries) and len(out) < buckets:
-            anchor = entries[i][0]
-            codes = []
-            while i < len(entries) and entries[i][0] >= anchor - ATTAIN_TOL:
-                codes.append(entries[i][1])
-                i += 1
-            bucket_min = anchor - ATTAIN_TOL
-            complete = (not self.truncated) or (bucket_min > self.cutoff)
-            out.append(
-                TopBucket(
-                    value=anchor,
-                    codes=tuple(sorted(codes)),
-                    count=len(codes),
-                    complete=complete,
-                )
-            )
-        return out
-
-
-class _Bounds:
-    """Spectral bound checks folded over every enumerated digraph."""
-
-    __slots__ = ("checked", "violations")
-
-    def __init__(self):
-        self.checked = 0
-        self.violations: list[dict] = []
-
-    def note(self, name: str, codes: np.ndarray, lam: np.ndarray, mask: np.ndarray) -> None:
-        if not mask.any():
-            return
-        for idx in np.flatnonzero(mask):
-            if len(self.violations) >= VIOLATION_CAP:
-                return
-            self.violations.append(
-                {"check": name, "code": int(codes[idx]), "radius": float(lam[idx])}
-            )
-
-    def absorb(self, other: "_Bounds") -> None:
-        self.checked += other.checked
-        room = VIOLATION_CAP - len(self.violations)
-        if room > 0:
-            self.violations.extend(other.violations[:room])
-
-
-class _Accumulator:
-    """Partial scan state for one code range; merged by the reducer."""
-
-    def __init__(self, n: int, alphas: tuple[float, ...], parameters: tuple[str, ...]):
-        self.n = n
-        self.alphas = alphas
-        self.parameters = parameters
-        self.total = 0
-        self.strong = 0
-        self.groups: dict[tuple[str, int], list[dict[str, _Extreme]]] = {}
-        self.top = [_Top() for _ in alphas]
-        self.bounds = [_Bounds() for _ in alphas]
-        self.max_width = 0.0
-        self.max_iterations = 0
-
-    def group_cell(self, param: str, value: int, ai: int) -> dict[str, _Extreme]:
-        key = (param, value)
-        if key not in self.groups:
-            self.groups[key] = [
-                {"min": _Extreme("min"), "max": _Extreme("max")}
-                for _ in self.alphas
-            ]
-        return self.groups[key][ai]
-
-    def absorb(self, other: "_Accumulator") -> None:
-        self.total += other.total
-        self.strong += other.strong
-        self.max_width = max(self.max_width, other.max_width)
-        self.max_iterations = max(self.max_iterations, other.max_iterations)
-        for key, cells in other.groups.items():
-            for ai, cell in enumerate(cells):
-                mine = self.group_cell(key[0], key[1], ai)
-                mine["min"].absorb(cell["min"])
-                mine["max"].absorb(cell["max"])
-        for ai in range(len(self.alphas)):
-            self.top[ai].absorb(other.top[ai])
-            self.bounds[ai].absorb(other.bounds[ai])
-
-
-def _scan_chunk(acc: _Accumulator, lo: int, hi: int, tol: float, max_iters: int) -> None:
-    n = acc.n
-    acc.total += hi - lo
-    codes, adj, rowmask, colmask = _decode_strong_chunk(n, lo, hi)
-    s = codes.size
-    acc.strong += s
-    if s == 0:
-        return
-
-    outdeg = adj.sum(axis=2).astype(np.int64)
-    indeg = adj.sum(axis=1).astype(np.int64)
-    min_out = outdeg.min(axis=1)
-    max_out = outdeg.max(axis=1)
-    delta0 = np.minimum(min_out, indeg.min(axis=1))
-    narcs = outdeg.sum(axis=1)
-
-    # combinatorial parameters, one python pass over the chunk
-    need_girth = "girth" in acc.parameters
-    need_clique = "clique" in acc.parameters
-    need_vc = "vertex_conn" in acc.parameters
-    need_ac = (
-        "arc_conn" in acc.parameters
-        or "arc_conn_tight" in acc.parameters
-        or need_vc
+def _row_dtype(nalphas: int) -> np.dtype:
+    """One packed record per strong code: 4 + 7 + 8 * nalphas bytes."""
+    return np.dtype(
+        [("code", np.int32)]
+        + [(name, np.int8) for name in _INVARIANTS]
+        + [("radius", np.float64, (nalphas,))]
     )
-    girth_a = np.zeros(s, dtype=np.int64)
-    clique_a = np.zeros(s, dtype=np.int64)
-    vc_a = np.zeros(s, dtype=np.int64)
-    ac_a = np.zeros(s, dtype=np.int64)
-    if need_girth or need_clique or need_ac:
-        rows_list = rowmask.tolist()
-        cols_list = colmask.tolist()
-        for t in range(s):
-            rows = rows_list[t]
-            cols = cols_list[t]
-            if need_girth:
-                girth_a[t] = _girth(rows, cols, n)
-            if need_clique:
-                clique_a[t] = _clique_number(
-                    [rows[i] & cols[i] for i in range(n)], n
-                )
-            if need_ac:
-                ac = _arc_connectivity(rows, cols, n)
-                ac_a[t] = ac
-                if need_vc:
-                    vc_a[t] = _vertex_connectivity(rows, cols, n, upper=ac)
+
+
+def _certified_radii(mats: np.ndarray, tol: float, max_iters: int, alpha: float, witness):
+    """batch_cw_radius, naming the matrix that did not converge by witness(index)."""
+    try:
+        return batch_cw_radius(mats, tol=tol, max_iters=max_iters)
+    except ConvergenceError as err:
+        raise ConvergenceError(
+            err.lo, err.hi, err.iterations, err.index,
+            witness=f"{witness(err.index)} at alpha {alpha}",
+        ) from err
+
+
+def _scan_chunk(
+    n: int, lo: int, hi: int, alphas: tuple[float, ...], parameters: tuple[str, ...],
+    tol: float, max_iters: int,
+) -> tuple[np.ndarray, float, int]:
+    """Table rows of the strong codes in [lo, hi), the widest certificate and
+    the most iterations among them.  Unrequested invariant columns stay 0."""
+    codes, adj, rowmask, colmask = _decode_strong_chunk(n, lo, hi)
+    rows = np.zeros(codes.size, dtype=_row_dtype(len(alphas)))
+    if codes.size == 0:
+        return rows, 0.0, 0
+    rows["code"] = codes
+    outdeg = adj.sum(axis=2)
+    min_out = outdeg.min(axis=1)
+    rows["min_out"] = min_out
+    rows["max_out"] = outdeg.max(axis=1)
+    rows["delta0"] = np.minimum(min_out, adj.sum(axis=1).min(axis=1))
+
+    # combinatorial parameters, one python pass per column
+    need_ac = {"arc_conn", "arc_conn_tight", "vertex_conn"} & set(parameters)
+    masks = list(zip(rowmask.tolist(), colmask.tolist()))
+    if "girth" in parameters:
+        rows["girth"] = [_girth(r, c, n) for r, c in masks]
+    if "clique" in parameters:
+        rows["clique"] = [
+            _clique_number([r[i] & c[i] for i in range(n)], n) for r, c in masks
+        ]
+    if need_ac:
+        ac = [_arc_connectivity(r, c, n) for r, c in masks]
+        rows["arc_conn"] = ac
+        if "vertex_conn" in parameters:
+            rows["vertex_conn"] = [
+                _vertex_connectivity(r, c, n, upper=k) for (r, c), k in zip(masks, ac)
+            ]
 
     # certified radii, batched per alpha
-    base = adj.astype(np.float64)
     eye = np.arange(n)
-    lam_by_alpha = []
-    for alpha in acc.alphas:
-        m = (1.0 - alpha) * base
+    width, iterations = 0.0, 0
+    for ai, alpha in enumerate(alphas):
+        m = (1.0 - alpha) * adj
         m[:, eye, eye] += alpha * outdeg
-        lam, lo_c, hi_c, iters = batch_cw_radius(m, tol=tol, max_iters=max_iters)
-        acc.max_width = max(acc.max_width, float((hi_c - lo_c).max()))
-        acc.max_iterations = max(acc.max_iterations, int(iters.max()))
-        lam_by_alpha.append(lam)
-
-    # group statistics
-    param_arrays: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    full_mask = np.ones(s, dtype=bool)
-    if need_girth:
-        param_arrays["girth"] = (girth_a, full_mask)
-    if need_clique:
-        param_arrays["clique"] = (clique_a, full_mask)
-    if need_vc:
-        param_arrays["vertex_conn"] = (vc_a, full_mask)
-    if "arc_conn" in acc.parameters:
-        param_arrays["arc_conn"] = (ac_a, full_mask)
-    if "arc_conn_tight" in acc.parameters:
-        param_arrays["arc_conn_tight"] = (ac_a, ac_a == delta0)
-    for param, (arr, mask) in param_arrays.items():
-        if param not in acc.parameters:
-            continue
-        for value in np.unique(arr[mask]).tolist():
-            gmask = mask & (arr == value)
-            gcodes = codes[gmask]
-            for ai in range(len(acc.alphas)):
-                vals = lam_by_alpha[ai][gmask]
-                cell = acc.group_cell(param, int(value), ai)
-                cell["min"].update(vals, gcodes)
-                cell["max"].update(vals, gcodes)
-
-    # global top buckets and bound checks
-    is_cycle = (narcs == n) & (max_out == 1)
-    is_complete = narcs == n * (n - 1)
-    out_regular = min_out == max_out
-    for ai, alpha in enumerate(acc.alphas):
-        lam = lam_by_alpha[ai]
-        acc.top[ai].update(lam, codes)
-        b = acc.bounds[ai]
-        b.checked += s
-        b.note("radius_below_one", codes, lam, lam < 1.0 - 1e-9)
-        b.note("radius_above_n_minus_one", codes, lam, lam > n - 1.0 + 1e-9)
-        near_one = np.abs(lam - 1.0) <= 1e-9
-        b.note("radius_one_but_not_cycle", codes, lam, near_one & ~is_cycle)
-        b.note("cycle_radius_not_one", codes, lam, is_cycle & ~near_one)
-        near_top = np.abs(lam - (n - 1.0)) <= 1e-9
-        b.note("top_radius_but_not_complete", codes, lam, near_top & ~is_complete)
-        b.note("complete_radius_off", codes, lam, is_complete & ~near_top)
-        reg_eq = np.abs(lam - min_out) <= 1e-9
-        b.note("regular_radius_off_degree", codes, lam, out_regular & ~reg_eq)
-        strict_inside = (lam > min_out + 1e-9) & (lam < max_out - 1e-9)
-        b.note("irregular_radius_hits_degree", codes, lam, ~out_regular & ~strict_inside)
-        if alpha > 0.0:
-            b.note(
-                "radius_not_above_alpha_maxdeg",
-                codes,
-                lam,
-                lam <= alpha * max_out + 1e-12,
-            )
+        lam, lo_c, hi_c, iters = _certified_radii(
+            m, tol, max_iters, alpha, lambda i: f"code {codes[i]}"
+        )
+        rows["radius"][:, ai] = lam
+        width = max(width, float((hi_c - lo_c).max()))
+        iterations = max(iterations, int(iters.max()))
+    return rows, width, iterations
 
 
-def _scan_worker(task) -> _Accumulator:
-    n, lo, hi, alphas, parameters, tol, max_iters = task
-    acc = _Accumulator(n, alphas, parameters)
+def _scan_table(
+    n: int, alphas: tuple[float, ...], parameters: tuple[str, ...],
+    tol: float, max_iters: int, workers: int,
+) -> tuple[np.ndarray, float, int]:
+    """The scan table in code order, the widest certificate and the most
+    iterations.  With workers > 1 the chunks run in a process pool; either
+    way their rows are concatenated in chunk order."""
+    total = 1 << (n * (n - 1))
     step = 1 << CHUNK_BITS
-    for clo in range(lo, hi, step):
-        _scan_chunk(acc, clo, min(clo + step, hi), tol, max_iters)
-    return acc
+    tasks = [
+        (n, lo, min(lo + step, total), alphas, parameters, tol, max_iters)
+        for lo in range(0, total, step)
+    ]
+    if workers <= 1:
+        chunks = [_scan_chunk(*task) for task in tasks]
+    else:
+        import multiprocessing as mp
+
+        with mp.Pool(processes=workers) as pool:
+            chunks = pool.starmap(_scan_chunk, tasks)
+    table = np.concatenate([rows for rows, _w, _i in chunks])
+    return table, max(w for _r, w, _i in chunks), max(i for _r, _w, i in chunks)
+
+
+def _extreme(vals: np.ndarray, codes: np.ndarray, mode: str) -> GroupExtreme:
+    """Best value, the sorted codes within ATTAIN_TOL of it, and the best
+    value outside that band.  Max mode is min mode on negated values."""
+    sign = 1.0 if mode == "min" else -1.0
+    signed = sign * vals
+    best = signed.min()
+    inside = signed <= best + ATTAIN_TOL
+    outside = signed[~inside]
+    attaining = np.sort(codes[inside])
+    return GroupExtreme(
+        value=sign * float(best),
+        codes=tuple(attaining.tolist()),
+        count=int(attaining.size),
+        runner_up=sign * float(outside.min()) if outside.size else None,
+    )
+
+
+def _group_extremes(table: np.ndarray, nalphas: int, parameters: tuple[str, ...]) -> dict:
+    """{(parameter, value): [{"min": GroupExtreme, "max": GroupExtreme}] per alpha}.
+
+    arc_conn_tight groups the arc connectivity of the rows where it equals
+    the minimum degree delta0."""
+    groups = {}
+    for param in parameters:
+        if param == "arc_conn_tight":
+            col = table["arc_conn"]
+            rows = col == table["delta0"]
+        else:
+            col = table[param]
+            rows = np.ones(col.size, dtype=bool)
+        for value in np.unique(col[rows]).tolist():
+            sel = rows & (col == value)
+            codes, radius = table["code"][sel], table["radius"][sel]
+            groups[(param, value)] = [
+                {mode: _extreme(radius[:, ai], codes, mode) for mode in ("min", "max")}
+                for ai in range(nalphas)
+            ]
+    return dict(sorted(groups.items()))
+
+
+def _top_buckets(vals: np.ndarray, codes: np.ndarray, buckets: int = 3) -> list[TopBucket]:
+    """The largest radius levels: each bucket holds every radius within
+    ATTAIN_TOL below the largest radius not in an earlier bucket."""
+    order = np.lexsort((codes, -vals))
+    neg = -vals[order]  # ascending
+    out: list[TopBucket] = []
+    start = 0
+    while start < neg.size and len(out) < buckets:
+        stop = int(np.searchsorted(neg, neg[start] + ATTAIN_TOL, side="right"))
+        members = np.sort(codes[order[start:stop]])
+        out.append(TopBucket(float(-neg[start]), tuple(members.tolist()), int(members.size)))
+        start = stop
+    return out
+
+
+def _bound_report(n: int, alpha: float, table: np.ndarray, lam: np.ndarray) -> dict:
+    """Spectral bound checks on every row; at most VIOLATION_CAP violations
+    are listed, check by check in code order."""
+    min_out, max_out = table["min_out"], table["max_out"]
+    is_cycle = max_out == 1
+    is_complete = min_out == n - 1
+    out_regular = min_out == max_out
+    near_one = np.abs(lam - 1.0) <= 1e-9
+    near_top = np.abs(lam - (n - 1.0)) <= 1e-9
+    reg_eq = np.abs(lam - min_out) <= 1e-9
+    strict_inside = (lam > min_out + 1e-9) & (lam < max_out - 1e-9)
+    checks = [
+        ("radius_below_one", lam < 1.0 - 1e-9),
+        ("radius_above_n_minus_one", lam > n - 1.0 + 1e-9),
+        ("radius_one_but_not_cycle", near_one & ~is_cycle),
+        ("cycle_radius_not_one", is_cycle & ~near_one),
+        ("top_radius_but_not_complete", near_top & ~is_complete),
+        ("complete_radius_off", is_complete & ~near_top),
+        ("regular_radius_off_degree", out_regular & ~reg_eq),
+        ("irregular_radius_hits_degree", ~out_regular & ~strict_inside),
+    ]
+    if alpha > 0.0:
+        checks.append(("radius_not_above_alpha_maxdeg", lam <= alpha * max_out + 1e-12))
+    violations: list[dict] = []
+    for name, bad in checks:
+        for idx in np.flatnonzero(bad)[: VIOLATION_CAP - len(violations)]:
+            violations.append(
+                {"check": name, "code": int(table["code"][idx]), "radius": float(lam[idx])}
+            )
+    return {"checked": int(lam.size), "violations": violations}
 
 
 @dataclass(frozen=True)
@@ -622,63 +454,40 @@ def run_scan(
     Returns per-parameter extremal statistics for every requested alpha.
     With workers > 1 the code space is split into contiguous ranges handled
     by a process pool; the merged result is identical to the serial one.
+    n = 6 is refused, long runs or not: its table would not fit in memory.
     """
+    if n == ENUM_CAP:
+        gb = _STRONG_COUNT_6 * _row_dtype(len(tuple(alphas))).itemsize / 1e9
+        raise ValueError(
+            f"n = {n} cannot be scanned, even with long runs enabled: the scan "
+            f"table would hold {_STRONG_COUNT_6:,} rows, about {gb:.1f} GB, and "
+            "twice that while its chunks are joined"
+        )
     _check_enum_order(n, long_runs_enabled)
-    alphas = tuple(float(a) for a in alphas)
+    alphas = tuple(_check_alpha(a) for a in alphas)
     if len(set(alphas)) != len(alphas):
         raise ValueError("duplicate alpha values")
-    for a in alphas:
-        if not 0.0 <= a < 1.0:
-            raise ValueError(f"alpha must lie in [0, 1), got {a}")
     parameters = tuple(parameters)
     unknown = set(parameters) - set(SCAN_PARAMETERS)
     if unknown:
         raise ValueError(f"unknown scan parameters {sorted(unknown)}")
-    total = 1 << (n * (n - 1))
-    if workers <= 1:
-        acc = _scan_worker((n, 0, total, alphas, parameters, tol, max_iters))
-    else:
-        import multiprocessing as mp
-
-        step = 1 << CHUNK_BITS
-        nranges = min(max(workers * 4, 1), max(total // step, 1))
-        bounds = np.linspace(0, total, nranges + 1, dtype=np.int64)
-        bounds = np.unique((bounds // step) * step)
-        if bounds[-1] != total:
-            bounds = np.append(bounds, total)
-        tasks = [
-            (n, int(bounds[i]), int(bounds[i + 1]), alphas, parameters, tol, max_iters)
-            for i in range(len(bounds) - 1)
-            if bounds[i] < bounds[i + 1]
-        ]
-        acc = _Accumulator(n, alphas, parameters)
-        with mp.Pool(processes=workers) as pool:
-            for part in pool.imap(_scan_worker, tasks):
-                acc.absorb(part)
-    groups = {
-        key: [
-            {"min": cells[ai]["min"].finalized(), "max": cells[ai]["max"].finalized()}
-            for ai in range(len(alphas))
-        ]
-        for key, cells in acc.groups.items()
-    }
-    top = {ai: acc.top[ai].finalized() for ai in range(len(alphas))}
-    bounds_out = {
-        ai: {"checked": acc.bounds[ai].checked, "violations": list(acc.bounds[ai].violations)}
-        for ai in range(len(alphas))
-    }
+    table, width, iterations = _scan_table(n, alphas, parameters, tol, max_iters, workers)
+    radius, codes = table["radius"], table["code"]
     return ScanStats(
         n=n,
         alphas=alphas,
         parameters=parameters,
         tol=tol,
-        total_codes=acc.total,
-        strong_count=acc.strong,
-        groups={k: v for k, v in sorted(groups.items())},
-        top={ai: top[ai] for ai in top},
-        bounds=bounds_out,
-        max_certificate_width=acc.max_width,
-        max_iterations=acc.max_iterations,
+        total_codes=1 << (n * (n - 1)),
+        strong_count=int(table.size),
+        groups=_group_extremes(table, len(alphas), parameters),
+        top={ai: _top_buckets(radius[:, ai], codes) for ai in range(len(alphas))},
+        bounds={
+            ai: _bound_report(n, alpha, table, radius[:, ai])
+            for ai, alpha in enumerate(alphas)
+        },
+        max_certificate_width=width,
+        max_iterations=iterations,
     )
 
 
@@ -707,7 +516,6 @@ class ExtremalGroup:
     class_count: int
     representatives: tuple[Digraph, ...]
     runner_up: float | None
-    overflow: bool
 
 
 @dataclass(frozen=True)
@@ -751,7 +559,6 @@ def extremal_scan(
                 class_count=len(classes),
                 representatives=tuple(rep for rep, _c, _f in classes),
                 runner_up=ext.runner_up,
-                overflow=ext.overflow,
             )
         )
     return ExtremalReport(
@@ -911,9 +718,6 @@ def verify_theorem(
                         f"!= family radius {want!r}"
                     )
                     continue
-                if ext.overflow:
-                    fail(f"alpha={alpha}, parameter {p}: attaining set overflowed")
-                    continue
                 match, why = _classes_match(n, ext.codes, [expected])
                 if not match:
                     fail(f"alpha={alpha}, parameter {p}: {why}", ext.codes[0])
@@ -942,9 +746,6 @@ def verify_theorem(
                         f"closed form {want!r}"
                     )
                     continue
-                if ext.overflow:
-                    fail(f"alpha={alpha}, k={k}: attaining set overflowed")
-                    continue
                 if alpha == 0.0:
                     expected = [families.k_nkm(n, k, 1), families.k_nkm(n, k, n - k - 1)]
                 else:
@@ -967,9 +768,6 @@ def verify_theorem(
             vacuous = False
             first, second, third = buckets[0], buckets[1], buckets[2]
             comp = families.complete(n)
-            if not (first.complete and second.complete):
-                fail(f"alpha={alpha}: top buckets truncated; raise the keep limit")
-                continue
             match1, why1 = _classes_match(n, first.codes, [comp])
             if not match1:
                 fail(f"alpha={alpha}: top bucket: {why1}", first.codes[0])
@@ -1004,9 +802,6 @@ def verify_theorem(
                         fail(
                             f"alpha={alpha}, {param}={k}: minimum {ext.value!r} != {k}"
                         )
-                        continue
-                    if ext.overflow:
-                        fail(f"alpha={alpha}, {param}={k}: attaining set overflowed")
                         continue
                     bad = None
                     for code in ext.codes:
@@ -1122,7 +917,7 @@ def subdivision_sweep(
     vertices and check the radius never increases (within 1e-9)."""
     if not 2 <= n <= 5:
         raise ValueError(f"the exhaustive subdivision sweep supports 2 <= n <= 5, got {n}")
-    alphas = tuple(float(a) for a in alphas)
+    alphas = tuple(_check_alpha(a) for a in alphas)
     t = _tables(n)
     total = 1 << t.nbits
     step = 1 << chunk_bits
@@ -1155,10 +950,15 @@ def subdivision_sweep(
         for alpha in alphas:
             mb = (1.0 - alpha) * base
             mb[:, eye_n, eye_n] += alpha * outdeg
-            lam_base, _, _, _ = batch_cw_radius(mb, tol=tol, max_iters=max_iters)
+            lam_base, _, _, _ = _certified_radii(
+                mb, tol, max_iters, alpha, lambda i: f"code {codes[i]}"
+            )
             mw = (1.0 - alpha) * big
             mw[:, eye_w, eye_w] += alpha * bigdeg
-            lam_sub, _, _, _ = batch_cw_radius(mw, tol=tol, max_iters=max_iters)
+            lam_sub, _, _, _ = _certified_radii(
+                mw, tol, max_iters, alpha,
+                lambda i: f"code {codes[srcrow[i]]} subdivided at arc ({uarr[i]}, {varr[i]})",
+            )
             excess = lam_sub - lam_base[srcrow]
             checked += m
             worst = float(excess.max())

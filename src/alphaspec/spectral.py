@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .digraph import Digraph, NotStronglyConnected, _reach, _transpose, is_strongly_connected
+from .digraph import Digraph, NotStronglyConnected, _reach, is_strongly_connected
 
 __all__ = [
     "AlphaMatrix",
@@ -41,16 +41,35 @@ DEFAULT_MAX_ITERS = 200_000
 
 
 class ConvergenceError(RuntimeError):
-    """Power iteration hit the iteration cap before certifying the radius."""
+    """Power iteration hit the iteration cap before certifying the radius.
 
-    def __init__(self, lo: float, hi: float, iterations: int):
+    index is the position in the input stack of the worst matrix that did
+    not converge (batched kernel only); witness, when a caller knows it,
+    names that matrix and leads the message.
+    """
+
+    def __init__(
+        self,
+        lo: float,
+        hi: float,
+        iterations: int,
+        index: int | None = None,
+        witness: str | None = None,
+    ):
         self.lo = lo
         self.hi = hi
         self.iterations = iterations
-        super().__init__(
+        self.index = index
+        self.witness = witness
+        message = (
             f"no certificate after {iterations} iterations; "
             f"current enclosure [{lo!r}, {hi!r}]"
         )
+        super().__init__(message if witness is None else f"{witness}: {message}")
+
+    def __reduce__(self):
+        # rebuilt from its fields, so it survives a process pool
+        return type(self), (self.lo, self.hi, self.iterations, self.index, self.witness)
 
 
 @dataclass(frozen=True)
@@ -267,6 +286,15 @@ def batch_cw_radius(
     done = np.zeros(b, dtype=bool)
 
     for it in range(1, max_iters + 1):
+        # compact before iterating, so that lo/hi and src share one numbering
+        # when the cap is hit
+        ndone = int(done.sum())
+        if ndone >= done.size // 2 and ndone >= 32:
+            keep = ~done
+            cur = cur[keep]
+            x = x[keep]
+            src = src[keep]
+            done = np.zeros(src.size, dtype=bool)
         y = np.einsum("bij,bj->bi", cur, x)
         r = y / x
         lo = r.min(axis=1)
@@ -280,15 +308,10 @@ def batch_cw_radius(
             out_hi[g] = hi[new] - 1.0
             out_it[g] = it
             done |= fin
+            if done.all():
+                return out_mid, out_lo, out_hi, out_it
         x = y / y.sum(axis=1, keepdims=True)
-        ndone = int(done.sum())
-        if ndone == done.size:
-            return out_mid, out_lo, out_hi, out_it
-        if ndone >= done.size // 2 and ndone >= 32:
-            keep = ~done
-            cur = cur[keep]
-            x = x[keep]
-            src = src[keep]
-            done = np.zeros(src.size, dtype=bool)
     worst = int(np.argmax(hi - lo))
-    raise ConvergenceError(float(lo[worst]) - 1.0, float(hi[worst]) - 1.0, max_iters)
+    raise ConvergenceError(
+        float(lo[worst]) - 1.0, float(hi[worst]) - 1.0, max_iters, index=int(src[worst])
+    )

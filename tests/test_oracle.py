@@ -3,9 +3,10 @@
 The reference below enumerates all 2^(n(n-1)) codes with python sets, takes
 parameters from hand-rolled searches and radii from dense eigensolves, then
 rebuilds every per-group extreme.  Nothing of the production path (bitmask
-closure, lockstep power iteration, streaming buckets) is reused.
+closure, lockstep power iteration, the scan table) is reused.
 """
 import math
+import re
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from alphaspec.oracle import (
     PUBLIC_PARAMETERS,
     SCAN_PARAMETERS,
     THEOREM_IDS,
+    VIOLATION_CAP,
     code_of_digraph,
     digraph_from_code,
     enumerate_strong,
@@ -40,6 +42,8 @@ from alphaspec.oracle import (
     subdivision_sweep,
     verify_theorem,
 )
+from alphaspec import oracle
+from alphaspec.spectral import ConvergenceError
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +225,6 @@ def test_scan_groups_match_reference(ref3, stats3):
                     assert got.value == pytest.approx(best, abs=1e-9)
                     assert sorted(got.codes) == attain
                     assert got.count == len(attain)
-                    assert not got.overflow
                     if runner is None:
                         assert got.runner_up is None
                     else:
@@ -242,7 +245,6 @@ def test_scan_top_buckets_match_reference(ref3, stats3):
             )
             assert sorted(bucket.codes) == ref_codes
             assert bucket.count == len(ref_codes)
-            assert bucket.complete
         # the overall maximum is the complete digraph, alone
         assert buckets[0].codes == (63,)
         assert buckets[0].value == pytest.approx(2.0, abs=1e-10)
@@ -276,6 +278,9 @@ def test_scan_validation():
         run_scan(7, (0.0,))
     with pytest.raises(ValueError):
         run_scan(6, (0.0,))  # gated
+    # refused outright: the n = 6 table would not fit in memory
+    with pytest.raises(ValueError, match=r"734,774,776 rows, about 19\.8 GB"):
+        run_scan(6, (0.0, 0.5), long_runs_enabled=True)
 
 
 def test_scan_deterministic_rerun(stats3):
@@ -293,21 +298,63 @@ def test_scan_deterministic_rerun(stats3):
             assert x.value == y.value and x.codes == y.codes
 
 
-def test_scan_parallel_matches_serial():
-    serial = run_scan(4, (0.0, 0.5), parameters=("girth",))
-    par = run_scan(4, (0.0, 0.5), parameters=("girth",), workers=2)
-    assert par.strong_count == serial.strong_count
-    assert par.groups.keys() == serial.groups.keys()
-    for key in serial.groups:
-        for ai in range(2):
-            for mode in ("min", "max"):
-                a = serial.groups[key][ai][mode]
-                b = par.groups[key][ai][mode]
-                assert a.value == b.value and a.codes == b.codes
-                assert a.runner_up == b.runner_up
-    for ai in range(2):
-        assert [b.value for b in par.top[ai]] == [b.value for b in serial.top[ai]]
-        assert [b.codes for b in par.top[ai]] == [b.codes for b in serial.top[ai]]
+def test_scan_parallel_matches_serial(scan4, monkeypatch):
+    # 2^8-code chunks split n = 4 into 16, so the pool joins many chunks
+    monkeypatch.setattr(oracle, "CHUNK_BITS", 8)
+    ser = run_scan(4, scan4.alphas, workers=1)
+    par = run_scan(4, scan4.alphas, workers=2)
+    for got in (ser, par):
+        assert got.parameters == scan4.parameters == SCAN_PARAMETERS
+        assert got.strong_count == scan4.strong_count
+        # every group of every parameter, with its codes, counts and runner-ups
+        assert got.groups == scan4.groups
+        assert {p for p, _v in got.groups} == set(SCAN_PARAMETERS)
+        assert got.top == scan4.top
+        assert got.bounds == scan4.bounds
+        assert got.max_certificate_width == scan4.max_certificate_width
+        assert got.max_iterations == scan4.max_iterations
+
+
+def test_scan_reports_bound_violations(monkeypatch):
+    # shifting every certified radius down by 10 breaks the row-sum sandwich,
+    # the cycle/complete equalities, the degree checks and, at alpha > 0,
+    # the alpha * max-out-degree bound
+    real = oracle.batch_cw_radius
+
+    def shifted(mats, tol, max_iters):
+        lam, lo, hi, iters = real(mats, tol=tol, max_iters=max_iters)
+        return lam - 10.0, lo - 10.0, hi - 10.0, iters
+
+    monkeypatch.setattr(oracle, "batch_cw_radius", shifted)
+    stats = run_scan(3, ALPHAS3)
+    checks = {
+        "radius_below_one", "cycle_radius_not_one", "complete_radius_off",
+        "regular_radius_off_degree", "irregular_radius_hits_degree",
+        "radius_not_above_alpha_maxdeg",
+    }
+    for alpha in ALPHAS3:
+        rep = stats.bound_report(alpha)
+        assert rep["checked"] == 18
+        assert 0 < len(rep["violations"]) <= VIOLATION_CAP
+        for v in rep["violations"]:
+            assert v["check"] in checks
+            g = digraph_from_code(3, v["code"])
+            assert is_strongly_connected(g)
+            want = ref_radius(3, sorted(g.arcs), alpha) - 10.0
+            assert v["radius"] == pytest.approx(want, abs=1e-9)
+    # alpha = 0: 18 below one, 2 cycles, 1 complete, 18 degree checks
+    assert len(stats.bound_report(0.0)["violations"]) == 39
+    # alpha = 0.5 adds 18 alpha * max-out-degree violations: capped
+    assert len(stats.bound_report(0.5)["violations"]) == VIOLATION_CAP
+
+
+def test_scan_convergence_failure_names_its_witness():
+    with pytest.raises(ConvergenceError) as info:
+        run_scan(3, (0.5,), max_iters=1)
+    message = str(info.value)
+    code = int(re.search(r"code (\d+) at alpha 0\.5:", message).group(1))
+    assert is_strongly_connected(digraph_from_code(3, code))
+    assert info.value.iterations == 1
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +479,28 @@ def test_subdivision_sweep_range_check():
         subdivision_sweep(1)
     with pytest.raises(ValueError):
         subdivision_sweep(6)
+    for alpha in (-0.5, 1.0, 1.5):
+        with pytest.raises(ValueError):
+            subdivision_sweep(3, (alpha,))
+
+
+def test_subdivision_sweep_convergence_failure_names_its_witness(monkeypatch):
+    # unsubdivided radii come first and stall on an irregular digraph
+    with pytest.raises(ConvergenceError, match=r"^code \d+ at alpha 0\.5: "):
+        subdivision_sweep(3, (0.5,), max_iters=1)
+    # a stalled subdivided matrix is named by its digraph and arc
+    real = oracle.batch_cw_radius
+
+    def stalls_when_subdivided(mats, tol, max_iters):
+        if mats.shape[-1] == 4:
+            raise ConvergenceError(0.0, 1.0, max_iters, index=0)
+        return real(mats, tol=tol, max_iters=max_iters)
+
+    monkeypatch.setattr(oracle, "batch_cw_radius", stalls_when_subdivided)
+    first = next(g for g in enumerate_strong(3) if g.num_arcs > 3)
+    want = f"code {code_of_digraph(first)} subdivided at arc {min(first.arcs)} at alpha 0.5: "
+    with pytest.raises(ConvergenceError, match=re.escape(want)):
+        subdivision_sweep(3, (0.5,))
 
 
 # ---------------------------------------------------------------------------

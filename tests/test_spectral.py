@@ -4,6 +4,8 @@ numpy.linalg.eigvals is the oracle: it shares no code with the power
 iteration and is accurate to ~1e-13 on these tiny matrices, far below the
 1e-10 certificates under test.
 """
+import pickle
+
 import numpy as np
 import pytest
 
@@ -297,3 +299,23 @@ def test_batch_empty_stack():
 def test_batch_iteration_cap():
     with pytest.raises(ConvergenceError):
         batch_cw_radius(_alpha_stack([k_nkm(6, 2, 1)], 0.0), max_iters=3)
+
+
+@pytest.mark.parametrize("max_iters", [1, 3])
+def test_batch_iteration_cap_names_input_index(max_iters):
+    # 40 regular matrices certify at iteration 1 and are compacted away
+    # (max_iters = 1: on the last iteration); the error still names the
+    # stalled matrix by its position in the input stack
+    stack = _alpha_stack([complete(6)] * 40 + [k_nkm(6, 2, 1)], 0.0)
+    with pytest.raises(ConvergenceError) as err:
+        batch_cw_radius(stack, max_iters=max_iters)
+    assert err.value.index == 40
+    assert err.value.iterations == max_iters
+    assert err.value.lo < err.value.hi
+
+
+def test_convergence_error_pickles_with_its_witness():
+    err = ConvergenceError(1.0, 2.0, 7, index=3, witness="code 9 at alpha 0.5")
+    back = pickle.loads(pickle.dumps(err))
+    assert str(back) == str(err) and str(err).startswith("code 9 at alpha 0.5: ")
+    assert (back.lo, back.hi, back.iterations, back.index) == (1.0, 2.0, 7, 3)

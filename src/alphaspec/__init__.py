@@ -24,9 +24,7 @@ from .digraph import (
     vertex_connectivity,
 )
 from .families import (
-    FamilySpec,
     b_nd,
-    basic_family,
     build_family,
     c_ng,
     circulant,
@@ -108,8 +106,6 @@ __all__ = [
     "quotient_matrix",
     "batch_cw_radius",
     # families
-    "FamilySpec",
-    "basic_family",
     "path",
     "cycle",
     "complete",

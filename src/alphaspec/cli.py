@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import io
 import json
 import os
@@ -204,18 +205,11 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 
 _FAMILY_ALIASES = {"knkm": "k_nkm", "cng": "c_ng", "bnd": "b_nd"}
 
-# family -> (required flags, optional flags)
+# family -> the parameters of its generator.  Each is filled from the flag of
+# the same name, except alpha and long_runs_enabled, which come from the run;
+# a parameter without a default makes its flag required.
 _FAMILY_FLAGS = {
-    "path": (("n",), ()),
-    "cycle": (("n",), ()),
-    "complete": (("n",), ()),
-    "c_ng": (("n", "g"), ("primed",)),
-    "b_nd": (("n", "d"), ("primed",)),
-    "k_nkm": (("n", "k", "m"), ()),
-    "tournament": (("kind", "n"), ()),
-    "g0": (("n", "d"), ()),
-    "h4": (("n", "k", "a"), ()),
-    "circulant": (("n", "steps"), ()),
+    name: inspect.signature(getattr(families, name)).parameters for name in families.FAMILIES
 }
 
 
@@ -229,24 +223,17 @@ def build_family_from_args(
             f"unknown family {args.family!r}; expected one of "
             f"{sorted(set(_FAMILY_FLAGS) | set(_FAMILY_ALIASES))}"
         )
-    required, optional = _FAMILY_FLAGS[name]
     kwargs: dict = {}
-    for flag in required + optional:
+    for flag, param in _FAMILY_FLAGS[name].items():
         value = getattr(args, flag, None)
-        if value is None or (flag == "primed" and value is False):
-            if flag in required:
-                raise ValueError(f"family {name} requires --{flag}")
-            continue
-        if flag == "steps":
-            kwargs[flag] = parse_steps(value)
-        else:
-            kwargs[flag] = value
-    if name in ("g0", "tournament"):
-        kwargs["alpha"] = alpha if alpha is not None else 0.0
-        kwargs["long_runs_enabled"] = cfg.long_runs_enabled
-        if name == "tournament" and kwargs["kind"] != "extremal_bruteforce":
-            kwargs.pop("alpha")
-            kwargs.pop("long_runs_enabled")
+        if flag == "alpha":
+            kwargs[flag] = alpha if alpha is not None else 0.0
+        elif flag == "long_runs_enabled":
+            kwargs[flag] = cfg.long_runs_enabled
+        elif value is not None and value is not False:
+            kwargs[flag] = parse_steps(value) if flag == "steps" else value
+        elif param.default is param.empty:
+            raise ValueError(f"family {name} requires --{flag}")
     return families.build_family(name, **kwargs)
 
 

@@ -16,16 +16,14 @@ All generators are deterministic and use fixed vertex numbering conventions:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
 
 from .digraph import Digraph, from_arcs
+from .spectral import _alpha_entries
 
 __all__ = [
-    "FamilySpec",
-    "basic_family",
     "path",
     "cycle",
     "complete",
@@ -39,6 +37,9 @@ __all__ = [
     "build_family",
 ]
 
+FAMILIES = (
+    "path", "cycle", "complete", "c_ng", "b_nd", "k_nkm", "tournament", "g0", "h4", "circulant",
+)
 TOURNAMENT_KINDS = ("transitive", "rotational", "brualdi_li", "extremal_bruteforce")
 BRUTEFORCE_CAP = 7  # 2^21 orientations; n = 7 additionally needs the long-runs flag
 
@@ -60,13 +61,6 @@ def complete(n: int) -> Digraph:
     if n < 1:
         raise ValueError(f"complete digraph needs n >= 1, got {n}")
     return Digraph(n, frozenset((u, v) for u in range(n) for v in range(n) if u != v))
-
-
-def basic_family(kind: str, n: int) -> Digraph:
-    builders = {"path": path, "cycle": cycle, "complete": complete}
-    if kind not in builders:
-        raise ValueError(f"unknown basic family {kind!r}; expected one of {sorted(builders)}")
-    return builders[kind](n)
 
 
 def c_ng(n: int, g: int, primed: bool = False) -> Digraph:
@@ -184,10 +178,7 @@ def _radius_batch_eig(adj: np.ndarray, alpha: float) -> np.ndarray:
     Dense eigenvalues instead of power iteration: tournaments may be
     reducible, where the certified power path refuses to run.
     """
-    m = (1.0 - alpha) * adj
-    idx = np.arange(adj.shape[1])
-    m[:, idx, idx] += alpha * adj.sum(axis=2)
-    return np.abs(np.linalg.eigvals(m)).max(axis=1)
+    return np.abs(np.linalg.eigvals(_alpha_entries(adj, alpha))).max(axis=1)
 
 
 def _extremal_tournament(n: int, alpha: float, long_runs_enabled: bool) -> Digraph:
@@ -200,16 +191,14 @@ def _extremal_tournament(n: int, alpha: float, long_runs_enabled: bool) -> Digra
             f"n = {BRUTEFORCE_CAP} scans 2^{BRUTEFORCE_CAP * (BRUTEFORCE_CAP - 1) // 2} "
             "orientations; enable long runs to allow it"
         )
-    if n == 1:
-        return Digraph(1, frozenset())
     pairs = _tournament_pairs(n)
     nbits = len(pairs)
     total = 1 << nbits
     chunk = 4096
     best_val = -np.inf
     best_code = 0
-    rows_idx = np.array([p[0] for p in pairs])
-    cols_idx = np.array([p[1] for p in pairs])
+    rows_idx = np.array([p[0] for p in pairs], dtype=np.int64)
+    cols_idx = np.array([p[1] for p in pairs], dtype=np.int64)
     for lo in range(0, total, chunk):
         codes = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
         bits = (codes[:, None] >> np.arange(nbits)) & 1
@@ -311,30 +300,9 @@ def circulant(n: int, steps: Iterable[int]) -> Digraph:
     return Digraph(n, frozenset((i, (i + s) % n) for i in range(n) for s in steps))
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """A named family plus its parameters, as parsed from CLI flags."""
-
-    name: str
-    params: dict = field(default_factory=dict)
-
-    def build(self) -> Digraph:
-        return build_family(self.name, **self.params)
-
-
 def build_family(name: str, **params) -> Digraph:
-    builders = {
-        "path": path,
-        "cycle": cycle,
-        "complete": complete,
-        "c_ng": c_ng,
-        "b_nd": b_nd,
-        "k_nkm": k_nkm,
-        "tournament": tournament,
-        "g0": g0,
-        "h4": h4,
-        "circulant": circulant,
-    }
-    if name not in builders:
-        raise ValueError(f"unknown family {name!r}; expected one of {sorted(builders)}")
-    return builders[name](**params)
+    """The family named in FAMILIES, built by the generator of that name."""
+    if name not in FAMILIES:
+        raise ValueError(f"unknown family {name!r}; expected one of {sorted(FAMILIES)}")
+    # looked up at call time, so a generator replaced on the module is the one called
+    return globals()[name](**params)

@@ -17,12 +17,18 @@ statistics are numpy queries on that table:
 
 The code space splits into contiguous chunks whose rows are concatenated in
 code order, so multi-process scans build the same table as the serial one.
+
+The seven enumeration statements are one table, _STATEMENTS: per statement
+the scan columns it reads (R5.1 reads the top radius levels), min or max, the
+parameter range, the stated radius and its tolerance, the digraphs that must
+attain it and those that may.  verify_theorem checks every entry the same way;
+L3.1/L4.1 compare certified enclosures of two family members instead.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -33,15 +39,14 @@ from .digraph import (
     _clique_number,
     _girth,
     _vertex_connectivity,
-    arc_connectivity,
     is_isomorphic,
-    vertex_connectivity,
 )
 from .spectral import (
     DEFAULT_MAX_ITERS,
     DEFAULT_TOL,
     ConvergenceError,
     NotStronglyConnected,
+    _alpha_entries,
     _check_alpha,
     batch_cw_radius,
     spectral_radius,
@@ -74,15 +79,13 @@ ENUM_CAP = 6
 ATTAIN_TOL = 1e-8
 VIOLATION_CAP = 50
 CHUNK_BITS = 15
+# 2^13 codes per subdivision-sweep chunk; larger chunks raise the n = 5 peak memory
+SUBDIVISION_CHUNK_BITS = 13
 # strongly connected labelled digraphs on 6 vertices (OEIS A003030)
 _STRONG_COUNT_6 = 734_774_776
 
 SCAN_PARAMETERS = ("girth", "clique", "vertex_conn", "arc_conn", "arc_conn_tight")
 PUBLIC_PARAMETERS = ("girth", "clique", "vertex_conn", "arc_conn")
-
-ENUM_THEOREMS = ("T3.1", "T4.1", "T5.3", "R5.1", "T6.3", "T6.4", "T6.5")
-FORMULA_THEOREMS = ("L3.1", "L4.1")
-THEOREM_IDS = ENUM_THEOREMS + FORMULA_THEOREMS
 
 
 # ---------------------------------------------------------------------------
@@ -278,13 +281,10 @@ def _scan_chunk(
             ]
 
     # certified radii, batched per alpha
-    eye = np.arange(n)
     width, iterations = 0.0, 0
     for ai, alpha in enumerate(alphas):
-        m = (1.0 - alpha) * adj
-        m[:, eye, eye] += alpha * outdeg
         lam, lo_c, hi_c, iters = _certified_radii(
-            m, tol, max_iters, alpha, lambda i: f"code {codes[i]}"
+            _alpha_entries(adj, alpha), tol, max_iters, alpha, lambda i: f"code {codes[i]}"
         )
         rows["radius"][:, ai] = lam
         width = max(width, float((hi_c - lo_c).max()))
@@ -579,27 +579,112 @@ class VerificationVerdict:
     witnesses: tuple[Digraph, ...]
 
 
-def _classes_match(
-    n: int, codes: Sequence[int], expected: Sequence[Digraph]
-) -> tuple[bool, str]:
-    """Do the attaining codes form exactly the expected isomorphism classes?"""
-    reps = []
-    for g in expected:
-        if not any(is_isomorphic(g, r) for r in reps):
-            reps.append(g)
-    seen = [False] * len(reps)
-    for code in codes:
-        g = digraph_from_code(n, code)
-        for i, r in enumerate(reps):
-            if is_isomorphic(g, r):
-                seen[i] = True
-                break
-        else:
-            return False, f"code {code} attains but is not isomorphic to any expected digraph"
-    for i, flag in enumerate(seen):
-        if not flag:
-            return False, f"expected class {i} does not attain the extremum"
-    return True, "exact class match"
+# what a statement reads in place of a scan parameter: radius level v, 1 the top
+_LEVEL = "level"
+
+
+@dataclass(frozen=True)
+class _Statement:
+    """An enumeration statement.  For every alpha, every column in reads and
+    every value v in values(n), the mode ("min" or "max") radius of the
+    digraphs with that value is radius(n, v, alpha, tol) within tol; every
+    digraph in stated(n, v, alpha) attains it; and every attaining digraph
+    is isomorphic to one of them or, when allowed is set, passes
+    allowed(G, v)."""
+
+    reads: tuple[str, ...]
+    mode: str
+    values: Callable[[int], range]
+    radius: Callable[[int, int, float, float], float]
+    stated: Callable[[int, int, float], list[Digraph]]
+    allowed: Callable[[Digraph, int], bool] | None = None
+    tol: float = ATTAIN_TOL
+
+
+def _cut_statement(read: str) -> _Statement:
+    """For 1 <= k <= n-2 the maximum radius is the closed form, attained by
+    K(n, k, n-k-1) and, at alpha = 0 only, also by K(n, k, 1)."""
+    return _Statement(
+        reads=(read,), mode="max", values=lambda n: range(1, n - 1),
+        radius=lambda n, k, alpha, tol: formulas.max_vertex_conn_radius(n, k, alpha),
+        stated=lambda n, k, alpha: [
+            families.k_nkm(n, k, m) for m in ((1, n - k - 1) if alpha == 0.0 else (n - k - 1,))
+        ],
+    )
+
+
+_STATEMENTS = {
+    "T3.1": _Statement(
+        reads=("girth",), mode="min", values=lambda n: range(2, n),
+        radius=lambda n, g, alpha, tol: spectral_radius(families.c_ng(n, g), alpha, tol=tol).radius,
+        stated=lambda n, g, alpha: [families.c_ng(n, g)],
+    ),
+    "T4.1": _Statement(
+        reads=("clique",), mode="min", values=lambda n: range(2, n),
+        radius=lambda n, d, alpha, tol: spectral_radius(families.b_nd(n, d), alpha, tol=tol).radius,
+        stated=lambda n, d, alpha: [families.b_nd(n, d)],
+    ),
+    "T5.3": _cut_statement("vertex_conn"),
+    # the second maximiser, K_n minus one arc, is strongly connected from n = 3 on
+    "R5.1": _Statement(
+        reads=(_LEVEL,), mode="max", values=lambda n: range(1, 3) if n >= 3 else range(0),
+        radius=lambda n, level, alpha, tol: (
+            n - 1.0 if level == 1 else formulas.second_max_radius(n, alpha)
+        ),
+        stated=lambda n, level, alpha: [
+            families.complete(n) if level == 1 else families.k_nkm(n, n - 2, 1)
+        ],
+    ),
+    "T6.3": _cut_statement("arc_conn_tight"),
+    "T6.4": _cut_statement("arc_conn"),
+    "T6.5": _Statement(
+        reads=("vertex_conn", "arc_conn"), mode="min", values=lambda n: range(1, n - 1),
+        radius=lambda n, k, alpha, tol: float(k),
+        stated=lambda n, k, alpha: [families.circulant(n, range(1, k + 1))],
+        allowed=lambda G, k: all(G.out_degree(v) == k == G.in_degree(v) for v in range(G.n)),
+        tol=1e-9,
+    ),
+}
+ENUM_THEOREMS = tuple(_STATEMENTS)
+FORMULA_THEOREMS = ("L3.1", "L4.1")
+THEOREM_IDS = ENUM_THEOREMS + FORMULA_THEOREMS
+
+
+def _extreme_at(
+    stats: ScanStats, read: str, value: int, alpha: float, mode: str
+) -> GroupExtreme | None:
+    """The extreme a statement reads: a scan group, or a top radius level
+    whose runner-up is the next level down."""
+    if read != _LEVEL:
+        return stats.group(read, value, alpha, mode)
+    levels = stats.top_buckets(alpha)
+    if value > len(levels):
+        return None
+    level = levels[value - 1]
+    below = levels[value].value if value < len(levels) else None
+    return GroupExtreme(level.value, level.codes, level.count, below)
+
+
+def _attainers_fault(
+    n: int,
+    codes: Sequence[int],
+    stated: Sequence[Digraph],
+    allowed: Callable[[Digraph, int], bool] | None = None,
+    value: int | None = None,
+) -> tuple[str, Digraph] | None:
+    """Why the attaining codes break the statement, with the digraph at
+    fault, or None.  Every stated digraph must attain; every attaining code
+    must be isomorphic to a stated digraph or, with allowed, pass
+    allowed(G, value)."""
+    graphs = [digraph_from_code(n, code) for code in codes]
+    for code, g in zip(codes, graphs):
+        ok = any(is_isomorphic(g, s) for s in stated) if allowed is None else allowed(g, value)
+        if not ok:
+            return f"code {code} attains but is not a digraph the statement allows", g
+    for i, s in enumerate(stated):
+        if not any(is_isomorphic(g, s) for g in graphs):
+            return f"stated digraph {i + 1} of {len(stated)} does not attain", s
+    return None
 
 
 def _scan_for(
@@ -625,6 +710,46 @@ def _scan_for(
     )
 
 
+def _verify_primed(
+    theorem: str, n: int, alphas: tuple[float, ...], tol: float
+) -> VerificationVerdict:
+    """L3.1/L4.1: the primed family member has the strictly larger radius."""
+    if not 3 <= n <= 12:
+        raise ValueError(f"{theorem} supports 3 <= n <= 12, got {n}")
+    family = families.c_ng if theorem == "L3.1" else families.b_nd
+    # Strictness is decided on certified enclosures: the inequality holds
+    # when the primed interval lies entirely above the unprimed one.  The
+    # true gaps shrink towards 1e-10 at n = 12, so the enclosures are
+    # tightened well past the default certificate width.
+    strict_tol = min(tol, 1e-13)
+    details: list[str] = []
+    witnesses: list[Digraph] = []
+    for alpha in alphas:
+        min_sep = None
+        arg = None
+        for p in range(2, n):
+            base = spectral_radius(family(n, p), alpha, tol=strict_tol)
+            primed = spectral_radius(family(n, p, primed=True), alpha, tol=strict_tol)
+            sep = primed.certificate_lo - base.certificate_hi
+            if min_sep is None or sep < min_sep:
+                min_sep, arg = sep, p
+            if sep <= 0.0:
+                details.append(
+                    f"alpha={alpha}: parameter {p}: certified enclosures overlap "
+                    f"(separation {sep:.3e}); strict increase not established"
+                )
+                witnesses.append(family(n, p, primed=True))
+        if not witnesses and min_sep is not None:
+            details.append(
+                f"alpha={alpha}: primed radius certified strictly larger for "
+                f"every parameter; smallest separation {min_sep:.3e} at parameter {arg}"
+            )
+    return VerificationVerdict(
+        theorem, n, alphas, "violated" if witnesses else "confirmed",
+        tuple(details), tuple(witnesses),
+    )
+
+
 def verify_theorem(
     theorem: str,
     n: int,
@@ -634,210 +759,49 @@ def verify_theorem(
     workers: int = 1,
     long_runs_enabled: bool = False,
 ) -> VerificationVerdict:
-    """Check one extremal statement exhaustively (or by formula for L-ids)."""
+    """Check one extremal statement exhaustively (or by formula for L-ids).
+
+    An enumeration statement is violated when some checked point breaks it,
+    vacuous when it has no point to check at this n, and confirmed otherwise.
+    """
     alphas = tuple(float(a) for a in alphas)
+    if theorem in FORMULA_THEOREMS:
+        return _verify_primed(theorem, n, alphas, tol)
+    if theorem not in _STATEMENTS:
+        raise ValueError(f"unknown theorem id {theorem!r}; expected one of {THEOREM_IDS}")
+    st = _STATEMENTS[theorem]
+    needed = tuple(read for read in st.reads if read != _LEVEL)
+    stats = _scan_for(n, alphas, needed, scan, tol, workers, long_runs_enabled)
+    points = [(a, read, v) for a in alphas for read in st.reads for v in st.values(n)]
     details: list[str] = []
     witnesses: list[Digraph] = []
-
-    if theorem in FORMULA_THEOREMS:
-        if not 3 <= n <= 12:
-            raise ValueError(f"{theorem} supports 3 <= n <= 12, got {n}")
-        family = families.c_ng if theorem == "L3.1" else families.b_nd
-        # Strictness is decided on certified enclosures: the inequality holds
-        # when the primed interval lies entirely above the unprimed one.  The
-        # true gaps shrink towards 1e-10 at n = 12, so the enclosures are
-        # tightened well past the default certificate width.
-        strict_tol = min(tol, 1e-13)
-        ok = True
-        for alpha in alphas:
-            min_sep = None
-            arg = None
-            for p in range(2, n):
-                base = spectral_radius(family(n, p), alpha, tol=strict_tol)
-                primed = spectral_radius(family(n, p, primed=True), alpha, tol=strict_tol)
-                sep = primed.certificate_lo - base.certificate_hi
-                if min_sep is None or sep < min_sep:
-                    min_sep, arg = sep, p
-                if sep <= 0.0:
-                    ok = False
-                    details.append(
-                        f"alpha={alpha}: parameter {p}: certified enclosures overlap "
-                        f"(separation {sep:.3e}); strict increase not established"
-                    )
-                    witnesses.append(family(n, p, primed=True))
-            if ok and min_sep is not None:
-                details.append(
-                    f"alpha={alpha}: primed radius certified strictly larger for "
-                    f"every parameter; smallest separation {min_sep:.3e} at parameter {arg}"
-                )
-        return VerificationVerdict(
-            theorem, n, alphas, "confirmed" if ok else "violated",
-            tuple(details), tuple(witnesses),
-        )
-
-    if theorem not in ENUM_THEOREMS:
-        raise ValueError(f"unknown theorem id {theorem!r}; expected one of {THEOREM_IDS}")
-
-    needed = {
-        "T3.1": ("girth",),
-        "T4.1": ("clique",),
-        "T5.3": ("vertex_conn",),
-        "R5.1": (),  # only the always-collected top radius buckets matter
-        "T6.3": ("arc_conn_tight",),
-        "T6.4": ("arc_conn",),
-        "T6.5": ("vertex_conn", "arc_conn"),
-    }[theorem]
-    stats = _scan_for(n, alphas, needed, scan, tol, workers, long_runs_enabled)
-
-    ok = True
-    vacuous = True
-
-    def fail(msg: str, code: int | None = None) -> None:
-        nonlocal ok
-        ok = False
-        details.append(msg)
-        if code is not None:
-            witnesses.append(digraph_from_code(n, code))
-
-    if theorem in ("T3.1", "T4.1"):
-        build = families.c_ng if theorem == "T3.1" else families.b_nd
-        for alpha in alphas:
-            for p in range(2, n):
-                ext = stats.group(
-                    "girth" if theorem == "T3.1" else "clique", p, alpha, "min"
-                )
-                if ext is None:
-                    details.append(f"alpha={alpha}: no digraphs with parameter {p}")
-                    continue
-                vacuous = False
-                expected = build(n, p)
-                want = spectral_radius(expected, alpha, tol=tol).radius
-                if abs(ext.value - want) > ATTAIN_TOL:
-                    fail(
-                        f"alpha={alpha}, parameter {p}: scan minimum {ext.value!r} "
-                        f"!= family radius {want!r}"
-                    )
-                    continue
-                match, why = _classes_match(n, ext.codes, [expected])
-                if not match:
-                    fail(f"alpha={alpha}, parameter {p}: {why}", ext.codes[0])
-                else:
-                    details.append(
-                        f"alpha={alpha}, parameter {p}: unique minimizer class, "
-                        f"radius {ext.value:.12g}, runner-up gap "
-                        f"{(ext.runner_up - ext.value):.3e}"
-                        if ext.runner_up is not None
-                        else f"alpha={alpha}, parameter {p}: unique minimizer class"
-                    )
-
-    elif theorem in ("T5.3", "T6.3", "T6.4"):
-        param = {"T5.3": "vertex_conn", "T6.3": "arc_conn_tight", "T6.4": "arc_conn"}[theorem]
-        for alpha in alphas:
-            for k in range(1, n - 1):
-                ext = stats.group(param, k, alpha, "max")
-                if ext is None:
-                    details.append(f"alpha={alpha}: no digraphs with parameter {k}")
-                    continue
-                vacuous = False
-                want = formulas.max_vertex_conn_radius(n, k, alpha)
-                if abs(ext.value - want) > ATTAIN_TOL:
-                    fail(
-                        f"alpha={alpha}, k={k}: scan maximum {ext.value!r} != "
-                        f"closed form {want!r}"
-                    )
-                    continue
-                if alpha == 0.0:
-                    expected = [families.k_nkm(n, k, 1), families.k_nkm(n, k, n - k - 1)]
-                else:
-                    expected = [families.k_nkm(n, k, n - k - 1)]
-                match, why = _classes_match(n, ext.codes, expected)
-                if not match:
-                    fail(f"alpha={alpha}, k={k}: {why}", ext.codes[0])
-                else:
-                    details.append(
-                        f"alpha={alpha}, k={k}: maximizer classes as stated, "
-                        f"radius {ext.value:.12g}"
-                    )
-
-    elif theorem == "R5.1":
-        for alpha in alphas:
-            buckets = stats.top_buckets(alpha)
-            if len(buckets) < 3:
-                fail(f"alpha={alpha}: fewer than three distinct radius levels")
-                continue
-            vacuous = False
-            first, second, third = buckets[0], buckets[1], buckets[2]
-            comp = families.complete(n)
-            match1, why1 = _classes_match(n, first.codes, [comp])
-            if not match1:
-                fail(f"alpha={alpha}: top bucket: {why1}", first.codes[0])
-                continue
-            want = formulas.second_max_radius(n, alpha)
-            if abs(second.value - want) > ATTAIN_TOL:
-                fail(
-                    f"alpha={alpha}: second maximum {second.value!r} != closed form {want!r}"
-                )
-                continue
-            expected = families.k_nkm(n, n - 2, 1)
-            match2, why2 = _classes_match(n, second.codes, [expected])
-            if not match2:
-                fail(f"alpha={alpha}: second bucket: {why2}", second.codes[0])
-            else:
-                details.append(
-                    f"alpha={alpha}: second maximum {second.value:.12g} attained only "
-                    f"by the one-arc-deleted complete digraph; next level at "
-                    f"{third.value:.12g}"
-                )
-
-    elif theorem == "T6.5":
-        for alpha in alphas:
-            for param in ("vertex_conn", "arc_conn"):
-                for k in range(1, n - 1):
-                    ext = stats.group(param, k, alpha, "min")
-                    if ext is None:
-                        details.append(f"alpha={alpha}: no digraphs with {param}={k}")
-                        continue
-                    vacuous = False
-                    if abs(ext.value - k) > 1e-9:
-                        fail(
-                            f"alpha={alpha}, {param}={k}: minimum {ext.value!r} != {k}"
-                        )
-                        continue
-                    bad = None
-                    for code in ext.codes:
-                        g = digraph_from_code(n, code)
-                        outs = {g.out_degree(v) for v in range(n)}
-                        ins = {g.in_degree(v) for v in range(n)}
-                        if outs != {k} or ins != {k}:
-                            bad = code
-                            break
-                    if bad is not None:
-                        fail(
-                            f"alpha={alpha}, {param}={k}: attaining code {bad} "
-                            "is not k-regular",
-                            bad,
-                        )
-                        continue
-                    witness = families.circulant(n, range(1, k + 1))
-                    wcode = code_of_digraph(witness)
-                    if wcode not in ext.codes:
-                        fail(
-                            f"alpha={alpha}, {param}={k}: consecutive circulant "
-                            "witness does not attain the minimum"
-                        )
-                        continue
-                    if vertex_connectivity(witness) != k or arc_connectivity(witness) != k:
-                        fail(
-                            f"alpha={alpha}, {param}={k}: circulant witness has "
-                            "unexpected connectivity"
-                        )
-                        continue
-                    details.append(
-                        f"alpha={alpha}, {param}={k}: minimum is exactly {k}, "
-                        f"all {ext.count} attaining digraphs are {k}-regular"
-                    )
-
-    status = "vacuous" if (ok and vacuous) else ("confirmed" if ok else "violated")
+    violated = False
+    for alpha, read, v in points:
+        where = f"alpha={alpha}, {read}={v}"
+        ext = _extreme_at(stats, read, v, alpha, st.mode)
+        want = None if ext is None else st.radius(n, v, alpha, tol)
+        if want is not None and abs(ext.value - want) > st.tol:
+            # an extreme beyond the stated radius is a counterexample
+            beyond = ext.value < want if st.mode == "min" else ext.value > want
+            fault = (
+                f"scan {st.mode} {ext.value!r} != stated radius {want!r}",
+                digraph_from_code(n, ext.codes[0]) if beyond else None,
+            )
+        else:
+            codes = () if ext is None else ext.codes
+            fault = _attainers_fault(n, codes, st.stated(n, v, alpha), st.allowed, v)
+        if fault is None:
+            gap = "" if ext.gap is None else f"; runner-up gap {ext.gap:.3e}"
+            details.append(
+                f"{where}: radius {ext.value:.12g}, {ext.count} attaining code(s), "
+                f"all as stated{gap}"
+            )
+            continue
+        violated = True
+        details.append(f"{where}: {fault[0]}")
+        if fault[1] is not None:
+            witnesses.append(fault[1])
+    status = "violated" if violated else ("confirmed" if points else "vacuous")
     return VerificationVerdict(theorem, n, alphas, status, tuple(details), tuple(witnesses))
 
 
@@ -890,7 +854,7 @@ def explore_problem_4_1(
                 )
                 continue
             gap = ext.value - g0_radius
-            match, _why = _classes_match(n, ext.codes, [cand])
+            match = _attainers_fault(n, ext.codes, [cand]) is None
             rows.append(
                 {
                     "n": n,
@@ -911,20 +875,19 @@ def subdivision_sweep(
     alphas: Sequence[float] = (0.0, 0.5),
     tol: float = DEFAULT_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
-    chunk_bits: int = 13,
 ) -> dict:
     """Subdivide every arc of every strongly connected non-cycle digraph on n
-    vertices and check the radius never increases (within 1e-9)."""
+    vertices and check the radius never increases (within 1e-9).  At most
+    VIOLATION_CAP violations are listed per alpha."""
     if not 2 <= n <= 5:
         raise ValueError(f"the exhaustive subdivision sweep supports 2 <= n <= 5, got {n}")
     alphas = tuple(_check_alpha(a) for a in alphas)
     t = _tables(n)
     total = 1 << t.nbits
-    step = 1 << chunk_bits
-    eye_n = np.arange(n)
-    eye_w = np.arange(n + 1)
+    step = 1 << SUBDIVISION_CHUNK_BITS
     checked = 0
     violations: list[dict] = []
+    listed = dict.fromkeys(alphas, 0)
     max_excess = -math.inf
     for lo in range(0, total, step):
         codes, adj, _rm, _cm = _decode_strong_chunk(n, lo, min(lo + step, total))
@@ -933,7 +896,7 @@ def subdivision_sweep(
         outdeg = adj.sum(axis=2).astype(np.int64)
         narcs = outdeg.sum(axis=1)
         not_cycle = ~((narcs == n) & (outdeg.max(axis=1) == 1))
-        codes, adj, outdeg = codes[not_cycle], adj[not_cycle], outdeg[not_cycle]
+        codes, adj = codes[not_cycle], adj[not_cycle]
         if codes.size == 0:
             continue
         base = adj.astype(np.float64)
@@ -946,17 +909,12 @@ def subdivision_sweep(
         big[rows_idx, uarr, varr] = 0.0
         big[rows_idx, uarr, n] = 1.0
         big[rows_idx, n, varr] = 1.0
-        bigdeg = big.sum(axis=2)
         for alpha in alphas:
-            mb = (1.0 - alpha) * base
-            mb[:, eye_n, eye_n] += alpha * outdeg
             lam_base, _, _, _ = _certified_radii(
-                mb, tol, max_iters, alpha, lambda i: f"code {codes[i]}"
+                _alpha_entries(base, alpha), tol, max_iters, alpha, lambda i: f"code {codes[i]}"
             )
-            mw = (1.0 - alpha) * big
-            mw[:, eye_w, eye_w] += alpha * bigdeg
             lam_sub, _, _, _ = _certified_radii(
-                mw, tol, max_iters, alpha,
+                _alpha_entries(big, alpha), tol, max_iters, alpha,
                 lambda i: f"code {codes[srcrow[i]]} subdivided at arc ({uarr[i]}, {varr[i]})",
             )
             excess = lam_sub - lam_base[srcrow]
@@ -964,8 +922,9 @@ def subdivision_sweep(
             worst = float(excess.max())
             if worst > max_excess:
                 max_excess = worst
-            bad = np.flatnonzero(excess > 1e-9)
-            for idx in bad[:VIOLATION_CAP]:
+            bad = np.flatnonzero(excess > 1e-9)[: VIOLATION_CAP - listed[alpha]]
+            listed[alpha] += bad.size
+            for idx in bad:
                 violations.append(
                     {
                         "code": int(codes[srcrow[idx]]),

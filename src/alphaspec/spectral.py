@@ -107,14 +107,20 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
+def _alpha_entries(adj: np.ndarray, alpha: float) -> np.ndarray:
+    """alpha * D + (1 - alpha) * A in float64 for an adjacency matrix or a
+    (..., n, n) stack of them; D holds the out-degrees (row sums of A)."""
+    alpha = _check_alpha(alpha)
+    m = (1.0 - alpha) * adj
+    idx = np.arange(m.shape[-1])
+    m[..., idx, idx] += alpha * adj.sum(axis=-1)
+    return m
+
+
 def alpha_matrix(G: Digraph, alpha: float) -> AlphaMatrix:
     """alpha * D + (1 - alpha) * A as a dense float matrix."""
     alpha = _check_alpha(alpha)
-    a = G.adjacency_matrix()
-    m = (1.0 - alpha) * a
-    idx = np.arange(G.n)
-    m[idx, idx] += alpha * a.sum(axis=1)
-    return AlphaMatrix(n=G.n, alpha=alpha, entries=m)
+    return AlphaMatrix(n=G.n, alpha=alpha, entries=_alpha_entries(G.adjacency_matrix(), alpha))
 
 
 def collatz_wielandt_bounds(

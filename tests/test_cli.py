@@ -220,6 +220,15 @@ def test_family_tournament_search_uses_alpha(capsys):
     assert from_text(out).num_arcs == 6
 
 
+def test_family_search_rejects_alpha_outside_unit_interval(capsys):
+    rc, out, err = run_cli(
+        capsys, "family", "--family", "tournament", "--kind", "extremal_bruteforce",
+        "--n", "4", "--alpha", "7",
+    )
+    assert rc == EXIT_USAGE and out == ""
+    assert "alpha must lie in [0, 1)" in err
+
+
 def test_family_missing_required_flag(capsys):
     rc, _, err = run_cli(capsys, "family", "--family", "knkm", "--n", "6", "--k", "2")
     assert rc == EXIT_USAGE and "requires --m" in err
@@ -288,6 +297,13 @@ def test_verify_confirmed(capsys):
     rc, out, _ = run_cli(capsys, "verify", "T3.1", "--n", "3")
     assert rc == EXIT_OK
     assert "T3.1 at n=3" in out and "confirmed" in out
+
+
+def test_verify_vacuous_second_maximum_at_n2(capsys):
+    # K2 is the only strong digraph on two vertices: no second maximum exists
+    rc, out, _ = run_cli(capsys, "verify", "R5.1", "--n", "2")
+    assert rc == EXIT_OK
+    assert out.startswith("R5.1 at n=2, alphas=[0.0, 0.5]: vacuous")
 
 
 def test_verify_json(capsys):

@@ -9,10 +9,8 @@ import math
 import pytest
 
 from alphaspec import (
-    FamilySpec,
     arc_connectivity,
     b_nd,
-    basic_family,
     build_family,
     c_ng,
     circulant,
@@ -44,14 +42,6 @@ def test_path_cycle_complete_shapes():
     assert path(1).n == 1
     assert cycle(5).num_arcs == 5 and girth(cycle(5)) == 5
     assert complete(5).num_arcs == 20 and clique_number(complete(5)) == 5
-
-
-def test_basic_family_dispatch():
-    assert basic_family("cycle", 4) == cycle(4)
-    assert basic_family("path", 3) == path(3)
-    assert basic_family("complete", 2) == complete(2)
-    with pytest.raises(ValueError):
-        basic_family("wheel", 4)
 
 
 def test_basic_validation():
@@ -210,6 +200,14 @@ def test_bruteforce_guard_rails():
         tournament("extremal_bruteforce", 8, 0.0, long_runs_enabled=True)
     with pytest.raises(ValueError):
         tournament("round_robin", 4)
+    # the search ranks alpha matrices, which exist only for 0 <= alpha < 1
+    for search in (
+        lambda: tournament("extremal_bruteforce", 4, alpha=1.5),
+        lambda: tournament("extremal_bruteforce", 1, alpha=-0.5),
+        lambda: g0(6, 2, 2.0),
+    ):
+        with pytest.raises(ValueError, match=r"alpha must lie in \[0, 1\)"):
+            search()
 
 
 # ---------------------------------------------------------------------------
@@ -293,11 +291,6 @@ def test_build_family_dispatch():
     assert build_family("circulant", n=5, steps=[1, 2]) == circulant(5, [1, 2])
     with pytest.raises(ValueError):
         build_family("noname", n=3)
-
-
-def test_family_spec_builds():
-    spec = FamilySpec("b_nd", {"n": 6, "d": 3})
-    assert spec.build() == b_nd(6, 3)
 
 
 def test_generators_are_deterministic():

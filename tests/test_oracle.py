@@ -5,6 +5,7 @@ parameters from hand-rolled searches and radii from dense eigensolves, then
 rebuilds every per-group extreme.  Nothing of the production path (bitmask
 closure, lockstep power iteration, the scan table) is reused.
 """
+import dataclasses
 import math
 import re
 
@@ -33,6 +34,7 @@ from alphaspec.oracle import (
     SCAN_PARAMETERS,
     THEOREM_IDS,
     VIOLATION_CAP,
+    SUBDIVISION_CHUNK_BITS,
     code_of_digraph,
     digraph_from_code,
     enumerate_strong,
@@ -462,6 +464,68 @@ def test_t65_witness_detail(scan5):
     assert code_of_digraph(circulant(5, [1, 2])) in ext.codes
 
 
+def _tampered(scan, read, value, alpha, mode, change):
+    """A copy of scan whose extreme at (read, value, alpha, mode) is
+    change(extreme); read "level" changes top radius level value (1 = top)."""
+    ai = scan.alpha_index(alpha)
+    if read == "level":
+        top = dict(scan.top)
+        top[ai] = list(top[ai])
+        top[ai][value - 1] = change(top[ai][value - 1])
+        return dataclasses.replace(scan, top=top)
+    groups = dict(scan.groups)
+    groups[(read, value)] = [dict(ext) for ext in groups[(read, value)]]
+    old = groups[(read, value)][ai][mode]
+    groups[(read, value)][ai][mode] = change(old)
+    return dataclasses.replace(scan, groups=groups)
+
+
+def _add_attainer(G):
+    return lambda ext: dataclasses.replace(ext, codes=ext.codes + (code_of_digraph(G),))
+
+
+@pytest.mark.parametrize(
+    "theorem, where, change, witness",
+    [
+        # the complete digraph has girth 2 but is not the stated minimiser
+        ("T3.1", ("girth", 2, 0.0, "min"), _add_attainer(complete(4)), lambda ext: complete(4)),
+        # a maximum above the closed form: the first attaining code beats it
+        (
+            "T5.3", ("vertex_conn", 1, 0.5, "max"),
+            lambda ext: dataclasses.replace(ext, value=ext.value + 0.5),
+            lambda ext: digraph_from_code(4, ext.codes[0]),
+        ),
+        # the cycle with a tail is not 1-regular
+        ("T6.5", ("vertex_conn", 1, 0.0, "min"), _add_attainer(c_ng(4, 2)), lambda ext: c_ng(4, 2)),
+        # K4 minus an arc in the top radius level, beside K4
+        ("R5.1", ("level", 1, 0.5, "max"), _add_attainer(k_nkm(4, 2, 1)), lambda ext: k_nkm(4, 2, 1)),
+    ],
+    ids=["foreign-attainer", "shifted-extreme", "irregular-attainer", "wrong-top-level"],
+)
+def test_tampered_scan_violates(scan4, theorem, where, change, witness):
+    read, value, alpha, mode = where
+    assert verify_theorem(theorem, 4, (alpha,), scan=scan4).status == "confirmed"
+    verdict = verify_theorem(theorem, 4, (alpha,), scan=_tampered(scan4, *where, change))
+    assert verdict.status == "violated"
+    bad = [d for d in verdict.details if d.startswith(f"alpha={alpha}, {read}={value}: ")]
+    assert len(bad) == 1 and "all as stated" not in bad[0]
+    if read == "level":
+        ext = scan4.top_buckets(alpha)[value - 1]
+    else:
+        ext = scan4.group(read, value, alpha, mode)
+    assert verdict.witnesses == (witness(ext),)
+
+
+def test_every_statement_vacuous_at_n2(scan2):
+    # K2 is the only strong digraph on two vertices: no statement has a
+    # parameter value to check there, R5.1 included (no second maximum)
+    for theorem in ENUM_THEOREMS:
+        verdict = verify_theorem(theorem, 2, alphas=(0.0, 0.5), scan=scan2)
+        assert verdict.status == "vacuous", (theorem, verdict.details)
+        assert verdict.witnesses == ()
+    assert verify_theorem("R5.1", 2).status == "vacuous"
+
+
 # ---------------------------------------------------------------------------
 # subdivision sweep
 
@@ -472,6 +536,27 @@ def test_subdivision_sweep_n3_exhaustive():
     assert out["checked"] == 144
     assert out["violations"] == []
     assert out["max_excess"] < 0.0
+
+
+def test_subdivision_sweep_caps_violations_per_alpha(monkeypatch):
+    checked = subdivision_sweep(4, (0.0, 0.5))["checked"]
+    # 2^8-code chunks split n = 4 into 16; raising every subdivided radius by
+    # 1 makes every (digraph, arc) pair of every chunk a violation
+    assert SUBDIVISION_CHUNK_BITS > 8
+    monkeypatch.setattr(oracle, "SUBDIVISION_CHUNK_BITS", 8)
+    real = oracle.batch_cw_radius
+
+    def raised_when_subdivided(mats, tol, max_iters):
+        lam, lo, hi, iters = real(mats, tol=tol, max_iters=max_iters)
+        return (lam + 1.0 if mats.shape[-1] == 5 else lam), lo, hi, iters
+
+    monkeypatch.setattr(oracle, "batch_cw_radius", raised_when_subdivided)
+    out = subdivision_sweep(4, (0.0, 0.5))
+    assert out["checked"] == checked
+    for alpha in (0.0, 0.5):
+        listed = [v for v in out["violations"] if v["alpha"] == alpha]
+        assert len(listed) == VIOLATION_CAP
+        assert all(v["subdivided"] > v["base"] + 0.5 for v in listed)
 
 
 def test_subdivision_sweep_range_check():

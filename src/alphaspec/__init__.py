@@ -11,7 +11,9 @@ from .digraph import (
     NotStronglyConnected,
     arc_connectivity,
     clique_number,
+    code_of_digraph,
     degree_profile,
+    digraph_from_code,
     from_arcs,
     from_text,
     girth,
@@ -37,8 +39,6 @@ from .families import (
     tournament,
 )
 from .formulas import (
-    MExtremesComparison,
-    compare_m_extremes,
     knkm_quadratic,
     knkm_quotient_entries,
     lambda_knkm,
@@ -50,9 +50,6 @@ from .oracle import (
     Problem41Report,
     ScanStats,
     VerificationVerdict,
-    code_of_digraph,
-    digraph_from_code,
-    enumerate_strong,
     explore_problem_4_1,
     extremal_scan,
     run_scan,
@@ -94,6 +91,8 @@ __all__ = [
     "join",
     "induced",
     "is_isomorphic",
+    "digraph_from_code",
+    "code_of_digraph",
     # spectral
     "AlphaMatrix",
     "QuotientMatrix",
@@ -123,16 +122,11 @@ __all__ = [
     "knkm_quotient_entries",
     "second_max_radius",
     "max_vertex_conn_radius",
-    "compare_m_extremes",
-    "MExtremesComparison",
     # transforms
     "TransformRecord",
     "redirect_in_arcs",
     "subdivide_arc",
     # oracle
-    "digraph_from_code",
-    "code_of_digraph",
-    "enumerate_strong",
     "run_scan",
     "ScanStats",
     "extremal_scan",

@@ -411,7 +411,6 @@ def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
         alphas,
         tol=cfg.tol,
         workers=cfg.resolved_workers(),
-        long_runs_enabled=cfg.long_runs_enabled,
     )
     witness_paths = []
     if verdict.status == "violated":
@@ -447,7 +446,6 @@ def cmd_scan(args: argparse.Namespace, cfg: RunConfig) -> int:
         mode=args.mode,
         tol=cfg.tol,
         workers=cfg.resolved_workers(),
-        long_runs_enabled=cfg.long_runs_enabled,
     )
     if cfg.output == "json":
         payload = {
@@ -508,7 +506,6 @@ def cmd_explore(args: argparse.Namespace, cfg: RunConfig) -> int:
         alphas=alphas,
         tol=cfg.tol,
         workers=cfg.resolved_workers(),
-        long_runs_enabled=cfg.long_runs_enabled,
     )
     if cfg.output == "json":
         _emit(

@@ -3,11 +3,14 @@
 Loops are forbidden, antiparallel pairs (digons) are allowed.  The adjacency
 structure is kept both as a frozenset of arcs (the identity of the digraph)
 and as per-vertex neighbour bitmasks, which all combinatorial routines run on.
+A digraph is also an integer code, one bit per off-diagonal cell, and its
+canonical code (n <= 8) is the identity of its isomorphism class.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+import itertools
+from dataclasses import dataclass
+from functools import cache, cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -27,6 +30,9 @@ __all__ = [
     "union",
     "induced",
     "is_isomorphic",
+    "digraph_from_code",
+    "code_of_digraph",
+    "canonical_codes",
     "from_text",
     "to_text",
 ]
@@ -406,51 +412,72 @@ def induced(G: Digraph, vertices: Iterable[int]) -> Digraph:
 
 
 def is_isomorphic(G: Digraph, H: Digraph) -> bool:
-    """Permutation search with degree-signature pruning; intended for n <= 8."""
-    if G.n != H.n or G.num_arcs != H.num_arcs:
-        return False
-    n = G.n
-    sig_g = [(G.out_degree(v), G.in_degree(v)) for v in range(n)]
-    sig_h = [(H.out_degree(v), H.in_degree(v)) for v in range(n)]
-    if sorted(sig_g) != sorted(sig_h):
-        return False
-    # most constrained first: rare signature, then high degree
-    from collections import Counter
+    """Equal order, arc count and canonical code; n <= 8 (ValueError above)."""
+    a, b = (canonical_codes(X.n, [code_of_digraph(X)])[0] for X in (G, H))
+    return G.n == H.n and G.num_arcs == H.num_arcs and bool(a == b)
 
-    freq = Counter(sig_g)
-    order = sorted(range(n), key=lambda v: (freq[sig_g[v]], -sum(sig_g[v])))
-    g_rows, g_cols = G.out_masks, G.in_masks
-    h_rows, h_cols = H.out_masks, H.in_masks
-    mapping = [-1] * n
-    used = [False] * n
 
-    def extend(idx: int) -> bool:
-        if idx == n:
-            return True
-        u = order[idx]
-        for w in range(n):
-            if used[w] or sig_h[w] != sig_g[u]:
-                continue
-            ok = True
-            for j in range(idx):
-                v = order[j]
-                x = mapping[v]
-                if ((g_rows[u] >> v) & 1) != ((h_rows[w] >> x) & 1):
-                    ok = False
-                    break
-                if ((g_cols[u] >> v) & 1) != ((h_cols[w] >> x) & 1):
-                    ok = False
-                    break
-            if ok:
-                mapping[u] = w
-                used[w] = True
-                if extend(idx + 1):
-                    return True
-                used[w] = False
-                mapping[u] = -1
-        return False
+# ---------------------------------------------------------------------------
+# integer codes: bit p of a code is arc cell p in the row-major list of
+# off-diagonal cells (0,1), (0,2), ..., (n-1, n-2)
 
-    return extend(0)
+def _cells(n: int) -> list[tuple[int, int]]:
+    return [(i, j) for i in range(n) for j in range(n) if i != j]
+
+
+def digraph_from_code(n: int, code: int) -> Digraph:
+    cells = _cells(n)
+    if not 0 <= code < (1 << len(cells)):
+        raise ValueError(f"code {code} out of range for n={n}")
+    return Digraph(
+        n, frozenset(cell for p, cell in enumerate(cells) if (code >> p) & 1)
+    )
+
+
+def code_of_digraph(G: Digraph) -> int:
+    code = 0
+    for p, (i, j) in enumerate(_cells(G.n)):
+        if G.has_arc(i, j):
+            code |= 1 << p
+    return code
+
+
+CANON_CAP = 8  # n(n-1) cell bits fit in an int64 code up to n = 8
+_CANON_BLOCK = 1 << 20  # int64 elements (8 MB) per temporary of canonical_codes
+
+
+@cache
+def _cell_perms(n: int) -> np.ndarray:
+    """(n!, n(n-1)) uint8: entry [r, p] is the cell that cell p moves to
+    under the r-th vertex permutation."""
+    ci, cj = np.array(_cells(n), dtype=np.int64).reshape(-1, 2).T
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+    pi, pj = perms[:, ci], perms[:, cj]
+    return (pi * (n - 1) + pj - (pj > pi)).astype(np.uint8)
+
+
+def canonical_codes(n: int, codes) -> np.ndarray:
+    """The smallest code over all n! vertex relabelings of each code, which
+    is the smallest labelled code of its isomorphism class.  Relabelled codes
+    are the code bits times per-permutation powers of two, taken in blocks
+    of codes and permutations so that no temporary exceeds about 8 MB."""
+    if n > CANON_CAP:
+        raise ValueError(f"canonical codes need n <= {CANON_CAP}, got n={n}")
+    codes = np.asarray(codes, dtype=np.int64)
+    nbits = n * (n - 1)
+    if codes.size and not (codes.min() >= 0 and codes.max() < 1 << nbits):
+        raise ValueError(f"codes out of range for n={n}")
+    dest = _cell_perms(n)
+    best = np.full(codes.size, np.iinfo(np.int64).max)
+    perm_step = max(1, _CANON_BLOCK // max(nbits, 1))
+    for p0 in range(0, len(dest), perm_step):
+        weights = np.left_shift(1, dest[p0:p0 + perm_step].T.astype(np.int64))
+        code_step = max(1, _CANON_BLOCK // weights.shape[1])
+        for c0 in range(0, codes.size, code_step):
+            bits = (codes[c0:c0 + code_step, None] >> np.arange(nbits)) & 1
+            block = best[c0:c0 + code_step]
+            np.minimum(block, (bits @ weights).min(axis=1), out=block)
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,7 @@
-"""Closed-form spectral radii for the k-cut family and derived comparisons."""
+"""Closed-form spectral radii for the k-cut family and the extremal statements."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,8 +13,6 @@ __all__ = [
     "knkm_quotient_entries",
     "second_max_radius",
     "max_vertex_conn_radius",
-    "compare_m_extremes",
-    "MExtremesComparison",
 ]
 
 
@@ -109,31 +106,3 @@ def max_vertex_conn_radius(n: int, k: int, alpha: float) -> float:
         + 4
     )
     return (n - 2 + a + a * k + math.sqrt(rad)) / 2.0
-
-
-@dataclass(frozen=True)
-class MExtremesComparison:
-    n: int
-    k: int
-    alpha: float
-    value_m_one: float
-    value_m_max: float
-    verdict: str  # "m=1" | "m=n-k-1" | "tie"
-
-
-TIE_THRESHOLD = 1e-9
-
-
-def compare_m_extremes(n: int, k: int, alpha: float) -> MExtremesComparison:
-    """Which of m = 1 and m = n-k-1 maximises lambda_knkm (ties within 1e-9)."""
-    lo = lambda_knkm(n, k, 1, alpha)
-    hi = lambda_knkm(n, k, n - k - 1, alpha)
-    if abs(hi - lo) <= TIE_THRESHOLD:
-        verdict = "tie"
-    elif hi > lo:
-        verdict = "m=n-k-1"
-    else:
-        verdict = "m=1"
-    return MExtremesComparison(
-        n=n, k=k, alpha=float(alpha), value_m_one=lo, value_m_max=hi, verdict=verdict
-    )

@@ -1,12 +1,11 @@
 """Exhaustive verification of the extremal statements at small order.
 
-Every labeled digraph on n vertices is an integer code: bit p of the code is
-arc cell p in the row-major list of off-diagonal cells (0,1), (0,2), ...,
-(n-1, n-2).  Codes are scanned in ascending order and filtered to the
-strongly connected ones.  Each of those becomes one row of a columnar table:
-its code, girth, clique number, vertex and arc connectivity, minimum degree
-and out-degree range, and its certified radius for every alpha.  All
-statistics are numpy queries on that table:
+Every labeled digraph on n vertices is an integer code (digraph.code_of_digraph).
+Codes are scanned in ascending order and filtered to the strongly connected
+ones.  Each of those becomes one row of a columnar table: its code, girth,
+clique number, vertex and arc connectivity, minimum degree and out-degree
+range, and its certified radius for every alpha.  All statistics are numpy
+queries on that table:
 
 * for each parameter value (girth, clique number, vertex or arc connectivity)
   the minimum and maximum radius per alpha, all codes within 1e-8 of the
@@ -23,12 +22,15 @@ the scan columns it reads (R5.1 reads the top radius levels), min or max, the
 parameter range, the stated radius and its tolerance, the digraphs that must
 attain it and those that may.  verify_theorem checks every entry the same way;
 L3.1/L4.1 compare certified enclosures of two family members instead.
+
+Isomorphism classes are compared by canonical code (digraph.canonical_codes),
+both in extremal_scan's class summary and in the statements' attaining sets.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -36,10 +38,16 @@ from . import families, formulas
 from .digraph import (
     Digraph,
     _arc_connectivity,
+    _cells,
     _clique_number,
     _girth,
     _vertex_connectivity,
-    is_isomorphic,
+    canonical_codes,
+    code_of_digraph,
+    digraph_from_code,
+    # unused here, kept because perfbench/tracing.py wraps oracle.is_isomorphic
+    # by name: without it every traced benchmark run would fail
+    is_isomorphic,  # noqa: F401
 )
 from .spectral import (
     DEFAULT_MAX_ITERS,
@@ -67,7 +75,6 @@ __all__ = [
     "Problem41Report",
     "digraph_from_code",
     "code_of_digraph",
-    "enumerate_strong",
     "run_scan",
     "extremal_scan",
     "verify_theorem",
@@ -89,28 +96,7 @@ PUBLIC_PARAMETERS = ("girth", "clique", "vertex_conn", "arc_conn")
 
 
 # ---------------------------------------------------------------------------
-# code encoding
-
-def _cells(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(n) for j in range(n) if i != j]
-
-
-def digraph_from_code(n: int, code: int) -> Digraph:
-    cells = _cells(n)
-    if not 0 <= code < (1 << len(cells)):
-        raise ValueError(f"code {code} out of range for n={n}")
-    return Digraph(
-        n, frozenset(cell for p, cell in enumerate(cells) if (code >> p) & 1)
-    )
-
-
-def code_of_digraph(G: Digraph) -> int:
-    code = 0
-    for p, (i, j) in enumerate(_cells(G.n)):
-        if G.has_arc(i, j):
-            code |= 1 << p
-    return code
-
+# decoding codes (the code format is defined in digraph.py)
 
 @dataclass(frozen=True)
 class _CellTables:
@@ -173,27 +159,6 @@ def _decode_strong_chunk(n: int, lo: int, hi: int):
         reach = (np.einsum("bij,bjk->bik", reach, reach) > 0).astype(np.uint8)
     strong = reach.reshape(codes.size, -1).all(axis=1)
     return codes[strong], adj[strong], rowmask[strong], colmask[strong]
-
-
-def enumerate_strong(n: int, long_runs_enabled: bool = False) -> Iterable[Digraph]:
-    """Yield every strongly connected digraph on n vertices in code order."""
-    _check_enum_order(n, long_runs_enabled)
-    total = 1 << (n * (n - 1))
-    step = 1 << CHUNK_BITS
-    for lo in range(0, total, step):
-        codes, _adj, _rm, _cm = _decode_strong_chunk(n, lo, min(lo + step, total))
-        for code in codes.tolist():
-            yield digraph_from_code(n, code)
-
-
-def _check_enum_order(n: int, long_runs_enabled: bool) -> None:
-    if not 2 <= n <= ENUM_CAP:
-        raise ValueError(f"enumeration supports 2 <= n <= {ENUM_CAP}, got {n}")
-    if n == ENUM_CAP and not long_runs_enabled:
-        raise ValueError(
-            f"n = {ENUM_CAP} scans 2^{ENUM_CAP * (ENUM_CAP - 1)} codes; "
-            "enable long runs to allow it"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -447,14 +412,13 @@ def run_scan(
     tol: float = DEFAULT_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
     workers: int = 1,
-    long_runs_enabled: bool = False,
 ) -> ScanStats:
     """Scan every strongly connected digraph on n vertices.
 
     Returns per-parameter extremal statistics for every requested alpha.
     With workers > 1 the code space is split into contiguous ranges handled
     by a process pool; the merged result is identical to the serial one.
-    n = 6 is refused, long runs or not: its table would not fit in memory.
+    n = 6 is refused: its table would not fit in memory.
     """
     if n == ENUM_CAP:
         gb = _STRONG_COUNT_6 * _row_dtype(len(tuple(alphas))).itemsize / 1e9
@@ -463,7 +427,8 @@ def run_scan(
             f"table would hold {_STRONG_COUNT_6:,} rows, about {gb:.1f} GB, and "
             "twice that while its chunks are joined"
         )
-    _check_enum_order(n, long_runs_enabled)
+    if not 2 <= n <= ENUM_CAP:
+        raise ValueError(f"enumeration supports 2 <= n <= {ENUM_CAP}, got {n}")
     alphas = tuple(_check_alpha(a) for a in alphas)
     if len(set(alphas)) != len(alphas):
         raise ValueError("duplicate alpha values")
@@ -492,20 +457,12 @@ def run_scan(
 
 
 # ---------------------------------------------------------------------------
-# isomorphism grouping and reports
+# isomorphism classes and reports
 
-def _iso_classes(n: int, codes: Sequence[int]) -> list[tuple[Digraph, int, int]]:
-    """(representative, member count, first code) per isomorphism class."""
-    classes: list[tuple[Digraph, int, int]] = []
-    for code in codes:
-        g = digraph_from_code(n, code)
-        for i, (rep, count, first) in enumerate(classes):
-            if is_isomorphic(g, rep):
-                classes[i] = (rep, count + 1, first)
-                break
-        else:
-            classes.append((g, 1, code))
-    return classes
+def _iso_classes(n: int, codes: Sequence[int]) -> list[Digraph]:
+    """The first code of each isomorphism class, as a digraph, in order."""
+    _canon, first = np.unique(canonical_codes(n, codes), return_index=True)
+    return [digraph_from_code(n, codes[i]) for i in np.sort(first).tolist()]
 
 
 @dataclass(frozen=True)
@@ -535,7 +492,6 @@ def extremal_scan(
     scan: ScanStats | None = None,
     tol: float = DEFAULT_TOL,
     workers: int = 1,
-    long_runs_enabled: bool = False,
 ) -> ExtremalReport:
     """Extremal radii per parameter value with isomorphism-class summary."""
     if parameter not in PUBLIC_PARAMETERS:
@@ -543,10 +499,7 @@ def extremal_scan(
     if mode not in ("min", "max"):
         raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
     if scan is None:
-        scan = run_scan(
-            n, (alpha,), (parameter,), tol=tol, workers=workers,
-            long_runs_enabled=long_runs_enabled,
-        )
+        scan = run_scan(n, (alpha,), (parameter,), tol=tol, workers=workers)
     entries = []
     for value in scan.group_values(parameter):
         ext = scan.group(parameter, value, alpha, mode)
@@ -557,7 +510,7 @@ def extremal_scan(
                 radius=ext.value,
                 attaining_count=ext.count,
                 class_count=len(classes),
-                representatives=tuple(rep for rep, _c, _f in classes),
+                representatives=tuple(classes),
                 runner_up=ext.runner_up,
             )
         )
@@ -674,15 +627,17 @@ def _attainers_fault(
 ) -> tuple[str, Digraph] | None:
     """Why the attaining codes break the statement, with the digraph at
     fault, or None.  Every stated digraph must attain; every attaining code
-    must be isomorphic to a stated digraph or, with allowed, pass
-    allowed(G, value)."""
-    graphs = [digraph_from_code(n, code) for code in codes]
-    for code, g in zip(codes, graphs):
-        ok = any(is_isomorphic(g, s) for s in stated) if allowed is None else allowed(g, value)
+    must be isomorphic to a stated digraph (have its canonical code) or,
+    with allowed, pass allowed(G, value)."""
+    attaining = canonical_codes(n, codes)
+    stated_codes = canonical_codes(n, [code_of_digraph(s) for s in stated])
+    for code, canon in zip(codes, attaining):
+        g = digraph_from_code(n, code)
+        ok = canon in stated_codes if allowed is None else allowed(g, value)
         if not ok:
             return f"code {code} attains but is not a digraph the statement allows", g
-    for i, s in enumerate(stated):
-        if not any(is_isomorphic(g, s) for g in graphs):
+    for i, (s, canon) in enumerate(zip(stated, stated_codes)):
+        if canon not in attaining:
             return f"stated digraph {i + 1} of {len(stated)} does not attain", s
     return None
 
@@ -694,7 +649,6 @@ def _scan_for(
     scan: ScanStats | None,
     tol: float,
     workers: int,
-    long_runs_enabled: bool,
 ) -> ScanStats:
     if scan is not None:
         if scan.n != n:
@@ -705,9 +659,7 @@ def _scan_for(
         if missing:
             raise ValueError(f"scan lacks parameters {sorted(missing)}")
         return scan
-    return run_scan(
-        n, alphas, needed, tol=tol, workers=workers, long_runs_enabled=long_runs_enabled
-    )
+    return run_scan(n, alphas, needed, tol=tol, workers=workers)
 
 
 def _verify_primed(
@@ -757,7 +709,6 @@ def verify_theorem(
     scan: ScanStats | None = None,
     tol: float = DEFAULT_TOL,
     workers: int = 1,
-    long_runs_enabled: bool = False,
 ) -> VerificationVerdict:
     """Check one extremal statement exhaustively (or by formula for L-ids).
 
@@ -771,7 +722,7 @@ def verify_theorem(
         raise ValueError(f"unknown theorem id {theorem!r}; expected one of {THEOREM_IDS}")
     st = _STATEMENTS[theorem]
     needed = tuple(read for read in st.reads if read != _LEVEL)
-    stats = _scan_for(n, alphas, needed, scan, tol, workers, long_runs_enabled)
+    stats = _scan_for(n, alphas, needed, scan, tol, workers)
     points = [(a, read, v) for a in alphas for read in st.reads for v in st.values(n)]
     details: list[str] = []
     witnesses: list[Digraph] = []
@@ -825,7 +776,6 @@ def explore_problem_4_1(
     scan: ScanStats | None = None,
     tol: float = DEFAULT_TOL,
     workers: int = 1,
-    long_runs_enabled: bool = False,
 ) -> Problem41Report:
     """Gap table: block-construction radius vs. scanned maximum per clique number.
 
@@ -834,11 +784,11 @@ def explore_problem_4_1(
     alphas = tuple(float(a) for a in alphas)
     if d is not None and not 1 <= d <= n - 1:
         raise ValueError(f"need 1 <= d <= n-1, got d={d} at n={n}")
-    stats = _scan_for(n, alphas, ("clique",), scan, tol, workers, long_runs_enabled)
+    stats = _scan_for(n, alphas, ("clique",), scan, tol, workers)
     rows = []
     for d_val in ([d] if d is not None else range(1, n)):
         for alpha in alphas:
-            cand = families.g0(n, d_val, alpha, long_runs_enabled=long_runs_enabled)
+            cand = families.g0(n, d_val, alpha)
             try:
                 g0_radius = spectral_radius(cand, alpha, tol=tol).radius
             except NotStronglyConnected:
@@ -882,6 +832,8 @@ def subdivision_sweep(
     if not 2 <= n <= 5:
         raise ValueError(f"the exhaustive subdivision sweep supports 2 <= n <= 5, got {n}")
     alphas = tuple(_check_alpha(a) for a in alphas)
+    if len(set(alphas)) != len(alphas):
+        raise ValueError("duplicate alpha values")
     t = _tables(n)
     total = 1 << t.nbits
     step = 1 << SUBDIVISION_CHUNK_BITS

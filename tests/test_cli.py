@@ -6,11 +6,13 @@ assert; one subprocess test checks the installed console script end to end.
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import alphaspec
 from alphaspec import cli, from_text, k_nkm, lambda_knkm, spectral_radius
 from alphaspec.cli import (
     EXIT_OK,
@@ -442,6 +444,9 @@ def test_config_validation_bounds(capsys):
 # installed entry point
 
 def test_console_script_smoke():
+    # the child imports the package this suite imported, installed or not
+    src = os.path.dirname(os.path.dirname(alphaspec.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys; from alphaspec.cli import main; sys.exit(main(sys.argv[1:]))",
@@ -449,6 +454,7 @@ def test_console_script_smoke():
         capture_output=True,
         text=True,
         timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("radius 1")

@@ -6,6 +6,7 @@ definitions.
 """
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,7 +34,7 @@ from alphaspec import (
     union,
     vertex_connectivity,
 )
-from alphaspec.oracle import digraph_from_code
+from alphaspec.digraph import canonical_codes, code_of_digraph, digraph_from_code
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +326,34 @@ def test_is_isomorphic_positive_and_negative():
     c33 = union(cycle(3), cycle(3))
     assert not is_isomorphic(cycle(6), c33)
     assert not is_isomorphic(cycle(3), cycle(4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=6), st.data())
+def test_canonical_code_is_smallest_relabelled_code(n, data):
+    cells = [(i, j) for i in range(n) for j in range(n) if i != j]
+    g = from_arcs(n, data.draw(st.sets(st.sampled_from(cells)) if cells else st.just(set())))
+    h = g.relabel(data.draw(st.permutations(range(n))))
+    canon = canonical_codes(n, [code_of_digraph(g), code_of_digraph(h)])
+    # brute force over every relabelling, with python ints
+    smallest = min(code_of_digraph(g.relabel(p)) for p in itertools.permutations(range(n)))
+    assert canon.tolist() == [smallest, smallest]
+
+
+def test_canonical_code_class_counts():
+    # isomorphism classes of strongly connected digraphs (OEIS A035512)
+    for n, classes in ((2, 1), (3, 5), (4, 83)):
+        codes = range(1 << (n * (n - 1)))
+        strong = [c for c in codes if is_strongly_connected(digraph_from_code(n, c))]
+        assert np.unique(canonical_codes(n, strong)).size == classes
+
+
+def test_canonical_code_order_cap():
+    assert is_isomorphic(k_nkm(8, 2, 3), k_nkm(8, 2, 3).relabel([7, 6, 5, 4, 3, 2, 1, 0]))
+    with pytest.raises(ValueError, match="n <= 8"):
+        is_isomorphic(cycle(9), cycle(9))
+    with pytest.raises(ValueError, match="out of range"):
+        canonical_codes(3, [1 << 6])
 
 
 def test_isomorphism_invariance_of_parameters():

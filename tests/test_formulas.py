@@ -11,7 +11,6 @@ import pytest
 
 from alphaspec import (
     alpha_matrix,
-    compare_m_extremes,
     complete,
     k_nkm,
     knkm_quadratic,
@@ -163,24 +162,23 @@ def test_max_vertex_conn_validation():
 
 
 # ---------------------------------------------------------------------------
-# which m wins
+# which m wins: the vertex- and arc-connectivity statements state K(n, k, 1)
+# and K(n, k, n-k-1) as maximisers at alpha = 0, and only K(n, k, n-k-1) above
 
 def test_compare_m_extremes_tie_at_alpha_zero():
-    r = compare_m_extremes(8, 3, 0.0)
-    assert r.verdict == "tie"
-    assert r.value_m_one == pytest.approx(r.value_m_max, abs=1e-11)
+    assert lambda_knkm(8, 3, 1, 0.0) == pytest.approx(lambda_knkm(8, 3, 4, 0.0), abs=1e-11)
 
 
 def test_compare_m_extremes_strict_for_positive_alpha():
     for n in range(5, 10):
         for k in range(1, n - 3):  # keep m = 1 and m = n-k-1 distinct
             for alpha in (0.1, 0.5, 0.9):
-                r = compare_m_extremes(n, k, alpha)
-                assert r.verdict == "m=n-k-1", (n, k, alpha)
-                assert r.value_m_max > r.value_m_one + 1e-9
+                m_one = lambda_knkm(n, k, 1, alpha)
+                m_max = lambda_knkm(n, k, n - k - 1, alpha)
+                assert m_max > m_one + 1e-9, (n, k, alpha)
 
 
 def test_compare_m_extremes_degenerate_equal_m():
     # n - k - 1 == 1 makes both candidates the same digraph
-    r = compare_m_extremes(6, 4, 0.7)
-    assert r.verdict == "tie"
+    assert k_nkm(6, 4, 1) == k_nkm(6, 4, 6 - 4 - 1)
+    assert lambda_knkm(6, 4, 1, 0.7) == lambda_knkm(6, 4, 6 - 4 - 1, 0.7)

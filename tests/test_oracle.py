@@ -6,6 +6,7 @@ rebuilds every per-group extreme.  Nothing of the production path (bitmask
 closure, lockstep power iteration, the scan table) is reused.
 """
 import dataclasses
+import itertools
 import math
 import re
 
@@ -37,7 +38,6 @@ from alphaspec.oracle import (
     SUBDIVISION_CHUNK_BITS,
     code_of_digraph,
     digraph_from_code,
-    enumerate_strong,
     explore_problem_4_1,
     extremal_scan,
     run_scan,
@@ -157,27 +157,6 @@ def test_code_range_check():
         digraph_from_code(3, -1)
 
 
-# ---------------------------------------------------------------------------
-# enumeration
-
-def test_enumerate_strong_counts():
-    assert sum(1 for _ in enumerate_strong(2)) == 1
-    graphs = list(enumerate_strong(3))
-    assert len(graphs) == 18
-    assert all(is_strongly_connected(g) for g in graphs)
-    codes = [code_of_digraph(g) for g in graphs]
-    assert codes == sorted(codes)  # code order
-
-
-def test_enumerate_strong_gate():
-    with pytest.raises(ValueError):
-        list(enumerate_strong(1))
-    with pytest.raises(ValueError):
-        list(enumerate_strong(7))
-    with pytest.raises(ValueError):
-        next(iter(enumerate_strong(6)))  # needs long_runs_enabled
-
-
 def test_enumeration_count_n4(scan4):
     assert scan4.strong_count == 1606
     assert scan4.total_codes == 1 << 12
@@ -277,12 +256,14 @@ def test_scan_validation():
     with pytest.raises(ValueError):
         run_scan(3, (0.0,), parameters=("girth", "treewidth"))
     with pytest.raises(ValueError):
+        run_scan(1, (0.0,))
+    with pytest.raises(ValueError):
         run_scan(7, (0.0,))
     with pytest.raises(ValueError):
         run_scan(6, (0.0,))  # gated
     # refused outright: the n = 6 table would not fit in memory
     with pytest.raises(ValueError, match=r"734,774,776 rows, about 19\.8 GB"):
-        run_scan(6, (0.0, 0.5), long_runs_enabled=True)
+        run_scan(6, (0.0, 0.5))
 
 
 def test_scan_deterministic_rerun(stats3):
@@ -387,6 +368,22 @@ def test_extremal_scan_vertex_conn_max_n4(scan4):
     assert is_isomorphic(by_value[3].representatives[0], complete(4))
     # k <= n - 2 is attained by the one-way split family
     assert is_isomorphic(by_value[2].representatives[0], k_nkm(4, 2, 1))
+
+
+def test_extremal_scan_classes_match_brute_force(scan4):
+    # one representative per class, the first attaining code of each, in
+    # code order; classes found by trying every relabelling
+    perms = list(itertools.permutations(range(4)))
+    for parameter in PUBLIC_PARAMETERS:
+        for mode, alpha in itertools.product(("min", "max"), (0.0, 0.5)):
+            for e in extremal_scan(4, alpha, parameter, mode=mode, scan=scan4).entries:
+                firsts = []
+                for code in scan4.group(parameter, e.parameter_value, alpha, mode).codes:
+                    images = {code_of_digraph(digraph_from_code(4, code).relabel(p)) for p in perms}
+                    if not images & set(firsts):
+                        firsts.append(code)
+                assert [code_of_digraph(g) for g in e.representatives] == firsts
+                assert e.class_count == len(firsts)
 
 
 def test_extremal_scan_validation(scan4):
@@ -567,6 +564,9 @@ def test_subdivision_sweep_range_check():
     for alpha in (-0.5, 1.0, 1.5):
         with pytest.raises(ValueError):
             subdivision_sweep(3, (alpha,))
+    # as in run_scan: a repeated alpha would be swept and counted twice
+    with pytest.raises(ValueError, match="duplicate alpha values"):
+        subdivision_sweep(3, (0.0, 0.0))
 
 
 def test_subdivision_sweep_convergence_failure_names_its_witness(monkeypatch):
@@ -582,7 +582,10 @@ def test_subdivision_sweep_convergence_failure_names_its_witness(monkeypatch):
         return real(mats, tol=tol, max_iters=max_iters)
 
     monkeypatch.setattr(oracle, "batch_cw_radius", stalls_when_subdivided)
-    first = next(g for g in enumerate_strong(3) if g.num_arcs > 3)
+    first = next(
+        g for g in (digraph_from_code(3, code) for code in range(1 << 6))
+        if g.num_arcs > 3 and is_strongly_connected(g)
+    )
     want = f"code {code_of_digraph(first)} subdivided at arc {min(first.arcs)} at alpha 0.5: "
     with pytest.raises(ConvergenceError, match=re.escape(want)):
         subdivision_sweep(3, (0.5,))

@@ -444,6 +444,7 @@ def code_of_digraph(G: Digraph) -> int:
 
 CANON_CAP = 8  # n(n-1) cell bits fit in an int64 code up to n = 8
 _CANON_BLOCK = 1 << 20  # int64 elements (8 MB) per temporary of canonical_codes
+_PIECE_BITS = 7  # code bits per table lookup in canonical_codes
 
 
 @cache
@@ -456,27 +457,49 @@ def _cell_perms(n: int) -> np.ndarray:
     return (pi * (n - 1) + pj - (pj > pi)).astype(np.uint8)
 
 
+def _piece_tables(dest: np.ndarray) -> list[np.ndarray]:
+    """Per-permutation lookup tables for canonical_codes, one per 7-bit piece
+    of a code: row v of the (2^b, perms) int64 table of a piece is the image
+    of piece value v under each permutation (b = 7, or fewer for the last
+    piece).  The images of distinct cells are distinct bits, so a relabelled
+    code is the OR of its pieces' rows."""
+    weights = np.left_shift(1, dest.T.astype(np.int64))  # (cells, perms)
+    tables = []
+    for k in range(0, len(weights), _PIECE_BITS):
+        table = np.zeros((1, dest.shape[0]), dtype=np.int64)
+        for w in weights[k:k + _PIECE_BITS]:
+            table = np.concatenate([table, table | w])
+        tables.append(table)
+    return tables
+
+
 def canonical_codes(n: int, codes) -> np.ndarray:
     """The smallest code over all n! vertex relabelings of each code, which
     is the smallest labelled code of its isomorphism class.  Relabelled codes
-    are the code bits times per-permutation powers of two, taken in blocks
-    of codes and permutations so that no temporary exceeds about 8 MB."""
+    are looked up piece by piece (_piece_tables), in blocks of codes and
+    permutations so that no table or temporary exceeds about 8 MB."""
     if n > CANON_CAP:
         raise ValueError(f"canonical codes need n <= {CANON_CAP}, got n={n}")
     codes = np.asarray(codes, dtype=np.int64)
     nbits = n * (n - 1)
     if codes.size and not (codes.min() >= 0 and codes.max() < 1 << nbits):
         raise ValueError(f"codes out of range for n={n}")
+    if nbits == 0:
+        return np.zeros(codes.size, dtype=np.int64)
     dest = _cell_perms(n)
     best = np.full(codes.size, np.iinfo(np.int64).max)
-    perm_step = max(1, _CANON_BLOCK // max(nbits, 1))
+    mask = (1 << _PIECE_BITS) - 1
+    pieces = [(codes >> s) & mask for s in range(0, nbits, _PIECE_BITS)]
+    perm_step = max(1, _CANON_BLOCK // (len(pieces) << _PIECE_BITS))
     for p0 in range(0, len(dest), perm_step):
-        weights = np.left_shift(1, dest[p0:p0 + perm_step].T.astype(np.int64))
-        code_step = max(1, _CANON_BLOCK // weights.shape[1])
+        (table, piece), *rest = zip(_piece_tables(dest[p0:p0 + perm_step]), pieces)
+        code_step = max(1, _CANON_BLOCK // table.shape[1])
         for c0 in range(0, codes.size, code_step):
-            bits = (codes[c0:c0 + code_step, None] >> np.arange(nbits)) & 1
-            block = best[c0:c0 + code_step]
-            np.minimum(block, (bits @ weights).min(axis=1), out=block)
+            block = slice(c0, c0 + code_step)
+            relabelled = table[piece[block]]
+            for table_k, piece_k in rest:
+                relabelled |= table_k[piece_k[block]]
+            np.minimum(best[block], relabelled.min(axis=1), out=best[block])
     return best
 
 

@@ -1,11 +1,15 @@
 """Exhaustive verification of the extremal statements at small order.
 
 Every labeled digraph on n vertices is an integer code (digraph.code_of_digraph).
-Codes are scanned in ascending order and filtered to the strongly connected
-ones.  Each of those becomes one row of a columnar table: its code, girth,
-clique number, vertex and arc connectivity, minimum degree and out-degree
-range, and its certified radius for every alpha.  All statistics are numpy
-queries on that table:
+Codes are enumerated in ascending order, filtered to the strongly connected
+ones and grouped into isomorphism classes by canonical code
+(digraph.canonical_codes).  Each class becomes one row of a columnar table:
+its canonical code, its weight (orbit size, the number of its labelled
+codes), girth, clique number, vertex and arc connectivity, minimum degree and
+out-degree range, and its certified radius for every alpha.  Isomorphic
+digraphs share all of these, so invariants and radii are computed once per
+class.  All statistics are numpy queries on that table, counted by weight
+and listing labelled codes:
 
 * for each parameter value (girth, clique number, vertex or arc connectivity)
   the minimum and maximum radius per alpha, all codes within 1e-8 of the
@@ -14,8 +18,9 @@ queries on that table:
 * spectral bound violations (row-sum sandwich, cycle/complete equalities,
   strict alpha * max-out-degree lower bound).
 
-The code space splits into contiguous chunks whose rows are concatenated in
-code order, so multi-process scans build the same table as the serial one.
+The code space splits into contiguous chunks whose strong codes are joined
+in code order, so multi-process scans build the same table as the serial
+one.  The subdivision sweep runs on the class representatives and their arcs.
 
 The seven enumeration statements are one table, _STATEMENTS: per statement
 the scan columns it reads (R5.1 reads the top radius levels), min or max, the
@@ -23,8 +28,8 @@ parameter range, the stated radius and its tolerance, the digraphs that must
 attain it and those that may.  verify_theorem checks every entry the same way;
 L3.1/L4.1 compare certified enclosures of two family members instead.
 
-Isomorphism classes are compared by canonical code (digraph.canonical_codes),
-both in extremal_scan's class summary and in the statements' attaining sets.
+Isomorphism classes are compared by canonical code, both in extremal_scan's
+class summary and in the statements' attaining sets.
 """
 from __future__ import annotations
 
@@ -82,83 +87,91 @@ __all__ = [
     "subdivision_sweep",
 ]
 
-ENUM_CAP = 6
+ENUM_CAP = 5
 ATTAIN_TOL = 1e-8
 VIOLATION_CAP = 50
 CHUNK_BITS = 15
-# 2^13 codes per subdivision-sweep chunk; larger chunks raise the n = 5 peak memory
-SUBDIVISION_CHUNK_BITS = 13
-# strongly connected labelled digraphs on 6 vertices (OEIS A003030)
-_STRONG_COUNT_6 = 734_774_776
 
 SCAN_PARAMETERS = ("girth", "clique", "vertex_conn", "arc_conn", "arc_conn_tight")
 PUBLIC_PARAMETERS = ("girth", "clique", "vertex_conn", "arc_conn")
 
 
 # ---------------------------------------------------------------------------
-# decoding codes (the code format is defined in digraph.py)
+# decoding codes (the code format is defined in digraph.py) and the classes
 
-@dataclass(frozen=True)
-class _CellTables:
-    """Per-n constant arrays used by the vectorized decoder."""
-
-    nbits: int
-    ci: np.ndarray
-    cj: np.ndarray
-    row_weights: np.ndarray  # (nbits, n) int64: 1 << j scattered to row i
-    col_weights: np.ndarray
-    squarings: int
-
-
-_CELL_CACHE: dict[int, _CellTables] = {}
+def _masks(n: int, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Out- and in-neighbour bitmasks of each code, vertex-major: two
+    (n, codes) int64 arrays."""
+    out_masks = np.zeros((n, codes.size), dtype=np.int64)
+    in_masks = np.zeros((n, codes.size), dtype=np.int64)
+    for p, (i, j) in enumerate(_cells(n)):
+        bit = (codes >> p) & 1
+        out_masks[i] |= bit << j
+        in_masks[j] |= bit << i
+    return out_masks, in_masks
 
 
-def _tables(n: int) -> _CellTables:
-    if n not in _CELL_CACHE:
-        cells = _cells(n)
-        nb = len(cells)
-        ci = np.array([c[0] for c in cells], dtype=np.int64)
-        cj = np.array([c[1] for c in cells], dtype=np.int64)
-        rw = np.zeros((nb, n), dtype=np.int64)
-        cw = np.zeros((nb, n), dtype=np.int64)
-        for p, (i, j) in enumerate(cells):
-            rw[p, i] = 1 << j
-            cw[p, j] = 1 << i
-        sq = 1
-        while (1 << sq) < n - 1:
-            sq += 1
-        _CELL_CACHE[n] = _CellTables(nb, ci, cj, rw, cw, max(sq, 1))
-    return _CELL_CACHE[n]
+def _adjacency(n: int, out_masks: np.ndarray) -> np.ndarray:
+    """(codes, n, n) uint8 adjacency stack of vertex-major out-neighbour masks."""
+    return ((out_masks.T[:, :, None] >> np.arange(n)) & 1).astype(np.uint8)
 
 
-def _decode_strong_chunk(n: int, lo: int, hi: int):
-    """Strongly connected codes in [lo, hi) with adjacency and mask arrays.
+def _strong_chunk(n: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """The strongly connected codes in [lo, hi), ascending, and their
+    canonical codes.
 
     Strong connectivity is decided by boolean closure (repeated squaring of
-    A + I), which doubles as an independent check on the BFS-based predicate
-    used elsewhere.
+    A + I, on bitmask rows), which doubles as an independent check on the
+    BFS-based predicate used elsewhere.
     """
-    t = _tables(n)
     codes = np.arange(lo, hi, dtype=np.int64)
-    bits = ((codes[:, None] >> np.arange(t.nbits)) & 1).astype(np.uint8)
+    out_masks, in_masks = _masks(n, codes)
     # cheap necessary condition first: no vertex may have empty in or out set
-    rowmask = bits @ t.row_weights
-    colmask = bits @ t.col_weights
-    keep = (rowmask > 0).all(axis=1) & (colmask > 0).all(axis=1)
-    codes, bits = codes[keep], bits[keep]
-    rowmask, colmask = rowmask[keep], colmask[keep]
-    if codes.size == 0:
-        empty = np.zeros((0, n, n), dtype=np.uint8)
-        return codes, empty, rowmask, colmask
-    adj = np.zeros((codes.size, n, n), dtype=np.uint8)
-    adj[:, t.ci, t.cj] = bits
-    reach = adj.copy()
-    eye = np.arange(n)
-    reach[:, eye, eye] = 1
-    for _ in range(t.squarings):
-        reach = (np.einsum("bij,bjk->bik", reach, reach) > 0).astype(np.uint8)
-    strong = reach.reshape(codes.size, -1).all(axis=1)
-    return codes[strong], adj[strong], rowmask[strong], colmask[strong]
+    keep = (out_masks > 0).all(axis=0) & (in_masks > 0).all(axis=0)
+    codes = codes[keep]
+    reach = out_masks[:, keep] | (1 << np.arange(n))[:, None]
+    for _ in range((n - 2).bit_length()):  # until paths of n - 1 arcs are covered
+        squared = reach.copy()
+        for u in range(n):
+            squared |= ((reach >> u) & 1) * reach[u]
+        reach = squared
+    codes = codes[(reach == (1 << n) - 1).all(axis=0)]
+    return codes, canonical_codes(n, codes)
+
+
+@dataclass(frozen=True)
+class _Classes:
+    """The strongly connected labelled digraphs on n vertices and their
+    isomorphism classes."""
+
+    codes: np.ndarray  # the labelled codes, ascending
+    index: np.ndarray  # the class of each code
+    reps: np.ndarray  # per class its canonical (smallest labelled) code, ascending
+    weights: np.ndarray  # per class its orbit size, the number of its labelled codes
+
+    def members(self, chosen: np.ndarray) -> np.ndarray:
+        """The labelled codes, ascending, of the classes where chosen holds."""
+        return self.codes[chosen[self.index]]
+
+
+def _classes(n: int, workers: int) -> _Classes:
+    """Enumerate the strong labelled codes in chunks of 2^CHUNK_BITS codes
+    and group them by canonical code.  With workers > 1 the chunks run in a
+    process pool; either way they are joined in code order."""
+    total = 1 << (n * (n - 1))
+    step = 1 << CHUNK_BITS
+    tasks = [(n, lo, min(lo + step, total)) for lo in range(0, total, step)]
+    if workers <= 1:
+        chunks = [_strong_chunk(*task) for task in tasks]
+    else:
+        import multiprocessing as mp
+
+        with mp.Pool(processes=workers) as pool:
+            chunks = pool.starmap(_strong_chunk, tasks)
+    codes = np.concatenate([codes for codes, _canon in chunks])
+    canon = np.concatenate([canon for _codes, canon in chunks])
+    reps, index, weights = np.unique(canon, return_inverse=True, return_counts=True)
+    return _Classes(codes, index, reps, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -192,9 +205,9 @@ _INVARIANTS = ("girth", "clique", "vertex_conn", "arc_conn", "delta0", "min_out"
 
 
 def _row_dtype(nalphas: int) -> np.dtype:
-    """One packed record per strong code: 4 + 7 + 8 * nalphas bytes."""
+    """One packed record per isomorphism class: 8 + 7 + 8 * nalphas bytes."""
     return np.dtype(
-        [("code", np.int32)]
+        [("code", np.int32), ("weight", np.int32)]
         + [(name, np.int8) for name in _INVARIANTS]
         + [("radius", np.float64, (nalphas,))]
     )
@@ -211,17 +224,19 @@ def _certified_radii(mats: np.ndarray, tol: float, max_iters: int, alpha: float,
         ) from err
 
 
-def _scan_chunk(
-    n: int, lo: int, hi: int, alphas: tuple[float, ...], parameters: tuple[str, ...],
+def _scan_table(
+    n: int, classes: _Classes, alphas: tuple[float, ...], parameters: tuple[str, ...],
     tol: float, max_iters: int,
 ) -> tuple[np.ndarray, float, int]:
-    """Table rows of the strong codes in [lo, hi), the widest certificate and
-    the most iterations among them.  Unrequested invariant columns stay 0."""
-    codes, adj, rowmask, colmask = _decode_strong_chunk(n, lo, hi)
+    """One table row per class, in class order: its representative's code,
+    the class weight, invariants and radii; the widest certificate and the
+    most iterations among them.  Unrequested invariant columns stay 0."""
+    codes = classes.reps
+    out_masks, in_masks = _masks(n, codes)
+    adj = _adjacency(n, out_masks)
     rows = np.zeros(codes.size, dtype=_row_dtype(len(alphas)))
-    if codes.size == 0:
-        return rows, 0.0, 0
     rows["code"] = codes
+    rows["weight"] = classes.weights
     outdeg = adj.sum(axis=2)
     min_out = outdeg.min(axis=1)
     rows["min_out"] = min_out
@@ -230,7 +245,7 @@ def _scan_chunk(
 
     # combinatorial parameters, one python pass per column
     need_ac = {"arc_conn", "arc_conn_tight", "vertex_conn"} & set(parameters)
-    masks = list(zip(rowmask.tolist(), colmask.tolist()))
+    masks = list(zip(out_masks.T.tolist(), in_masks.T.tolist()))
     if "girth" in parameters:
         rows["girth"] = [_girth(r, c, n) for r, c in masks]
     if "clique" in parameters:
@@ -257,39 +272,16 @@ def _scan_chunk(
     return rows, width, iterations
 
 
-def _scan_table(
-    n: int, alphas: tuple[float, ...], parameters: tuple[str, ...],
-    tol: float, max_iters: int, workers: int,
-) -> tuple[np.ndarray, float, int]:
-    """The scan table in code order, the widest certificate and the most
-    iterations.  With workers > 1 the chunks run in a process pool; either
-    way their rows are concatenated in chunk order."""
-    total = 1 << (n * (n - 1))
-    step = 1 << CHUNK_BITS
-    tasks = [
-        (n, lo, min(lo + step, total), alphas, parameters, tol, max_iters)
-        for lo in range(0, total, step)
-    ]
-    if workers <= 1:
-        chunks = [_scan_chunk(*task) for task in tasks]
-    else:
-        import multiprocessing as mp
-
-        with mp.Pool(processes=workers) as pool:
-            chunks = pool.starmap(_scan_chunk, tasks)
-    table = np.concatenate([rows for rows, _w, _i in chunks])
-    return table, max(w for _r, w, _i in chunks), max(i for _r, _w, i in chunks)
-
-
-def _extreme(vals: np.ndarray, codes: np.ndarray, mode: str) -> GroupExtreme:
-    """Best value, the sorted codes within ATTAIN_TOL of it, and the best
-    value outside that band.  Max mode is min mode on negated values."""
+def _extreme(vals: np.ndarray, sel: np.ndarray, classes: _Classes, mode: str) -> GroupExtreme:
+    """Best value over the selected class rows, the labelled codes of the
+    classes within ATTAIN_TOL of it, and the best value outside that band.
+    Max mode is min mode on negated values."""
     sign = 1.0 if mode == "min" else -1.0
-    signed = sign * vals
+    signed = np.where(sel, sign * vals, np.inf)
     best = signed.min()
     inside = signed <= best + ATTAIN_TOL
-    outside = signed[~inside]
-    attaining = np.sort(codes[inside])
+    outside = signed[sel & ~inside]
+    attaining = classes.members(inside)
     return GroupExtreme(
         value=sign * float(best),
         codes=tuple(attaining.tolist()),
@@ -298,11 +290,14 @@ def _extreme(vals: np.ndarray, codes: np.ndarray, mode: str) -> GroupExtreme:
     )
 
 
-def _group_extremes(table: np.ndarray, nalphas: int, parameters: tuple[str, ...]) -> dict:
+def _group_extremes(
+    table: np.ndarray, classes: _Classes, nalphas: int, parameters: tuple[str, ...]
+) -> dict:
     """{(parameter, value): [{"min": GroupExtreme, "max": GroupExtreme}] per alpha}.
 
     arc_conn_tight groups the arc connectivity of the rows where it equals
     the minimum degree delta0."""
+    radius = table["radius"]
     groups = {}
     for param in parameters:
         if param == "arc_conn_tight":
@@ -313,32 +308,37 @@ def _group_extremes(table: np.ndarray, nalphas: int, parameters: tuple[str, ...]
             rows = np.ones(col.size, dtype=bool)
         for value in np.unique(col[rows]).tolist():
             sel = rows & (col == value)
-            codes, radius = table["code"][sel], table["radius"][sel]
             groups[(param, value)] = [
-                {mode: _extreme(radius[:, ai], codes, mode) for mode in ("min", "max")}
+                {mode: _extreme(radius[:, ai], sel, classes, mode) for mode in ("min", "max")}
                 for ai in range(nalphas)
             ]
     return dict(sorted(groups.items()))
 
 
-def _top_buckets(vals: np.ndarray, codes: np.ndarray, buckets: int = 3) -> list[TopBucket]:
-    """The largest radius levels: each bucket holds every radius within
-    ATTAIN_TOL below the largest radius not in an earlier bucket."""
-    order = np.lexsort((codes, -vals))
+def _top_buckets(vals: np.ndarray, classes: _Classes, buckets: int = 3) -> list[TopBucket]:
+    """The largest radius levels: each bucket holds the labelled codes of
+    every class within ATTAIN_TOL below the largest radius not in an earlier
+    bucket."""
+    order = np.argsort(-vals)
     neg = -vals[order]  # ascending
     out: list[TopBucket] = []
     start = 0
     while start < neg.size and len(out) < buckets:
         stop = int(np.searchsorted(neg, neg[start] + ATTAIN_TOL, side="right"))
-        members = np.sort(codes[order[start:stop]])
+        chosen = np.zeros(vals.size, dtype=bool)
+        chosen[order[start:stop]] = True
+        members = classes.members(chosen)
         out.append(TopBucket(float(-neg[start]), tuple(members.tolist()), int(members.size)))
         start = stop
     return out
 
 
-def _bound_report(n: int, alpha: float, table: np.ndarray, lam: np.ndarray) -> dict:
-    """Spectral bound checks on every row; at most VIOLATION_CAP violations
-    are listed, check by check in code order."""
+def _bound_report(
+    n: int, alpha: float, table: np.ndarray, classes: _Classes, lam: np.ndarray
+) -> dict:
+    """Spectral bound checks on every class; "checked" counts labelled codes.
+    At most VIOLATION_CAP violations are listed, check by check, each check's
+    labelled codes in code order."""
     min_out, max_out = table["min_out"], table["max_out"]
     is_cycle = max_out == 1
     is_complete = min_out == n - 1
@@ -361,11 +361,15 @@ def _bound_report(n: int, alpha: float, table: np.ndarray, lam: np.ndarray) -> d
         checks.append(("radius_not_above_alpha_maxdeg", lam <= alpha * max_out + 1e-12))
     violations: list[dict] = []
     for name, bad in checks:
-        for idx in np.flatnonzero(bad)[: VIOLATION_CAP - len(violations)]:
+        for idx in np.flatnonzero(bad[classes.index])[: VIOLATION_CAP - len(violations)]:
             violations.append(
-                {"check": name, "code": int(table["code"][idx]), "radius": float(lam[idx])}
+                {
+                    "check": name,
+                    "code": int(classes.codes[idx]),
+                    "radius": float(lam[classes.index[idx]]),
+                }
             )
-    return {"checked": int(lam.size), "violations": violations}
+    return {"checked": int(table["weight"].sum()), "violations": violations}
 
 
 @dataclass(frozen=True)
@@ -416,16 +420,17 @@ def run_scan(
     """Scan every strongly connected digraph on n vertices.
 
     Returns per-parameter extremal statistics for every requested alpha.
-    With workers > 1 the code space is split into contiguous ranges handled
-    by a process pool; the merged result is identical to the serial one.
-    n = 6 is refused: its table would not fit in memory.
+    Invariants and radii are computed once per isomorphism class; counts and
+    listed codes are of labelled digraphs.  With workers > 1 the enumeration
+    of the code space is split into contiguous ranges handled by a process
+    pool; the merged result is identical to the serial one.
     """
-    if n == ENUM_CAP:
-        gb = _STRONG_COUNT_6 * _row_dtype(len(tuple(alphas))).itemsize / 1e9
+    if n == ENUM_CAP + 1:
         raise ValueError(
-            f"n = {n} cannot be scanned, even with long runs enabled: the scan "
-            f"table would hold {_STRONG_COUNT_6:,} rows, about {gb:.1f} GB, and "
-            "twice that while its chunks are joined"
+            f"n = {n} cannot be scanned: its classes are found by enumerating "
+            f"all 2^{n * (n - 1)} labelled codes, too many until a generator of "
+            "isomorphism classes replaces that enumeration; enabling long runs "
+            "does not lift this refusal"
         )
     if not 2 <= n <= ENUM_CAP:
         raise ValueError(f"enumeration supports 2 <= n <= {ENUM_CAP}, got {n}")
@@ -436,19 +441,20 @@ def run_scan(
     unknown = set(parameters) - set(SCAN_PARAMETERS)
     if unknown:
         raise ValueError(f"unknown scan parameters {sorted(unknown)}")
-    table, width, iterations = _scan_table(n, alphas, parameters, tol, max_iters, workers)
-    radius, codes = table["radius"], table["code"]
+    classes = _classes(n, workers)
+    table, width, iterations = _scan_table(n, classes, alphas, parameters, tol, max_iters)
+    radius = table["radius"]
     return ScanStats(
         n=n,
         alphas=alphas,
         parameters=parameters,
         tol=tol,
         total_codes=1 << (n * (n - 1)),
-        strong_count=int(table.size),
-        groups=_group_extremes(table, len(alphas), parameters),
-        top={ai: _top_buckets(radius[:, ai], codes) for ai in range(len(alphas))},
+        strong_count=int(table["weight"].sum()),
+        groups=_group_extremes(table, classes, len(alphas), parameters),
+        top={ai: _top_buckets(radius[:, ai], classes) for ai in range(len(alphas))},
         bounds={
-            ai: _bound_report(n, alpha, table, radius[:, ai])
+            ai: _bound_report(n, alpha, table, classes, radius[:, ai])
             for ai, alpha in enumerate(alphas)
         },
         max_certificate_width=width,
@@ -827,65 +833,57 @@ def subdivision_sweep(
     max_iters: int = DEFAULT_MAX_ITERS,
 ) -> dict:
     """Subdivide every arc of every strongly connected non-cycle digraph on n
-    vertices and check the radius never increases (within 1e-9).  At most
-    VIOLATION_CAP violations are listed per alpha."""
+    vertices and check the radius never increases (within 1e-9).
+
+    Every labelled (digraph, arc) pair is isomorphic to a pair of a class
+    representative and one of its arcs, so the sweep runs on those pairs and
+    stays exhaustive; "checked" counts the labelled pairs by class weight,
+    and violations name the representative's code.  At most VIOLATION_CAP
+    violations are listed per alpha."""
     if not 2 <= n <= 5:
         raise ValueError(f"the exhaustive subdivision sweep supports 2 <= n <= 5, got {n}")
     alphas = tuple(_check_alpha(a) for a in alphas)
     if len(set(alphas)) != len(alphas):
         raise ValueError("duplicate alpha values")
-    t = _tables(n)
-    total = 1 << t.nbits
-    step = 1 << SUBDIVISION_CHUNK_BITS
+    classes = _classes(n, workers=1)
+    adj = _adjacency(n, _masks(n, classes.reps)[0])
+    outdeg = adj.sum(axis=2)
+    not_cycle = ~((outdeg.sum(axis=1) == n) & (outdeg.max(axis=1) == 1))
+    codes, weights, adj = classes.reps[not_cycle], classes.weights[not_cycle], adj[not_cycle]
+    base = adj.astype(np.float64)
+    # one subdivided matrix per (representative, arc)
+    srcrow, uarr, varr = np.nonzero(adj)
+    m = srcrow.size
+    big = np.zeros((m, n + 1, n + 1), dtype=np.float64)
+    big[:, :n, :n] = base[srcrow]
+    rows_idx = np.arange(m)
+    big[rows_idx, uarr, varr] = 0.0
+    big[rows_idx, uarr, n] = 1.0
+    big[rows_idx, n, varr] = 1.0
     checked = 0
     violations: list[dict] = []
-    listed = dict.fromkeys(alphas, 0)
     max_excess = -math.inf
-    for lo in range(0, total, step):
-        codes, adj, _rm, _cm = _decode_strong_chunk(n, lo, min(lo + step, total))
-        if codes.size == 0:
-            continue
-        outdeg = adj.sum(axis=2).astype(np.int64)
-        narcs = outdeg.sum(axis=1)
-        not_cycle = ~((narcs == n) & (outdeg.max(axis=1) == 1))
-        codes, adj = codes[not_cycle], adj[not_cycle]
-        if codes.size == 0:
-            continue
-        base = adj.astype(np.float64)
-        # one subdivided matrix per (digraph, arc)
-        srcrow, uarr, varr = np.nonzero(adj)
-        m = srcrow.size
-        big = np.zeros((m, n + 1, n + 1), dtype=np.float64)
-        big[:, :n, :n] = base[srcrow]
-        rows_idx = np.arange(m)
-        big[rows_idx, uarr, varr] = 0.0
-        big[rows_idx, uarr, n] = 1.0
-        big[rows_idx, n, varr] = 1.0
-        for alpha in alphas:
-            lam_base, _, _, _ = _certified_radii(
-                _alpha_entries(base, alpha), tol, max_iters, alpha, lambda i: f"code {codes[i]}"
+    for alpha in alphas:
+        lam_base, _, _, _ = _certified_radii(
+            _alpha_entries(base, alpha), tol, max_iters, alpha, lambda i: f"code {codes[i]}"
+        )
+        lam_sub, _, _, _ = _certified_radii(
+            _alpha_entries(big, alpha), tol, max_iters, alpha,
+            lambda i: f"code {codes[srcrow[i]]} subdivided at arc ({uarr[i]}, {varr[i]})",
+        )
+        excess = lam_sub - lam_base[srcrow]
+        checked += int(weights[srcrow].sum())
+        max_excess = max(max_excess, float(excess.max(initial=-math.inf)))
+        for idx in np.flatnonzero(excess > 1e-9)[:VIOLATION_CAP]:
+            violations.append(
+                {
+                    "code": int(codes[srcrow[idx]]),
+                    "arc": (int(uarr[idx]), int(varr[idx])),
+                    "alpha": alpha,
+                    "base": float(lam_base[srcrow[idx]]),
+                    "subdivided": float(lam_sub[idx]),
+                }
             )
-            lam_sub, _, _, _ = _certified_radii(
-                _alpha_entries(big, alpha), tol, max_iters, alpha,
-                lambda i: f"code {codes[srcrow[i]]} subdivided at arc ({uarr[i]}, {varr[i]})",
-            )
-            excess = lam_sub - lam_base[srcrow]
-            checked += m
-            worst = float(excess.max())
-            if worst > max_excess:
-                max_excess = worst
-            bad = np.flatnonzero(excess > 1e-9)[: VIOLATION_CAP - listed[alpha]]
-            listed[alpha] += bad.size
-            for idx in bad:
-                violations.append(
-                    {
-                        "code": int(codes[srcrow[idx]]),
-                        "arc": (int(uarr[idx]), int(varr[idx])),
-                        "alpha": alpha,
-                        "base": float(lam_base[srcrow[idx]]),
-                        "subdivided": float(lam_sub[idx]),
-                    }
-                )
     return {
         "n": n,
         "alphas": alphas,

@@ -35,7 +35,6 @@ from alphaspec.oracle import (
     SCAN_PARAMETERS,
     THEOREM_IDS,
     VIOLATION_CAP,
-    SUBDIVISION_CHUNK_BITS,
     code_of_digraph,
     digraph_from_code,
     explore_problem_4_1,
@@ -45,7 +44,7 @@ from alphaspec.oracle import (
     verify_theorem,
 )
 from alphaspec import oracle
-from alphaspec.spectral import ConvergenceError
+from alphaspec.spectral import DEFAULT_TOL, ConvergenceError
 
 
 # ---------------------------------------------------------------------------
@@ -257,12 +256,12 @@ def test_scan_validation():
         run_scan(3, (0.0,), parameters=("girth", "treewidth"))
     with pytest.raises(ValueError):
         run_scan(1, (0.0,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"2 <= n <= 5, got 7"):
         run_scan(7, (0.0,))
     with pytest.raises(ValueError):
         run_scan(6, (0.0,))  # gated
-    # refused outright: the n = 6 table would not fit in memory
-    with pytest.raises(ValueError, match=r"734,774,776 rows, about 19\.8 GB"):
+    # refused outright: the n = 6 classes would need all 2^30 labelled codes
+    with pytest.raises(ValueError, match=r"all 2\^30 labelled codes"):
         run_scan(6, (0.0, 0.5))
 
 
@@ -282,7 +281,8 @@ def test_scan_deterministic_rerun(stats3):
 
 
 def test_scan_parallel_matches_serial(scan4, monkeypatch):
-    # 2^8-code chunks split n = 4 into 16, so the pool joins many chunks
+    # 2^8-code chunks split the n = 4 enumeration into 16, so the pool joins
+    # many chunks
     monkeypatch.setattr(oracle, "CHUNK_BITS", 8)
     ser = run_scan(4, scan4.alphas, workers=1)
     par = run_scan(4, scan4.alphas, workers=2)
@@ -524,6 +524,51 @@ def test_every_statement_vacuous_at_n2(scan2):
 
 
 # ---------------------------------------------------------------------------
+# isomorphism classes
+
+def test_class_enumeration_counts():
+    # classes of strongly connected digraphs (OEIS A035512) and their orbit
+    # sums, the strongly connected labelled digraphs (OEIS A003030)
+    for n, classes, labelled in ((2, 1, 1), (3, 5, 18), (4, 83, 1606), (5, 5048, 565080)):
+        got = oracle._classes(n, workers=1)
+        assert got.reps.size == got.weights.size == classes
+        assert int(got.weights.sum()) == got.codes.size == labelled
+        assert np.all(np.diff(got.codes) > 0) and np.all(np.diff(got.reps) > 0)
+        # each representative is the first, smallest, labelled code of its class
+        _, first = np.unique(got.index, return_index=True)
+        assert np.array_equal(got.codes[first], got.reps)
+        assert np.array_equal(np.bincount(got.index), got.weights)
+
+
+def test_class_weights_are_orbit_sizes():
+    # n! / |Aut(G)| labelled copies, with automorphisms found by trying every
+    # relabelling of the representative
+    for n in (2, 3, 4):
+        perms = list(itertools.permutations(range(n)))
+        got = oracle._classes(n, workers=1)
+        for rep, weight in zip(got.reps.tolist(), got.weights.tolist()):
+            g = digraph_from_code(n, rep)
+            assert is_strongly_connected(g)
+            automorphisms = sum(g.relabel(p) == g for p in perms)
+            assert weight == math.factorial(n) // automorphisms
+
+
+def test_scan_runs_the_kernel_once_per_class(monkeypatch):
+    sizes = []
+    real = oracle.batch_cw_radius
+
+    def counted(mats, tol, max_iters):
+        sizes.append(len(mats))
+        return real(mats, tol=tol, max_iters=max_iters)
+
+    monkeypatch.setattr(oracle, "batch_cw_radius", counted)
+    stats = run_scan(4, (0.0, 0.5))
+    assert sizes == [83, 83]
+    assert stats.strong_count == 1606
+    assert stats.bound_report(0.5)["checked"] == 1606
+
+
+# ---------------------------------------------------------------------------
 # subdivision sweep
 
 def test_subdivision_sweep_n3_exhaustive():
@@ -535,12 +580,42 @@ def test_subdivision_sweep_n3_exhaustive():
     assert out["max_excess"] < 0.0
 
 
+def test_subdivision_sweep_matches_labelled_eigvals_sweep():
+    # every labelled (digraph, arc) pair at n = 4, radii by dense eigvals
+    cells = [(i, j) for i in range(4) for j in range(4) if i != j]
+    base, subdivided = [], []
+    for code in range(1 << 12):
+        arcs = [cells[p] for p in range(12) if (code >> p) & 1]
+        if len(arcs) == 4 or not ref_strong(4, arcs):
+            continue  # a strong digraph with 4 arcs on 4 vertices is a cycle
+        adj = np.zeros((4, 4))
+        adj[tuple(zip(*arcs))] = 1.0
+        for u, v in arcs:
+            sub = np.zeros((5, 5))
+            sub[:4, :4] = adj
+            sub[u, v] = 0.0
+            sub[u, 4] = sub[4, v] = 1.0
+            base.append(adj)
+            subdivided.append(sub)
+    base, subdivided = np.array(base), np.array(subdivided)
+
+    def radii(mats, alpha):
+        m = (1 - alpha) * mats
+        idx = np.arange(mats.shape[-1])
+        m[:, idx, idx] += alpha * mats.sum(axis=2)
+        return np.abs(np.linalg.eigvals(m)).max(axis=1)
+
+    out = subdivision_sweep(4, (0.0, 0.5))
+    excess = max(float((radii(subdivided, a) - radii(base, a)).max()) for a in (0.0, 0.5))
+    assert out["checked"] == 2 * len(subdivided) == 2 * 11808
+    assert out["violations"] == []
+    assert abs(out["max_excess"] - excess) <= 2 * DEFAULT_TOL
+
+
 def test_subdivision_sweep_caps_violations_per_alpha(monkeypatch):
     checked = subdivision_sweep(4, (0.0, 0.5))["checked"]
-    # 2^8-code chunks split n = 4 into 16; raising every subdivided radius by
-    # 1 makes every (digraph, arc) pair of every chunk a violation
-    assert SUBDIVISION_CHUNK_BITS > 8
-    monkeypatch.setattr(oracle, "SUBDIVISION_CHUNK_BITS", 8)
+    # raising every subdivided radius by 1 makes every (digraph, arc) pair a
+    # violation
     real = oracle.batch_cw_radius
 
     def raised_when_subdivided(mats, tol, max_iters):

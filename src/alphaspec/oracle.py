@@ -12,9 +12,9 @@ class.  All statistics are numpy queries on that table, counted by weight
 and listing labelled codes:
 
 * for each parameter value (girth, clique number, vertex or arc connectivity)
-  the minimum and maximum radius per alpha, all codes within 1e-8 of the
+  the minimum and maximum radius per alpha, the classes within 1e-8 of the
   extremum, and the runner-up value beyond that band;
-* the global top radius buckets per alpha (for second-maximum statements);
+* the three largest radius levels per alpha (for second-maximum statements);
 * spectral bound violations (row-sum sandwich, cycle/complete equalities,
   strict alpha * max-out-degree lower bound).
 
@@ -28,8 +28,10 @@ parameter range, the stated radius and its tolerance, the digraphs that must
 attain it and those that may.  verify_theorem checks every entry the same way;
 L3.1/L4.1 compare certified enclosures of two family members instead.
 
-Isomorphism classes are compared by canonical code, both in extremal_scan's
-class summary and in the statements' attaining sets.
+An attaining set is a set of isomorphism classes, and _extreme alone decides
+which classes attain: a GroupExtreme lists their canonical codes and their
+labelled codes.  extremal_scan's representatives, the statements' verdicts
+and explore_problem_4_1's class match all read those canonical codes.
 """
 from __future__ import annotations
 
@@ -72,7 +74,6 @@ __all__ = [
     "SCAN_PARAMETERS",
     "THEOREM_IDS",
     "GroupExtreme",
-    "TopBucket",
     "ScanStats",
     "ExtremalGroup",
     "ExtremalReport",
@@ -180,7 +181,8 @@ def _classes(n: int, workers: int) -> _Classes:
 @dataclass(frozen=True)
 class GroupExtreme:
     value: float
-    codes: tuple[int, ...]
+    codes: tuple[int, ...]  # the labelled codes of the attaining classes, ascending
+    classes: tuple[int, ...]  # the canonical codes of the attaining classes, ascending
     count: int
     runner_up: float | None
 
@@ -189,13 +191,6 @@ class GroupExtreme:
         if self.runner_up is None:
             return None
         return abs(self.runner_up - self.value)
-
-
-@dataclass(frozen=True)
-class TopBucket:
-    value: float
-    codes: tuple[int, ...]
-    count: int
 
 
 # Invariant columns of the scan table.  In a strongly connected digraph every
@@ -273,9 +268,9 @@ def _scan_table(
 
 
 def _extreme(vals: np.ndarray, sel: np.ndarray, classes: _Classes, mode: str) -> GroupExtreme:
-    """Best value over the selected class rows, the labelled codes of the
-    classes within ATTAIN_TOL of it, and the best value outside that band.
-    Max mode is min mode on negated values."""
+    """Best value over the selected class rows, the classes within
+    ATTAIN_TOL of it (by canonical and by labelled codes), and the best
+    value outside that band.  Max mode is min mode on negated values."""
     sign = 1.0 if mode == "min" else -1.0
     signed = np.where(sel, sign * vals, np.inf)
     best = signed.min()
@@ -285,6 +280,7 @@ def _extreme(vals: np.ndarray, sel: np.ndarray, classes: _Classes, mode: str) ->
     return GroupExtreme(
         value=sign * float(best),
         codes=tuple(attaining.tolist()),
+        classes=tuple(classes.reps[inside].tolist()),
         count=int(attaining.size),
         runner_up=sign * float(outside.min()) if outside.size else None,
     )
@@ -315,22 +311,15 @@ def _group_extremes(
     return dict(sorted(groups.items()))
 
 
-def _top_buckets(vals: np.ndarray, classes: _Classes, buckets: int = 3) -> list[TopBucket]:
-    """The largest radius levels: each bucket holds the labelled codes of
-    every class within ATTAIN_TOL below the largest radius not in an earlier
-    bucket."""
-    order = np.argsort(-vals)
-    neg = -vals[order]  # ascending
-    out: list[TopBucket] = []
-    start = 0
-    while start < neg.size and len(out) < buckets:
-        stop = int(np.searchsorted(neg, neg[start] + ATTAIN_TOL, side="right"))
-        chosen = np.zeros(vals.size, dtype=bool)
-        chosen[order[start:stop]] = True
-        members = classes.members(chosen)
-        out.append(TopBucket(float(-neg[start]), tuple(members.tolist()), int(members.size)))
-        start = stop
-    return out
+def _top_levels(vals: np.ndarray, classes: _Classes) -> list[GroupExtreme]:
+    """The three largest radius levels: each is the maximum over the classes
+    not in an earlier level, so its runner-up is the next level down."""
+    left = np.ones(vals.size, dtype=bool)
+    levels: list[GroupExtreme] = []
+    while left.any() and len(levels) < 3:
+        levels.append(_extreme(vals, left, classes, "max"))
+        left &= ~np.isin(classes.reps, levels[-1].classes)
+    return levels
 
 
 def _bound_report(
@@ -393,16 +382,14 @@ class ScanStats:
         raise KeyError(f"alpha {alpha} was not part of this scan (have {self.alphas})")
 
     def group(self, parameter: str, value: int, alpha: float, mode: str) -> GroupExtreme | None:
-        self.alpha_index(alpha)
-        key = (parameter, int(value))
-        if key not in self.groups:
-            return None
-        return self.groups[key][self.alpha_index(alpha)][mode]
+        ai = self.alpha_index(alpha)
+        per_alpha = self.groups.get((parameter, int(value)))
+        return None if per_alpha is None else per_alpha[ai][mode]
 
     def group_values(self, parameter: str) -> list[int]:
         return sorted(v for (p, v) in self.groups if p == parameter)
 
-    def top_buckets(self, alpha: float) -> list[TopBucket]:
+    def top_buckets(self, alpha: float) -> list[GroupExtreme]:
         return self.top[self.alpha_index(alpha)]
 
     def bound_report(self, alpha: float) -> dict:
@@ -452,7 +439,7 @@ def run_scan(
         total_codes=1 << (n * (n - 1)),
         strong_count=int(table["weight"].sum()),
         groups=_group_extremes(table, classes, len(alphas), parameters),
-        top={ai: _top_buckets(radius[:, ai], classes) for ai in range(len(alphas))},
+        top={ai: _top_levels(radius[:, ai], classes) for ai in range(len(alphas))},
         bounds={
             ai: _bound_report(n, alpha, table, classes, radius[:, ai])
             for ai, alpha in enumerate(alphas)
@@ -463,12 +450,7 @@ def run_scan(
 
 
 # ---------------------------------------------------------------------------
-# isomorphism classes and reports
-
-def _iso_classes(n: int, codes: Sequence[int]) -> list[Digraph]:
-    """The first code of each isomorphism class, as a digraph, in order."""
-    _canon, first = np.unique(canonical_codes(n, codes), return_index=True)
-    return [digraph_from_code(n, codes[i]) for i in np.sort(first).tolist()]
+# extremal reports
 
 
 @dataclass(frozen=True)
@@ -499,24 +481,23 @@ def extremal_scan(
     tol: float = DEFAULT_TOL,
     workers: int = 1,
 ) -> ExtremalReport:
-    """Extremal radii per parameter value with isomorphism-class summary."""
+    """Extremal radii per parameter value, with one representative per
+    attaining isomorphism class, in its canonical labelling."""
     if parameter not in PUBLIC_PARAMETERS:
         raise ValueError(f"parameter must be one of {PUBLIC_PARAMETERS}, got {parameter!r}")
     if mode not in ("min", "max"):
         raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
-    if scan is None:
-        scan = run_scan(n, (alpha,), (parameter,), tol=tol, workers=workers)
+    scan = _scan_for(n, (alpha,), (parameter,), scan, tol, workers)
     entries = []
     for value in scan.group_values(parameter):
         ext = scan.group(parameter, value, alpha, mode)
-        classes = _iso_classes(n, ext.codes)
         entries.append(
             ExtremalGroup(
                 parameter_value=value,
                 radius=ext.value,
                 attaining_count=ext.count,
-                class_count=len(classes),
-                representatives=tuple(classes),
+                class_count=len(ext.classes),
+                representatives=tuple(digraph_from_code(n, c) for c in ext.classes),
                 runner_up=ext.runner_up,
             )
         )
@@ -612,38 +593,36 @@ THEOREM_IDS = ENUM_THEOREMS + FORMULA_THEOREMS
 def _extreme_at(
     stats: ScanStats, read: str, value: int, alpha: float, mode: str
 ) -> GroupExtreme | None:
-    """The extreme a statement reads: a scan group, or a top radius level
-    whose runner-up is the next level down."""
+    """The extreme a statement reads: a scan group, or top radius level
+    value (1 the top)."""
     if read != _LEVEL:
         return stats.group(read, value, alpha, mode)
     levels = stats.top_buckets(alpha)
-    if value > len(levels):
-        return None
-    level = levels[value - 1]
-    below = levels[value].value if value < len(levels) else None
-    return GroupExtreme(level.value, level.codes, level.count, below)
+    return levels[value - 1] if value <= len(levels) else None
 
 
 def _attainers_fault(
     n: int,
-    codes: Sequence[int],
+    classes: Sequence[int],
     stated: Sequence[Digraph],
     allowed: Callable[[Digraph, int], bool] | None = None,
     value: int | None = None,
 ) -> tuple[str, Digraph] | None:
-    """Why the attaining codes break the statement, with the digraph at
-    fault, or None.  Every stated digraph must attain; every attaining code
-    must be isomorphic to a stated digraph (have its canonical code) or,
-    with allowed, pass allowed(G, value)."""
-    attaining = canonical_codes(n, codes)
-    stated_codes = canonical_codes(n, [code_of_digraph(s) for s in stated])
-    for code, canon in zip(codes, attaining):
+    """Why the attaining classes, given by ascending canonical codes, break
+    the statement, with the digraph at fault, or None.  Every stated digraph
+    must attain; every attaining class must be a stated digraph's or, with
+    allowed, pass allowed(G, value), an isomorphism invariant that is tested
+    on the class's canonical labelling.  A class's canonical code is its
+    smallest labelled code, so the first class at fault holds the smallest
+    labelled code at fault."""
+    stated_codes = canonical_codes(n, [code_of_digraph(s) for s in stated]).tolist()
+    for code in classes:
         g = digraph_from_code(n, code)
-        ok = canon in stated_codes if allowed is None else allowed(g, value)
+        ok = code in stated_codes if allowed is None else allowed(g, value)
         if not ok:
             return f"code {code} attains but is not a digraph the statement allows", g
     for i, (s, canon) in enumerate(zip(stated, stated_codes)):
-        if canon not in attaining:
+        if canon not in classes:
             return f"stated digraph {i + 1} of {len(stated)} does not attain", s
     return None
 
@@ -742,11 +721,11 @@ def verify_theorem(
             beyond = ext.value < want if st.mode == "min" else ext.value > want
             fault = (
                 f"scan {st.mode} {ext.value!r} != stated radius {want!r}",
-                digraph_from_code(n, ext.codes[0]) if beyond else None,
+                digraph_from_code(n, ext.classes[0]) if beyond else None,
             )
         else:
-            codes = () if ext is None else ext.codes
-            fault = _attainers_fault(n, codes, st.stated(n, v, alpha), st.allowed, v)
+            classes = () if ext is None else ext.classes
+            fault = _attainers_fault(n, classes, st.stated(n, v, alpha), st.allowed, v)
         if fault is None:
             gap = "" if ext.gap is None else f"; runner-up gap {ext.gap:.3e}"
             details.append(
@@ -810,7 +789,7 @@ def explore_problem_4_1(
                 )
                 continue
             gap = ext.value - g0_radius
-            match = _attainers_fault(n, ext.codes, [cand]) is None
+            match = _attainers_fault(n, ext.classes, [cand]) is None
             rows.append(
                 {
                     "n": n,
@@ -840,8 +819,10 @@ def subdivision_sweep(
     stays exhaustive; "checked" counts the labelled pairs by class weight,
     and violations name the representative's code.  At most VIOLATION_CAP
     violations are listed per alpha."""
-    if not 2 <= n <= 5:
-        raise ValueError(f"the exhaustive subdivision sweep supports 2 <= n <= 5, got {n}")
+    if not 2 <= n <= ENUM_CAP:
+        raise ValueError(
+            f"the exhaustive subdivision sweep supports 2 <= n <= {ENUM_CAP}, got {n}"
+        )
     alphas = tuple(_check_alpha(a) for a in alphas)
     if len(set(alphas)) != len(alphas):
         raise ValueError("duplicate alpha values")

@@ -371,16 +371,39 @@ def test_extremal_scan_vertex_conn_max_n4(scan4):
 
 
 def test_extremal_scan_classes_match_brute_force(scan4):
-    # one representative per class, the first attaining code of each, in
-    # code order; classes found by trying every relabelling
+    # classes found by trying every relabelling: a class is named by the
+    # smallest code of its orbit, and its orbit size is its labelled count
     perms = list(itertools.permutations(range(4)))
+    orbits = {}
+
+    def orbit(code):
+        if code not in orbits:
+            orbits[code] = {code_of_digraph(digraph_from_code(4, code).relabel(p)) for p in perms}
+        return orbits[code]
+
+    def check(ext):
+        classes = sorted({min(orbit(code)) for code in ext.codes})
+        assert list(ext.classes) == classes
+        assert ext.count == len(ext.codes) == sum(len(orbit(c)) for c in classes)
+        assert set(ext.codes) == set().union(*(orbit(c) for c in classes))
+
+    # every group of every scanned parameter and every top level, at every
+    # scanned alpha
+    for per_alpha in scan4.groups.values():
+        for modes in per_alpha:
+            check(modes["min"])
+            check(modes["max"])
+    for alpha in scan4.alphas:
+        for level in scan4.top_buckets(alpha):
+            check(level)
+    # one representative per class, the first attaining code of each, in
+    # code order
     for parameter in PUBLIC_PARAMETERS:
         for mode, alpha in itertools.product(("min", "max"), (0.0, 0.5)):
             for e in extremal_scan(4, alpha, parameter, mode=mode, scan=scan4).entries:
                 firsts = []
                 for code in scan4.group(parameter, e.parameter_value, alpha, mode).codes:
-                    images = {code_of_digraph(digraph_from_code(4, code).relabel(p)) for p in perms}
-                    if not images & set(firsts):
+                    if not orbit(code) & set(firsts):
                         firsts.append(code)
                 assert [code_of_digraph(g) for g in e.representatives] == firsts
                 assert e.class_count == len(firsts)
@@ -391,6 +414,18 @@ def test_extremal_scan_validation(scan4):
         extremal_scan(4, 0.0, "arc_conn_tight", scan=scan4)
     with pytest.raises(ValueError):
         extremal_scan(4, 0.0, "girth", mode="best", scan=scan4)
+
+
+def test_extremal_scan_scan_compatibility_checks(scan4):
+    # a scan of another order, or without the parameter, is refused rather
+    # than read
+    with pytest.raises(ValueError, match="built for n=3, need n=4"):
+        extremal_scan(4, 0.0, "girth", "min", scan=run_scan(3, (0.0,), ("girth",)))
+    girth_only = run_scan(3, (0.0,), parameters=("girth",))
+    with pytest.raises(ValueError, match="lacks parameters"):
+        extremal_scan(3, 0.0, "clique", "max", scan=girth_only)
+    with pytest.raises(KeyError):
+        extremal_scan(4, 0.9, "girth", "min", scan=scan4)  # alpha not scanned
 
 
 def test_extremal_scan_builds_own_scan_when_missing():
@@ -477,15 +512,29 @@ def _tampered(scan, read, value, alpha, mode, change):
     return dataclasses.replace(scan, groups=groups)
 
 
-def _add_attainer(G):
-    return lambda ext: dataclasses.replace(ext, codes=ext.codes + (code_of_digraph(G),))
+def _add_attainer(G, canonical):
+    """Add G's labelled code and its class, named by its canonical code, to
+    an extreme."""
+    perms = itertools.permutations(range(G.n))
+    assert canonical == min(code_of_digraph(G.relabel(p)) for p in perms)
+    return lambda ext: dataclasses.replace(
+        ext,
+        codes=tuple(sorted(ext.codes + (code_of_digraph(G),))),
+        classes=tuple(sorted(ext.classes + (canonical,))),
+    )
 
 
+# A witness of a foreign attaining class is the class in its canonical
+# labelling: c_ng(4, 2) (code 793) as code 678, k_nkm(4, 2, 1) (code 3583) as
+# code 2047.  complete(4) has one labelling, code 4095.
 @pytest.mark.parametrize(
     "theorem, where, change, witness",
     [
         # the complete digraph has girth 2 but is not the stated minimiser
-        ("T3.1", ("girth", 2, 0.0, "min"), _add_attainer(complete(4)), lambda ext: complete(4)),
+        (
+            "T3.1", ("girth", 2, 0.0, "min"), _add_attainer(complete(4), 4095),
+            lambda ext: complete(4),
+        ),
         # a maximum above the closed form: the first attaining code beats it
         (
             "T5.3", ("vertex_conn", 1, 0.5, "max"),
@@ -493,11 +542,25 @@ def _add_attainer(G):
             lambda ext: digraph_from_code(4, ext.codes[0]),
         ),
         # the cycle with a tail is not 1-regular
-        ("T6.5", ("vertex_conn", 1, 0.0, "min"), _add_attainer(c_ng(4, 2)), lambda ext: c_ng(4, 2)),
+        (
+            "T6.5", ("vertex_conn", 1, 0.0, "min"), _add_attainer(c_ng(4, 2), 678),
+            lambda ext: digraph_from_code(4, 678),
+        ),
         # K4 minus an arc in the top radius level, beside K4
-        ("R5.1", ("level", 1, 0.5, "max"), _add_attainer(k_nkm(4, 2, 1)), lambda ext: k_nkm(4, 2, 1)),
+        (
+            "R5.1", ("level", 1, 0.5, "max"), _add_attainer(k_nkm(4, 2, 1), 2047),
+            lambda ext: digraph_from_code(4, 2047),
+        ),
+        # the stated minimiser's class dropped from the attaining set: the
+        # witness is the stated digraph, as stated
+        (
+            "T3.1", ("girth", 3, 0.5, "min"),
+            lambda ext: dataclasses.replace(ext, codes=(), classes=(), count=0),
+            lambda ext: c_ng(4, 3),
+        ),
     ],
-    ids=["foreign-attainer", "shifted-extreme", "irregular-attainer", "wrong-top-level"],
+    ids=["foreign-attainer", "shifted-extreme", "irregular-attainer", "wrong-top-level",
+         "stated-not-attaining"],
 )
 def test_tampered_scan_violates(scan4, theorem, where, change, witness):
     read, value, alpha, mode = where

@@ -1,0 +1,29 @@
+"""The benchmark under perfbench/ reads the program by name: its tracer wraps
+functions looked up as module attributes, and its self-test runs its checks
+against the program.  These tests keep the program's side of that contract."""
+import importlib.util
+import subprocess
+import sys
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_every_traced_name_exists():
+    # a missing name (oracle.is_isomorphic, say, which oracle imports only
+    # for the tracer) would make every traced benchmark run fail
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", PERFBENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    targets = tracing.targets()
+    assert targets
+    missing = [f"{mod.__name__}.{attr}" for mod, attr, _span in targets if not hasattr(mod, attr)]
+    assert missing == []
+
+
+def test_benchmark_selftest_passes():
+    done = subprocess.run(
+        [sys.executable, str(PERFBENCH / "selftest.py")],
+        cwd=PERFBENCH.parent, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr

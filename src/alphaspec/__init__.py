@@ -1,9 +1,9 @@
 """Spectral radius toolkit for the alpha matrix of strongly connected digraphs.
 
-The package computes certified spectral radii (power iteration with
-Collatz-Wielandt enclosures), builds the extremal digraph families, evaluates
-their closed-form radii, and verifies the extremal statements exhaustively at
-small order.
+The package computes certified spectral radii (shifted inverse iteration
+with outward-rounded Collatz-Wielandt enclosures), builds the extremal
+digraph families, evaluates their closed-form radii, and verifies the
+extremal statements exhaustively at small order.
 """
 from .digraph import (
     DegreeProfile,

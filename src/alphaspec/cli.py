@@ -270,7 +270,7 @@ def _add_family_flags(sub: argparse.ArgumentParser, n_as_range: bool = False) ->
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="key=value config file; flags override it")
     sub.add_argument("--tol", type=float, help="certificate width target (default 1e-10)")
-    sub.add_argument("--max-iters", dest="max_iters", type=int, help="power iteration cap")
+    sub.add_argument("--max-iters", dest="max_iters", type=int, help="certificate iteration cap")
     sub.add_argument("--workers", type=int, help="scan worker processes")
     sub.add_argument("--long-runs", dest="long_runs", action="store_true",
                      help="allow the n=7 tournament search (n=6 scans are refused)")
@@ -298,6 +298,8 @@ def cmd_radius(args: argparse.Namespace, cfg: RunConfig) -> int:
             "radius": lam,
             "lo": result.certificate_lo,
             "hi": result.certificate_hi,
+            "width": result.certificate_hi - result.certificate_lo,
+            "iterations": result.iterations,
             "perron": perron,
             "checks": [{"name": name, "pass": ok} for name, ok in checks],
         }

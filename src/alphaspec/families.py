@@ -175,8 +175,8 @@ def _tournament_from_code(n: int, code: int, pairs: list[tuple[int, int]]) -> Di
 def _radius_batch_eig(adj: np.ndarray, alpha: float) -> np.ndarray:
     """Spectral radii of alpha matrices for a stack of adjacency matrices.
 
-    Dense eigenvalues instead of power iteration: tournaments may be
-    reducible, where the certified power path refuses to run.
+    Dense eigenvalues instead of the certified kernel: tournaments may be
+    reducible, where spectral_radius refuses to run.
     """
     return np.abs(np.linalg.eigvals(_alpha_entries(adj, alpha))).max(axis=1)
 

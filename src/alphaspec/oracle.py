@@ -215,7 +215,7 @@ def _certified_radii(mats: np.ndarray, tol: float, max_iters: int, alpha: float,
     except ConvergenceError as err:
         raise ConvergenceError(
             err.lo, err.hi, err.iterations, err.index,
-            witness=f"{witness(err.index)} at alpha {alpha}",
+            witness=f"{witness(err.index)} at alpha {alpha}", floor=err.floor, tol=err.tol,
         ) from err
 
 

@@ -8,15 +8,20 @@ with D the diagonal out-degree matrix and A the adjacency matrix.  alpha = 0
 gives the adjacency matrix and alpha = 1/2 gives half the signless Laplacian;
 alpha = 1 is rejected because it degenerates to the degree diagonal.
 
-The spectral radius of a strongly connected digraph is computed by power
-iteration on A_alpha + I (the shift makes the matrix primitive, so iteration
-converges even for periodic digraphs such as directed cycles).  Every iterate
-yields Collatz-Wielandt quotients r_i = (Mx)_i / x_i whose extremes enclose
-the Perron root, so the returned radius carries a rigorous interval.
+The spectral radius of a strongly connected digraph is computed by shifted
+inverse iteration: each step solves (mu*I - M) z = x with mu just above the
+current certified upper bound, so after a few steps z is close to the Perron
+vector whatever the period of the digraph.  Every positive iterate x yields
+Collatz-Wielandt quotients r_i = (Mx)_i / x_i whose extremes enclose the
+Perron root.  They are computed in float and widened outward by a bound on
+every rounding involved (see _widening), so the returned interval holds the
+exact root of alpha*D + (1-alpha)*A for the double-valued alpha.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -38,14 +43,19 @@ __all__ = [
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITERS = 200_000
+_SOLVE_BLOCK = 1 << 18  # float64 matrix elements (2 MB) per batched solve
+_X_MIN = 2.0 ** -500  # least iterate entry; keeps each product M_ij x_j from underflow
 
 
 class ConvergenceError(RuntimeError):
-    """Power iteration hit the iteration cap before certifying the radius.
+    """The kernel could not certify a radius within tol.
 
-    index is the position in the input stack of the worst matrix that did
-    not converge (batched kernel only); witness, when a caller knows it,
-    names that matrix and leads the message.
+    Either the iteration cap was hit, or tol is below floor, the narrowest
+    width that the outward-rounded certificate of this matrix can reach; then
+    the kernel stops at once.  index is the position in the input stack of
+    the matrix at fault (for the cap, the widest uncertified one of its
+    solve block); witness, when a caller knows it, names that matrix and
+    leads the message.
     """
 
     def __init__(
@@ -55,21 +65,33 @@ class ConvergenceError(RuntimeError):
         iterations: int,
         index: int | None = None,
         witness: str | None = None,
+        floor: float | None = None,
+        tol: float | None = None,
     ):
         self.lo = lo
         self.hi = hi
         self.iterations = iterations
         self.index = index
         self.witness = witness
-        message = (
-            f"no certificate after {iterations} iterations; "
-            f"current enclosure [{lo!r}, {hi!r}]"
-        )
+        self.floor = floor
+        self.tol = tol
+        if floor is None:
+            message = (
+                f"no certificate after {iterations} iterations; "
+                f"current enclosure [{lo!r}, {hi!r}]"
+            )
+        else:
+            message = (
+                f"tol {tol!r} is below the rounding floor {floor!r} of the "
+                f"certificate; enclosure [{lo!r}, {hi!r}] after {iterations} iterations"
+            )
         super().__init__(message if witness is None else f"{witness}: {message}")
 
     def __reduce__(self):
         # rebuilt from its fields, so it survives a process pool
-        return type(self), (self.lo, self.hi, self.iterations, self.index, self.witness)
+        return type(self), (
+            self.lo, self.hi, self.iterations, self.index, self.witness, self.floor, self.tol
+        )
 
 
 @dataclass(frozen=True)
@@ -138,32 +160,127 @@ def collatz_wielandt_bounds(
     return float(r.min()), float(r.max())
 
 
-def _power_enclosure(
-    shifted: np.ndarray,
+@functools.lru_cache(maxsize=64)
+def _widening(n: int) -> tuple[float, float]:
+    """Floats f_lo <= (1+u)^-(n+2) and f_hi >= (1-u)^-(n+2), u = 2^-53.
+
+    Rounding bound of the certificate for order n.  Let M be the exact
+    Fraction(alpha)*D + (1-Fraction(alpha))*A, M' the float matrix built from
+    it, x > 0 a float vector, y = fl(M'x) and q_i = fl(y_i / x_i).
+    - Built entries: every nonzero entry of M' is one rounded operation on an
+      exact value (1 - alpha, or alpha times an integer degree), so
+      M'_ij = M_ij (1 + d_ij) with |d_ij| <= u and (Mx)_i / (M'x)_i lies in
+      [1/(1+u), 1/(1-u)].  A matrix given in float is its own M, and the
+      bound only widens more than needed.
+    - Dot product (gamma_n): each of the n nonnegative terms passes through
+      at most n roundings in any summation order, so y_i / (M'x)_i lies in
+      [(1-u)^n, (1+u)^n].
+    - Division: q_i / (y_i / x_i) lies in [1-u, 1+u].
+    So r_i = (Mx)_i / x_i lies in [q_i (1+u)^-(n+2), q_i (1-u)^-(n+2)], and
+    min r_i <= rho <= max r_i.  The two factors are rounded outward here in
+    exact arithmetic; multiplying q_i by one of them rounds to nearest once
+    more, which one np.nextafter step outward covers.  The bound assumes no
+    underflow: iterates stay above _X_MIN, so a product M'_ij x_j underflows
+    only if M'_ij < 2^-522 (alpha below about 1e-157).
+    """
+    u = Fraction(1, 1 << 53)
+    exact_lo = 1 / (1 + u) ** (n + 2)
+    exact_hi = 1 / (1 - u) ** (n + 2)
+    f_lo, f_hi = float(exact_lo), float(exact_hi)
+    if f_lo > exact_lo:
+        f_lo = float(np.nextafter(f_lo, 0.0))
+    if f_hi < exact_hi:
+        f_hi = float(np.nextafter(f_hi, 2.0))
+    return f_lo, f_hi
+
+
+def _inverse_step(
+    m: np.ndarray, x: np.ndarray, lo: np.ndarray, hi: np.ndarray, eye: np.ndarray
+) -> np.ndarray:
+    """Next iterate of every matrix of the (k, n, n) stack m, unit-sum.
+
+    z solves (mu*I - M) z = x with mu just above the certified hi >= rho, so
+    mu*I - M is a nonsingular M-matrix with a positive inverse and z > 0 in
+    exact arithmetic.  The offset max(1e-6*(hi - lo), 1e-15*hi) keeps every
+    tested case within a few solves, up to alpha = 0.9999.  An iterate that
+    comes out not finite or not positive is replaced by one power step on
+    M + I, which keeps it positive; a bad solve costs an iteration, never the
+    certificate, which is taken afresh on whatever vector results.
+    """
+    mu = hi + np.maximum(1e-6 * (hi - lo), 1e-15 * hi)
+    try:
+        z = np.linalg.solve(mu[:, None, None] * eye - m, x[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:  # an exactly singular pivot in the stack
+        z = np.full_like(x, np.nan)
+    z /= z.sum(axis=1, keepdims=True)
+    bad = ~((z > _X_MIN) & np.isfinite(z)).all(axis=1)
+    if bad.any():
+        p = x[bad] + np.matmul(m[bad], x[bad][:, :, None])[:, :, 0]
+        z[bad] = p / p.sum(axis=1, keepdims=True)
+    return z
+
+
+def _certify(
+    mats: np.ndarray,
     tol: float,
     max_iters: int,
-    start: np.ndarray | None,
-) -> tuple[float, float, float, np.ndarray, int]:
-    """Core loop on a primitive matrix (already +I shifted)."""
-    n = shifted.shape[0]
-    if start is None:
-        x = np.ones(n, dtype=np.float64)
-    else:
-        x = np.asarray(start, dtype=np.float64).copy()
-        if x.shape != (n,):
-            raise ValueError(f"start vector shape {x.shape} does not match order {n}")
-        if not (x > 0.0).all():
-            raise ValueError("start vector must be strictly positive")
-    lo = hi = 0.0
-    for it in range(1, max_iters + 1):
-        y = shifted @ x
-        r = y / x
-        lo = float(r.min())
-        hi = float(r.max())
-        x = y / y.sum()
-        if hi - lo <= tol:
-            return (hi + lo) / 2.0 - 1.0, lo - 1.0, hi - 1.0, x, it
-    raise ConvergenceError(lo - 1.0, hi - 1.0, max_iters)
+    start: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The certified-radius kernel: (radius, lo, hi, perron, iterations) for
+    every matrix of a (B, n, n) stack of nonnegative irreducible matrices.
+
+    Iteration k checks the widened Collatz-Wielandt certificate of the
+    current vector: the first check takes start (default all equal), each
+    later one follows one inverse iteration step.  A matrix is done at the
+    first check whose enclosure is at most tol wide; perron is that
+    certifying vector, unit-sum.  The stack runs in blocks of at most
+    _SOLVE_BLOCK elements, each to completion.
+    """
+    b, n, _ = mats.shape
+    f_lo, f_hi = _widening(n)
+    # at best all quotients agree, q_max*f_hi >= rho and rho >= lo, so no
+    # width can fall below the floor lo*(f_hi - f_lo)/f_hi (the nextafter
+    # steps only add); a lower bound above lo_cap puts tol below that floor
+    floor_factor = (f_hi - f_lo) / f_hi
+    lo_cap = tol / floor_factor
+    eye = np.eye(n)
+    x0 = np.full((b, n), 1.0 / n) if start is None else start
+    out_lo = np.empty(b, dtype=np.float64)
+    out_hi = np.empty(b, dtype=np.float64)
+    out_x = np.empty((b, n), dtype=np.float64)
+    out_it = np.zeros(b, dtype=np.int64)
+    step = max(1, _SOLVE_BLOCK // max(1, n * n))
+    # a failed solve may divide by zero or overflow; _inverse_step replaces it
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for s in range(0, b, step):
+            act = np.arange(s, min(s + step, b))
+            m = mats[s : s + step]
+            x = x0[s : s + step]
+            for it in range(1, max_iters + 1):
+                q = np.matmul(m, x[:, :, None])[:, :, 0] / x
+                lo = np.nextafter(q.min(axis=1) * f_lo, -np.inf)
+                hi = np.nextafter(q.max(axis=1) * f_hi, np.inf)
+                if (lo > lo_cap).any():
+                    i = int(np.argmax(lo > lo_cap))
+                    raise ConvergenceError(
+                        float(lo[i]), float(hi[i]), it, index=int(act[i]),
+                        floor=float(lo[i] * floor_factor), tol=tol,
+                    )
+                fin = hi - lo <= tol
+                if fin.any():
+                    g = act[fin]
+                    out_lo[g], out_hi[g], out_x[g], out_it[g] = lo[fin], hi[fin], x[fin], it
+                    keep = ~fin
+                    if not keep.any():
+                        break
+                    act, m, x, lo, hi = act[keep], m[keep], x[keep], lo[keep], hi[keep]
+                if it == max_iters:
+                    worst = int(np.argmax(hi - lo))
+                    raise ConvergenceError(
+                        float(lo[worst]), float(hi[worst]), max_iters, index=int(act[worst])
+                    )
+                x = _inverse_step(m, x, lo, hi, eye)
+    return (out_lo + out_hi) / 2.0, out_lo, out_hi, out_x, out_it
 
 
 def spectral_radius(
@@ -176,23 +293,29 @@ def spectral_radius(
     """Certified Perron root of A_alpha(G) for strongly connected G.
 
     The result's [certificate_lo, certificate_hi] interval contains the exact
-    radius and is at most tol wide; perron is the positive eigenvector
-    normalised to unit 1-norm.
+    radius and is at most tol wide; perron is the positive vector that
+    certifies it, an approximate eigenvector normalised to unit 1-norm.
+    start, a positive vector, replaces the all-equal first iterate.
     """
     if not is_strongly_connected(G):
         raise NotStronglyConnected(
             "spectral radius with Perron data needs a strongly connected digraph"
         )
-    m = alpha_matrix(G, alpha).entries.copy()
-    idx = np.arange(G.n)
-    m[idx, idx] += 1.0
-    mid, lo, hi, x, iters = _power_enclosure(m, tol, max_iters, start)
+    m = alpha_matrix(G, alpha).entries
+    if start is not None:
+        start = np.asarray(start, dtype=np.float64)
+        if start.shape != (G.n,):
+            raise ValueError(f"start vector shape {start.shape} does not match order {G.n}")
+        if not (start > 0.0).all():
+            raise ValueError("start vector must be strictly positive")
+        start = np.maximum(start / start.sum(), _X_MIN)[None]
+    mid, lo, hi, x, iters = _certify(m[None], tol, max_iters, start)
     return SpectralResult(
-        radius=mid,
-        perron=x,
-        certificate_lo=lo,
-        certificate_hi=hi,
-        iterations=iters,
+        radius=float(mid[0]),
+        perron=x[0],
+        certificate_lo=float(lo[0]),
+        certificate_hi=float(hi[0]),
+        iterations=int(iters[0]),
     )
 
 
@@ -207,26 +330,25 @@ def spectral_radius_general(
     A_alpha is block-triangular under the condensation order, so its radius is
     the max over strongly connected components of the component's diagonal
     block (whose diagonal keeps out-degrees counted in the whole digraph).
+    The blocks of each size go through the kernel as one stack.
     """
-    alpha = _check_alpha(alpha)
     full = alpha_matrix(G, alpha).entries
     rows = G.out_masks
     cols = G.in_masks
     assigned = 0
-    best = 0.0
+    by_size: dict[int, list[list[int]]] = {}
     for v in range(G.n):
         if (assigned >> v) & 1:
             continue
         comp = _reach(rows, 1 << v) & _reach(cols, 1 << v)
         assigned |= comp
         verts = [i for i in range(G.n) if (comp >> i) & 1]
-        block = full[np.ix_(verts, verts)].copy()
-        k = len(verts)
-        bidx = np.arange(k)
-        block[bidx, bidx] += 1.0
-        mid, _lo, _hi, _x, _it = _power_enclosure(block, tol, max_iters, None)
-        if mid > best:
-            best = mid
+        by_size.setdefault(len(verts), []).append(verts)
+    best = 0.0
+    for comps in by_size.values():
+        idx = np.array(comps)
+        mid = _certify(full[idx[:, :, None], idx[:, None, :]], tol, max_iters)[0]
+        best = max(best, float(mid.max()))
     return best
 
 
@@ -236,7 +358,8 @@ def quotient_matrix(
     """Equitable quotient with respect to an ordered vertex partition.
 
     Every block-to-block row sum must be constant within 1e-12, otherwise the
-    partition is rejected with the worst offending block pair reported.
+    partition is rejected with the worst offending block pair reported (the
+    first in row-major order among equally bad pairs).
     """
     entries = M.entries if isinstance(M, AlphaMatrix) else np.asarray(M, dtype=np.float64)
     n = entries.shape[0]
@@ -245,20 +368,22 @@ def quotient_matrix(
     if sorted(flat) != list(range(n)):
         raise ValueError("partition must cover every vertex exactly once")
     t = len(blocks)
-    q = np.zeros((t, t), dtype=np.float64)
-    worst = (0.0, None)
-    for i, bi in enumerate(blocks):
-        for j, bj in enumerate(blocks):
-            sums = entries[np.ix_(bi, bj)].sum(axis=1)
-            dev = float(sums.max() - sums.min())
-            if dev > worst[0]:
-                worst = (dev, (i, j))
-            q[i, j] = float(sums.mean())
-    if worst[0] > 1e-12:
-        dev, (i, j) = worst
+    indicator = np.zeros((n, t), dtype=np.float64)
+    for j, blk in enumerate(blocks):
+        indicator[list(blk), j] = 1.0
+    # sums[v, j]: the row sum of vertex v into block j
+    sums = entries @ indicator
+    q = np.empty((t, t), dtype=np.float64)
+    dev = np.empty((t, t), dtype=np.float64)
+    for i, blk in enumerate(blocks):
+        rows = sums[list(blk)]
+        q[i] = rows.mean(axis=0)
+        dev[i] = rows.max(axis=0) - rows.min(axis=0)
+    if t and dev.max() > 1e-12:
+        i, j = divmod(int(np.argmax(dev)), t)
         raise ValueError(
             f"partition is not equitable: block pair ({i}, {j}) has row sums "
-            f"varying by {dev:.3e} (> 1e-12)"
+            f"varying by {dev[i, j]:.3e} (> 1e-12)"
         )
     return QuotientMatrix(entries=q, partition=tuple(tuple(b) for b in blocks))
 
@@ -270,54 +395,9 @@ def batch_cw_radius(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Certified radii for a stack of nonnegative irreducible matrices.
 
-    Runs the same shifted power iteration as spectral_radius on every matrix
-    of the (B, n, n) stack in lockstep; each matrix is frozen the first
-    iteration its Collatz-Wielandt interval is within tol.  Returns arrays
-    (radius, lo, hi, iterations).
+    Runs the kernel of spectral_radius on every matrix of the (B, n, n)
+    stack; each matrix leaves the batch at the first check whose enclosure
+    is within tol.  Returns arrays (radius, lo, hi, iterations).
     """
-    mats = np.asarray(mats, dtype=np.float64)
-    b, n, _ = mats.shape
-    out_mid = np.empty(b, dtype=np.float64)
-    out_lo = np.empty(b, dtype=np.float64)
-    out_hi = np.empty(b, dtype=np.float64)
-    out_it = np.zeros(b, dtype=np.int64)
-    if b == 0:
-        return out_mid, out_lo, out_hi, out_it
-
-    cur = mats.copy()
-    idx = np.arange(n)
-    cur[:, idx, idx] += 1.0
-    x = np.ones((b, n), dtype=np.float64)
-    src = np.arange(b)
-    done = np.zeros(b, dtype=bool)
-
-    for it in range(1, max_iters + 1):
-        # compact before iterating, so that lo/hi and src share one numbering
-        # when the cap is hit
-        ndone = int(done.sum())
-        if ndone >= done.size // 2 and ndone >= 32:
-            keep = ~done
-            cur = cur[keep]
-            x = x[keep]
-            src = src[keep]
-            done = np.zeros(src.size, dtype=bool)
-        y = np.einsum("bij,bj->bi", cur, x)
-        r = y / x
-        lo = r.min(axis=1)
-        hi = r.max(axis=1)
-        fin = (hi - lo) <= tol
-        new = fin & ~done
-        if new.any():
-            g = src[new]
-            out_mid[g] = (hi[new] + lo[new]) / 2.0 - 1.0
-            out_lo[g] = lo[new] - 1.0
-            out_hi[g] = hi[new] - 1.0
-            out_it[g] = it
-            done |= fin
-            if done.all():
-                return out_mid, out_lo, out_hi, out_it
-        x = y / y.sum(axis=1, keepdims=True)
-    worst = int(np.argmax(hi - lo))
-    raise ConvergenceError(
-        float(lo[worst]) - 1.0, float(hi[worst]) - 1.0, max_iters, index=int(src[worst])
-    )
+    mid, lo, hi, _x, iters = _certify(np.asarray(mats, dtype=np.float64), tol, max_iters)
+    return mid, lo, hi, iters

@@ -13,7 +13,7 @@ import sys
 import pytest
 
 import alphaspec
-from alphaspec import cli, from_text, k_nkm, lambda_knkm, spectral_radius
+from alphaspec import cli, cycle, from_text, k_nkm, lambda_knkm, spectral_radius
 from alphaspec.cli import (
     EXIT_OK,
     EXIT_PRECONDITION,
@@ -81,7 +81,7 @@ def test_radius_json_schema(capsys):
     )
     assert rc == EXIT_OK
     payload = json.loads(out)
-    assert set(payload) == {"radius", "lo", "hi", "perron", "checks"}
+    assert set(payload) == {"radius", "lo", "hi", "width", "iterations", "perron", "checks"}
     assert payload["lo"] <= payload["radius"] <= payload["hi"]
     assert len(payload["perron"]) == 6
     assert all(x > 0 for x in payload["perron"])
@@ -95,6 +95,23 @@ def test_radius_json_schema(capsys):
     assert all(c["pass"] for c in payload["checks"])
     want = lambda_knkm(6, 2, 1, 0.5)
     assert abs(payload["radius"] - want) <= 1e-8
+
+
+def test_radius_json_reports_certificate_cost(capsys):
+    # a regular digraph certifies at the first check, an irregular one later
+    iterations = []
+    for flags, g in ((["cycle"], cycle(6)), (["knkm", "--k", "2", "--m", "1"], k_nkm(6, 2, 1))):
+        rc, out, _ = run_cli(
+            capsys, "radius", "--family", *flags, "--n", "6", "--alpha", "0.5",
+            "--output", "json",
+        )
+        assert rc == EXIT_OK
+        payload = json.loads(out)
+        assert payload["width"] == payload["hi"] - payload["lo"]
+        assert 0.0 < payload["width"] <= 1e-10
+        assert payload["iterations"] == spectral_radius(g, 0.5).iterations
+        iterations.append(payload["iterations"])
+    assert iterations[0] == 1 < iterations[1]
 
 
 def test_radius_csv_output(capsys):

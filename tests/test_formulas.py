@@ -1,7 +1,7 @@
 """Closed forms cross-checked against the certified numeric path.
 
 Every formula here has an independent numeric oracle: build the digraph,
-run the certified power iteration, compare.  Quadratics and quotients give
+run the certified radius kernel, compare.  Quadratics and quotients give
 a second, purely algebraic route to the same numbers.
 """
 import math

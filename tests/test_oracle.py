@@ -3,7 +3,7 @@
 The reference below enumerates all 2^(n(n-1)) codes with python sets, takes
 parameters from hand-rolled searches and radii from dense eigensolves, then
 rebuilds every per-group extreme.  Nothing of the production path (bitmask
-closure, lockstep power iteration, the scan table) is reused.
+closure, the batched radius kernel, the scan table) is reused.
 """
 import dataclasses
 import itertools
@@ -338,6 +338,16 @@ def test_scan_convergence_failure_names_its_witness():
     code = int(re.search(r"code (\d+) at alpha 0\.5:", message).group(1))
     assert is_strongly_connected(digraph_from_code(3, code))
     assert info.value.iterations == 1
+
+
+@pytest.mark.parametrize("alpha", [0.99, 0.999])
+def test_scan_certifies_near_alpha_one(alpha):
+    # as alpha -> 1 the radii of A_alpha crowd towards the degrees and the
+    # Perron entries spread over many orders of magnitude
+    stats = run_scan(4, (alpha,))
+    assert stats.strong_count == 1606
+    assert 0.0 < stats.max_certificate_width <= DEFAULT_TOL
+    assert stats.max_iterations <= 20
 
 
 # ---------------------------------------------------------------------------

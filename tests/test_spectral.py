@@ -1,10 +1,14 @@
-"""Certified power iteration checked against dense eigensolves.
+"""The certified radius kernel checked against dense eigensolves and exact
+rational Collatz-Wielandt intervals.
 
-numpy.linalg.eigvals is the oracle: it shares no code with the power
-iteration and is accurate to ~1e-13 on these tiny matrices, far below the
-1e-10 certificates under test.
+numpy.linalg.eigvals is the oracle: it shares no code with the kernel's
+inverse iteration and is accurate to ~1e-13 on these tiny matrices, far
+below the 1e-10 certificates under test.  Where a certificate must hold to
+the last bit, _exact_cw_interval re-evaluates it in Fraction arithmetic.
 """
 import pickle
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +21,7 @@ from alphaspec import (
     b_nd,
     batch_cw_radius,
     c_ng,
+    circulant,
     collatz_wielandt_bounds,
     complete,
     cycle,
@@ -180,6 +185,88 @@ def test_tight_tol_still_converges():
     assert res.certificate_hi - res.certificate_lo <= 1e-13
 
 
+@pytest.mark.parametrize("failure", ["singular", "sign"])
+def test_failed_solves_cost_iterations_not_the_certificate(monkeypatch, failure):
+    # every solve fails, so each step falls back to a power step on M + I
+    g = k_nkm(6, 2, 1)
+    want = spectral_radius(g, 0.3)
+
+    def broken(a, b):
+        if failure == "singular":
+            raise np.linalg.LinAlgError("Singular matrix")
+        z = b.copy()
+        z[:, 0] *= -1.0
+        return z
+
+    monkeypatch.setattr(np.linalg, "solve", broken)
+    res = spectral_radius(g, 0.3)
+    assert res.iterations > want.iterations
+    assert res.certificate_lo <= want.radius <= res.certificate_hi
+    assert res.certificate_hi - res.certificate_lo <= TOL
+    assert (res.perron > 0.0).all()
+
+
+def test_tol_below_rounding_floor_stops_at_once():
+    # every quotient of K_12 at the all-equal vector is 11, so only the
+    # outward rounding of the certificate is left, a few 1e-14 wide
+    with pytest.raises(ConvergenceError, match="below the rounding floor") as err:
+        spectral_radius(complete(12), 0.5, tol=1e-15)
+    assert err.value.iterations == 1
+    assert err.value.tol == 1e-15 < err.value.floor < 1e-13
+    assert err.value.lo < 11.0 < err.value.hi
+    back = pickle.loads(pickle.dumps(err.value))
+    assert str(back) == str(err.value) and (back.floor, back.tol) == (err.value.floor, 1e-15)
+    # the directed 12-cycle's floor is below 1e-14, that of K_12 is not
+    stack = _alpha_stack([cycle(12), complete(12)], 0.5)
+    with pytest.raises(ConvergenceError, match="below the rounding floor") as err:
+        batch_cw_radius(stack, tol=1e-14)
+    assert err.value.index == 1
+
+
+# ---------------------------------------------------------------------------
+# exact enclosure
+
+def _exact_cw_interval(G, alpha, x):
+    """Exact (min, max) Collatz-Wielandt quotients of
+    Fraction(alpha)*D + (1 - Fraction(alpha))*A at the positive vector x.
+
+    Built from the arc set alone and evaluated in Fraction arithmetic (the
+    doubles alpha and x read exactly), sharing no code with spectral.py; for
+    strongly connected G the interval holds the exact Perron root.
+    """
+    a = Fraction(alpha)
+    xs = [Fraction(float(v)) for v in x]
+    assert all(v > 0 for v in xs)
+    out = [[] for _ in range(G.n)]
+    for u, v in G.arcs:
+        out[u].append(v)
+    quotients = [
+        a * len(out[i]) + (1 - a) * sum(xs[j] for j in out[i]) / xs[i] for i in range(G.n)
+    ]
+    return min(quotients), max(quotients)
+
+
+@pytest.mark.parametrize(
+    "g, alpha, tol",
+    [
+        # float quotients all round to one value below the exact radius 3
+        (circulant(4, {1, 2, 3}), 0.3, TOL),
+        (c_ng(9, 2), 0.9, TOL),
+        (b_nd(12, 3), 0.7, 1e-13),
+    ],
+    ids=["circulant-4-123", "c_ng-9-2", "b_nd-12-3"],
+)
+def test_enclosure_contains_exact_interval(g, alpha, tol):
+    res = spectral_radius(g, alpha, tol=tol)
+    lo, hi = _exact_cw_interval(g, alpha, res.perron)
+    assert res.certificate_lo <= lo <= hi <= res.certificate_hi
+    assert res.certificate_hi - res.certificate_lo <= tol
+    # the batched path certifies the same matrix among others the same way
+    stack = _alpha_stack([cycle(g.n), g, complete(g.n)], alpha)
+    _rad, b_lo, b_hi, _its = batch_cw_radius(stack, tol=tol)
+    assert b_lo[1] <= lo <= hi <= b_hi[1]
+
+
 # ---------------------------------------------------------------------------
 # general (possibly reducible) radius
 
@@ -235,6 +322,43 @@ def test_quotient_rejects_non_equitable():
     m = alpha_matrix(b_nd(5, 3), 0.2)
     with pytest.raises(ValueError, match="not equitable"):
         quotient_matrix(m, [(0, 1, 2), (3, 4)])
+    with pytest.raises(
+        ValueError, match=re.escape("block pair (0, 1) has row sums varying by 1.600e+00")
+    ):
+        quotient_matrix(m, [(0, 1, 2), (3, 4)])
+
+
+def _blockwise_quotient(entries, blocks):
+    """Reference: every block pair's row sums from its own submatrix, and the
+    first pair in row-major order with the largest spread."""
+    t = len(blocks)
+    q = np.zeros((t, t))
+    worst = (0.0, None)
+    for i, bi in enumerate(blocks):
+        for j, bj in enumerate(blocks):
+            sums = entries[np.ix_(bi, bj)].sum(axis=1)
+            if sums.max() - sums.min() > worst[0]:
+                worst = (sums.max() - sums.min(), (i, j))
+            q[i, j] = sums.mean()
+    return q, worst[1]
+
+
+def test_quotient_matches_blockwise_sums():
+    rng = np.random.default_rng(44)
+    for _ in range(40):
+        n = int(rng.integers(2, 8))
+        g = random_strong(rng, n)
+        labels = rng.integers(0, int(rng.integers(1, n + 1)), size=n)
+        blocks = [tuple(np.flatnonzero(labels == b)) for b in np.unique(labels)]
+        # alpha = 0: row sums are small integers, exact in any summation order
+        for alpha in (0.0, 0.35):
+            m = alpha_matrix(g, alpha).entries
+            want, worst = _blockwise_quotient(m, blocks)
+            if worst is None:
+                assert np.allclose(quotient_matrix(m, blocks).entries, want, rtol=0, atol=1e-12)
+            elif alpha == 0.0:
+                with pytest.raises(ValueError, match=re.escape(f"block pair {worst} ")):
+                    quotient_matrix(m, blocks)
 
 
 def test_quotient_rejects_bad_partition():

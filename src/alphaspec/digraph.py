@@ -140,7 +140,7 @@ def from_arcs(n: int, arcs: Iterable[tuple[int, int]]) -> Digraph:
 
 
 # ---------------------------------------------------------------------------
-# bitmask internals (shared with the enumeration scan, which bypasses Digraph)
+# bitmask internals (shared with the class scan, which bypasses Digraph)
 
 def _bits(mask: int):
     while mask:
@@ -501,6 +501,17 @@ def canonical_codes(n: int, codes) -> np.ndarray:
                 relabelled |= table_k[piece_k[block]]
             np.minimum(best[block], relabelled.min(axis=1), out=best[block])
     return best
+
+
+def _relabellings(n: int, codes) -> np.ndarray:
+    """(codes, n!) int64: each code under every vertex permutation of
+    _cell_perms(n), looked up as in canonical_codes but unblocked."""
+    codes = np.asarray(codes, dtype=np.int64)
+    dest = _cell_perms(n)
+    out = np.zeros((codes.size, len(dest)), dtype=np.int64)
+    for k, table in enumerate(_piece_tables(dest)):
+        out |= table[(codes >> (k * _PIECE_BITS)) & ((1 << _PIECE_BITS) - 1)]
+    return out
 
 
 # ---------------------------------------------------------------------------

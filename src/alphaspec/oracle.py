@@ -1,15 +1,15 @@
 """Exhaustive verification of the extremal statements at small order.
 
-Every labeled digraph on n vertices is an integer code (digraph.code_of_digraph).
-Codes are enumerated in ascending order, filtered to the strongly connected
-ones and grouped into isomorphism classes by canonical code
-(digraph.canonical_codes).  Each class becomes one row of a columnar table:
-its canonical code, its weight (orbit size, the number of its labelled
+Every labeled digraph on n vertices is an integer code (digraph.code_of_digraph),
+and an isomorphism class is named by its canonical code, the smallest code of
+its members (digraph.canonical_codes).  The classes are generated one vertex
+at a time (_grow), and each strongly connected one becomes a row of a
+columnar table: canonical code, weight (n!/|Aut|, the number of its labelled
 codes), girth, clique number, vertex and arc connectivity, minimum degree and
-out-degree range, and its certified radius for every alpha.  Isomorphic
-digraphs share all of these, so invariants and radii are computed once per
-class.  All statistics are numpy queries on that table, counted by weight
-and listing labelled codes:
+out-degree range, and certified radius per alpha.  Isomorphic digraphs share
+all of these, so they are computed once per class.  All statistics are numpy
+queries on that table, counted by weight; the labelled codes they list are
+expanded from the orbits of their classes:
 
 * for each parameter value (girth, clique number, vertex or arc connectivity)
   the minimum and maximum radius per alpha, the classes within 1e-8 of the
@@ -18,9 +18,7 @@ and listing labelled codes:
 * spectral bound violations (row-sum sandwich, cycle/complete equalities,
   strict alpha * max-out-degree lower bound).
 
-The code space splits into contiguous chunks whose strong codes are joined
-in code order, so multi-process scans build the same table as the serial
-one.  The subdivision sweep runs on the class representatives and their arcs.
+The subdivision sweep runs on the class representatives and their arcs.
 
 The seven enumeration statements are one table, _STATEMENTS: per statement
 the scan columns it reads (R5.1 reads the top radius levels), min or max, the
@@ -48,6 +46,8 @@ from .digraph import (
     _cells,
     _clique_number,
     _girth,
+    _is_strong,
+    _relabellings,
     _vertex_connectivity,
     canonical_codes,
     code_of_digraph,
@@ -91,14 +91,13 @@ __all__ = [
 ENUM_CAP = 5
 ATTAIN_TOL = 1e-8
 VIOLATION_CAP = 50
-CHUNK_BITS = 15
 
 SCAN_PARAMETERS = ("girth", "clique", "vertex_conn", "arc_conn", "arc_conn_tight")
 PUBLIC_PARAMETERS = ("girth", "clique", "vertex_conn", "arc_conn")
 
 
 # ---------------------------------------------------------------------------
-# decoding codes (the code format is defined in digraph.py) and the classes
+# decoding codes (the code format is defined in digraph.py), generating classes
 
 def _masks(n: int, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Out- and in-neighbour bitmasks of each code, vertex-major: two
@@ -117,62 +116,47 @@ def _adjacency(n: int, out_masks: np.ndarray) -> np.ndarray:
     return ((out_masks.T[:, :, None] >> np.arange(n)) & 1).astype(np.uint8)
 
 
-def _strong_chunk(n: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """The strongly connected codes in [lo, hi), ascending, and their
-    canonical codes.
-
-    Strong connectivity is decided by boolean closure (repeated squaring of
-    A + I, on bitmask rows), which doubles as an independent check on the
-    BFS-based predicate used elsewhere.
-    """
-    codes = np.arange(lo, hi, dtype=np.int64)
-    out_masks, in_masks = _masks(n, codes)
-    # cheap necessary condition first: no vertex may have empty in or out set
-    keep = (out_masks > 0).all(axis=0) & (in_masks > 0).all(axis=0)
-    codes = codes[keep]
-    reach = out_masks[:, keep] | (1 << np.arange(n))[:, None]
-    for _ in range((n - 2).bit_length()):  # until paths of n - 1 arcs are covered
-        squared = reach.copy()
-        for u in range(n):
-            squared |= ((reach >> u) & 1) * reach[u]
-        reach = squared
-    codes = codes[(reach == (1 << n) - 1).all(axis=0)]
-    return codes, canonical_codes(n, codes)
+def _grow(m: int, classes: np.ndarray) -> np.ndarray:
+    """The classes on m vertices, by canonical code, ascending, that extend
+    one of the given (m-1)-vertex classes by a vertex m-1 of least total
+    degree.  Every m-vertex digraph is reached from the classes of all
+    (m-1)-vertex digraphs: deleting a vertex of least degree leaves one."""
+    old = _adjacency(m - 1, _masks(m - 1, classes)[0])
+    # one row per (out-set, in-set) of the new vertex
+    sets = (np.arange(1 << (2 * m - 2))[:, None] >> np.arange(2 * m - 2)) & 1
+    adj = np.zeros((classes.size, len(sets), m, m), dtype=np.uint8)
+    adj[:, :, :-1, :-1] = old[:, None]
+    adj[:, :, -1, :-1] = sets[:, : m - 1]
+    adj[:, :, :-1, -1] = sets[:, m - 1 :]
+    adj = adj.reshape(-1, m, m)
+    degree = adj.sum(axis=1) + adj.sum(axis=2)
+    adj = adj[degree[:, -1] == degree.min(axis=1)]
+    ci, cj = np.array(_cells(m)).T
+    codes = (adj[:, ci, cj].astype(np.int64) << np.arange(ci.size)).sum(axis=1)
+    return np.unique(canonical_codes(m, codes))
 
 
-@dataclass(frozen=True)
-class _Classes:
-    """The strongly connected labelled digraphs on n vertices and their
-    isomorphism classes."""
-
-    codes: np.ndarray  # the labelled codes, ascending
-    index: np.ndarray  # the class of each code
-    reps: np.ndarray  # per class its canonical (smallest labelled) code, ascending
-    weights: np.ndarray  # per class its orbit size, the number of its labelled codes
-
-    def members(self, chosen: np.ndarray) -> np.ndarray:
-        """The labelled codes, ascending, of the classes where chosen holds."""
-        return self.codes[chosen[self.index]]
-
-
-def _classes(n: int, workers: int) -> _Classes:
-    """Enumerate the strong labelled codes in chunks of 2^CHUNK_BITS codes
-    and group them by canonical code.  With workers > 1 the chunks run in a
-    process pool; either way they are joined in code order."""
-    total = 1 << (n * (n - 1))
-    step = 1 << CHUNK_BITS
-    tasks = [(n, lo, min(lo + step, total)) for lo in range(0, total, step)]
+def _classes(n: int, workers: int) -> tuple[np.ndarray, np.ndarray]:
+    """The strongly connected classes on n vertices: their canonical codes,
+    ascending, and their weights n!/|Aut|, the number of labelled codes of
+    each.  With workers > 1 the last growth step runs on blocks of the
+    (n-1)-vertex classes in a process pool."""
+    classes = np.zeros(1, dtype=np.int64)  # the one digraph on one vertex
+    for m in range(2, n):
+        classes = _grow(m, classes)
     if workers <= 1:
-        chunks = [_strong_chunk(*task) for task in tasks]
+        classes = _grow(n, classes)
     else:
         import multiprocessing as mp
 
         with mp.Pool(processes=workers) as pool:
-            chunks = pool.starmap(_strong_chunk, tasks)
-    codes = np.concatenate([codes for codes, _canon in chunks])
-    canon = np.concatenate([canon for _codes, canon in chunks])
-    reps, index, weights = np.unique(canon, return_inverse=True, return_counts=True)
-    return _Classes(codes, index, reps, weights)
+            blocks = pool.starmap(_grow, [(n, b) for b in np.array_split(classes, workers)])
+        classes = np.unique(np.concatenate(blocks))
+    out_masks, in_masks = _masks(n, classes)
+    strong = [_is_strong(r, c, n) for r, c in zip(out_masks.T.tolist(), in_masks.T.tolist())]
+    reps = classes[np.array(strong, dtype=bool)]
+    automorphisms = (_relabellings(n, reps) == reps[:, None]).sum(axis=1)
+    return reps, math.factorial(n) // automorphisms
 
 
 # ---------------------------------------------------------------------------
@@ -220,18 +204,17 @@ def _certified_radii(mats: np.ndarray, tol: float, max_iters: int, alpha: float,
 
 
 def _scan_table(
-    n: int, classes: _Classes, alphas: tuple[float, ...], parameters: tuple[str, ...],
-    tol: float, max_iters: int,
+    n: int, codes: np.ndarray, weights: np.ndarray, alphas: tuple[float, ...],
+    parameters: tuple[str, ...], tol: float, max_iters: int,
 ) -> tuple[np.ndarray, float, int]:
-    """One table row per class, in class order: its representative's code,
-    the class weight, invariants and radii; the widest certificate and the
-    most iterations among them.  Unrequested invariant columns stay 0."""
-    codes = classes.reps
+    """One table row per class, in class order: its canonical code, its
+    weight, invariants and radii; the widest certificate and the most
+    iterations among them.  Unrequested invariant columns stay 0."""
     out_masks, in_masks = _masks(n, codes)
     adj = _adjacency(n, out_masks)
     rows = np.zeros(codes.size, dtype=_row_dtype(len(alphas)))
     rows["code"] = codes
-    rows["weight"] = classes.weights
+    rows["weight"] = weights
     outdeg = adj.sum(axis=2)
     min_out = outdeg.min(axis=1)
     rows["min_out"] = min_out
@@ -267,28 +250,28 @@ def _scan_table(
     return rows, width, iterations
 
 
-def _extreme(vals: np.ndarray, sel: np.ndarray, classes: _Classes, mode: str) -> GroupExtreme:
-    """Best value over the selected class rows, the classes within
-    ATTAIN_TOL of it (by canonical and by labelled codes), and the best
-    value outside that band.  Max mode is min mode on negated values."""
+def _extreme(
+    n: int, vals: np.ndarray, sel: np.ndarray, table: np.ndarray, mode: str
+) -> GroupExtreme:
+    """Best value over the selected table rows, the classes within
+    ATTAIN_TOL of it (by canonical code and by orbit), and the best value
+    outside that band.  Max mode is min mode on negated values."""
     sign = 1.0 if mode == "min" else -1.0
     signed = np.where(sel, sign * vals, np.inf)
     best = signed.min()
     inside = signed <= best + ATTAIN_TOL
     outside = signed[sel & ~inside]
-    attaining = classes.members(inside)
+    attaining = table[inside]
     return GroupExtreme(
         value=sign * float(best),
-        codes=tuple(attaining.tolist()),
-        classes=tuple(classes.reps[inside].tolist()),
-        count=int(attaining.size),
+        codes=tuple(np.unique(_relabellings(n, attaining["code"])).tolist()),
+        classes=tuple(attaining["code"].tolist()),
+        count=int(attaining["weight"].sum()),
         runner_up=sign * float(outside.min()) if outside.size else None,
     )
 
 
-def _group_extremes(
-    table: np.ndarray, classes: _Classes, nalphas: int, parameters: tuple[str, ...]
-) -> dict:
+def _group_extremes(n: int, table: np.ndarray, nalphas: int, parameters: tuple[str, ...]) -> dict:
     """{(parameter, value): [{"min": GroupExtreme, "max": GroupExtreme}] per alpha}.
 
     arc_conn_tight groups the arc connectivity of the rows where it equals
@@ -305,29 +288,27 @@ def _group_extremes(
         for value in np.unique(col[rows]).tolist():
             sel = rows & (col == value)
             groups[(param, value)] = [
-                {mode: _extreme(radius[:, ai], sel, classes, mode) for mode in ("min", "max")}
+                {mode: _extreme(n, radius[:, ai], sel, table, mode) for mode in ("min", "max")}
                 for ai in range(nalphas)
             ]
     return dict(sorted(groups.items()))
 
 
-def _top_levels(vals: np.ndarray, classes: _Classes) -> list[GroupExtreme]:
+def _top_levels(n: int, vals: np.ndarray, table: np.ndarray) -> list[GroupExtreme]:
     """The three largest radius levels: each is the maximum over the classes
     not in an earlier level, so its runner-up is the next level down."""
     left = np.ones(vals.size, dtype=bool)
     levels: list[GroupExtreme] = []
     while left.any() and len(levels) < 3:
-        levels.append(_extreme(vals, left, classes, "max"))
-        left &= ~np.isin(classes.reps, levels[-1].classes)
+        levels.append(_extreme(n, vals, left, table, "max"))
+        left &= ~np.isin(table["code"], levels[-1].classes)
     return levels
 
 
-def _bound_report(
-    n: int, alpha: float, table: np.ndarray, classes: _Classes, lam: np.ndarray
-) -> dict:
+def _bound_report(n: int, alpha: float, table: np.ndarray, lam: np.ndarray) -> dict:
     """Spectral bound checks on every class; "checked" counts labelled codes.
     At most VIOLATION_CAP violations are listed, check by check, each check's
-    labelled codes in code order."""
+    labelled codes (the orbits of its violating classes) in code order."""
     min_out, max_out = table["min_out"], table["max_out"]
     is_cycle = max_out == 1
     is_complete = min_out == n - 1
@@ -350,14 +331,12 @@ def _bound_report(
         checks.append(("radius_not_above_alpha_maxdeg", lam <= alpha * max_out + 1e-12))
     violations: list[dict] = []
     for name, bad in checks:
-        for idx in np.flatnonzero(bad[classes.index])[: VIOLATION_CAP - len(violations)]:
-            violations.append(
-                {
-                    "check": name,
-                    "code": int(classes.codes[idx]),
-                    "radius": float(lam[classes.index[idx]]),
-                }
-            )
+        codes = np.unique(_relabellings(n, table["code"][bad]))[: VIOLATION_CAP - len(violations)]
+        rows = np.searchsorted(table["code"], canonical_codes(n, codes))
+        violations += [
+            {"check": name, "code": code, "radius": float(lam[row])}
+            for code, row in zip(codes.tolist(), rows)
+        ]
     return {"checked": int(table["weight"].sum()), "violations": violations}
 
 
@@ -407,17 +386,17 @@ def run_scan(
     """Scan every strongly connected digraph on n vertices.
 
     Returns per-parameter extremal statistics for every requested alpha.
-    Invariants and radii are computed once per isomorphism class; counts and
-    listed codes are of labelled digraphs.  With workers > 1 the enumeration
-    of the code space is split into contiguous ranges handled by a process
-    pool; the merged result is identical to the serial one.
+    The isomorphism classes are generated (_classes), and invariants and
+    radii are computed once per class; counts are weight sums, and listed
+    labelled codes are expanded from the orbits of the classes they belong
+    to.  With workers > 1 the last generation step runs in a process pool;
+    the result is identical to the serial one.
     """
     if n == ENUM_CAP + 1:
         raise ValueError(
-            f"n = {n} cannot be scanned: its classes are found by enumerating "
-            f"all 2^{n * (n - 1)} labelled codes, too many until a generator of "
-            "isomorphism classes replaces that enumeration; enabling long runs "
-            "does not lift this refusal"
+            f"n = {n} cannot be scanned: the class generation runs unblocked, and "
+            "weighing the 1,047,008 strong classes takes all 720 relabellings of "
+            "each, 6 GB of codes; enabling long runs does not lift this refusal"
         )
     if not 2 <= n <= ENUM_CAP:
         raise ValueError(f"enumeration supports 2 <= n <= {ENUM_CAP}, got {n}")
@@ -428,8 +407,8 @@ def run_scan(
     unknown = set(parameters) - set(SCAN_PARAMETERS)
     if unknown:
         raise ValueError(f"unknown scan parameters {sorted(unknown)}")
-    classes = _classes(n, workers)
-    table, width, iterations = _scan_table(n, classes, alphas, parameters, tol, max_iters)
+    codes, weights = _classes(n, workers)
+    table, width, iterations = _scan_table(n, codes, weights, alphas, parameters, tol, max_iters)
     radius = table["radius"]
     return ScanStats(
         n=n,
@@ -438,10 +417,10 @@ def run_scan(
         tol=tol,
         total_codes=1 << (n * (n - 1)),
         strong_count=int(table["weight"].sum()),
-        groups=_group_extremes(table, classes, len(alphas), parameters),
-        top={ai: _top_levels(radius[:, ai], classes) for ai in range(len(alphas))},
+        groups=_group_extremes(n, table, len(alphas), parameters),
+        top={ai: _top_levels(n, radius[:, ai], table) for ai in range(len(alphas))},
         bounds={
-            ai: _bound_report(n, alpha, table, classes, radius[:, ai])
+            ai: _bound_report(n, alpha, table, radius[:, ai])
             for ai, alpha in enumerate(alphas)
         },
         max_certificate_width=width,
@@ -826,11 +805,11 @@ def subdivision_sweep(
     alphas = tuple(_check_alpha(a) for a in alphas)
     if len(set(alphas)) != len(alphas):
         raise ValueError("duplicate alpha values")
-    classes = _classes(n, workers=1)
-    adj = _adjacency(n, _masks(n, classes.reps)[0])
+    codes, weights = _classes(n, workers=1)
+    adj = _adjacency(n, _masks(n, codes)[0])
     outdeg = adj.sum(axis=2)
     not_cycle = ~((outdeg.sum(axis=1) == n) & (outdeg.max(axis=1) == 1))
-    codes, weights, adj = classes.reps[not_cycle], classes.weights[not_cycle], adj[not_cycle]
+    codes, weights, adj = codes[not_cycle], weights[not_cycle], adj[not_cycle]
     base = adj.astype(np.float64)
     # one subdivided matrix per (representative, arc)
     srcrow, uarr, varr = np.nonzero(adj)

@@ -45,6 +45,7 @@ DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITERS = 200_000
 _SOLVE_BLOCK = 1 << 18  # float64 matrix elements (2 MB) per batched solve
 _X_MIN = 2.0 ** -500  # least iterate entry; keeps each product M_ij x_j from underflow
+_STALL_CHECKS = 8  # checks after which a width that has not narrowed ends the kernel
 
 
 class ConvergenceError(RuntimeError):
@@ -52,10 +53,11 @@ class ConvergenceError(RuntimeError):
 
     Either the iteration cap was hit, or tol is below floor, the narrowest
     width that the outward-rounded certificate of this matrix can reach; then
-    the kernel stops at once.  index is the position in the input stack of
-    the matrix at fault (for the cap, the widest uncertified one of its
-    solve block); witness, when a caller knows it, names that matrix and
-    leads the message.
+    the kernel stops at once.  Or the width, above tol and floor, stopped
+    narrowing in the rounding noise of the quotients.  index is the position
+    in the input stack of the matrix at fault (for the cap, the widest
+    uncertified one of its solve block); witness, when a caller knows it,
+    names that matrix and leads the message.
     """
 
     def __init__(
@@ -80,10 +82,15 @@ class ConvergenceError(RuntimeError):
                 f"no certificate after {iterations} iterations; "
                 f"current enclosure [{lo!r}, {hi!r}]"
             )
-        else:
+        elif tol < floor:
             message = (
                 f"tol {tol!r} is below the rounding floor {floor!r} of the "
                 f"certificate; enclosure [{lo!r}, {hi!r}] after {iterations} iterations"
+            )
+        else:
+            message = (
+                f"width {hi - lo!r} stopped narrowing above tol {tol!r} (rounding floor "
+                f"{floor!r}); enclosure [{lo!r}, {hi!r}] after {iterations} iterations"
             )
         super().__init__(message if witness is None else f"{witness}: {message}")
 
@@ -233,16 +240,16 @@ def _certify(
     current vector: the first check takes start (default all equal), each
     later one follows one inverse iteration step.  A matrix is done at the
     first check whose enclosure is at most tol wide; perron is that
-    certifying vector, unit-sum.  The stack runs in blocks of at most
-    _SOLVE_BLOCK elements, each to completion.
+    certifying vector, unit-sum.  Every _STALL_CHECKS checks, a matrix whose
+    width has not narrowed since the last such check ends the kernel.  The
+    stack runs in blocks of at most _SOLVE_BLOCK elements, each to completion.
     """
     b, n, _ = mats.shape
     f_lo, f_hi = _widening(n)
     # at best all quotients agree, q_max*f_hi >= rho and rho >= lo, so no
     # width can fall below the floor lo*(f_hi - f_lo)/f_hi (the nextafter
-    # steps only add); a lower bound above lo_cap puts tol below that floor
+    # steps only add)
     floor_factor = (f_hi - f_lo) / f_hi
-    lo_cap = tol / floor_factor
     eye = np.eye(n)
     x0 = np.full((b, n), 1.0 / n) if start is None else start
     out_lo = np.empty(b, dtype=np.float64)
@@ -256,16 +263,11 @@ def _certify(
             act = np.arange(s, min(s + step, b))
             m = mats[s : s + step]
             x = x0[s : s + step]
+            last = np.full(len(act), np.inf)  # widths at the last stall test
             for it in range(1, max_iters + 1):
                 q = np.matmul(m, x[:, :, None])[:, :, 0] / x
                 lo = np.nextafter(q.min(axis=1) * f_lo, -np.inf)
                 hi = np.nextafter(q.max(axis=1) * f_hi, np.inf)
-                if (lo > lo_cap).any():
-                    i = int(np.argmax(lo > lo_cap))
-                    raise ConvergenceError(
-                        float(lo[i]), float(hi[i]), it, index=int(act[i]),
-                        floor=float(lo[i] * floor_factor), tol=tol,
-                    )
                 fin = hi - lo <= tol
                 if fin.any():
                     g = act[fin]
@@ -273,7 +275,17 @@ def _certify(
                     keep = ~fin
                     if not keep.any():
                         break
-                    act, m, x, lo, hi = act[keep], m[keep], x[keep], lo[keep], hi[keep]
+                    act, m, x, lo, hi, last = (a[keep] for a in (act, m, x, lo, hi, last))
+                stuck = lo * floor_factor > tol
+                if it % _STALL_CHECKS == 0:
+                    stuck |= hi - lo >= last
+                    last = hi - lo
+                if stuck.any():
+                    i = int(np.argmax(stuck))
+                    raise ConvergenceError(
+                        float(lo[i]), float(hi[i]), it, index=int(act[i]),
+                        floor=float(lo[i] * floor_factor), tol=tol,
+                    )
                 if it == max_iters:
                     worst = int(np.argmax(hi - lo))
                     raise ConvergenceError(

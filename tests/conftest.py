@@ -1,8 +1,9 @@
 """Session fixtures.
 
-The exhaustive scans are the expensive shared artifacts (n=5 walks 2^20
-codes), so each order is scanned once per session and reused by every test
-that needs it.  The alpha set is the union of all grids the tests use.
+The exhaustive scans are the expensive shared artifacts (n=5 certifies the
+radii and invariants of 5,048 classes), so each order is scanned once per
+session and reused by every test that needs it.  The alpha set is the union
+of all grids the tests use.
 """
 import pytest
 

@@ -2,8 +2,8 @@
 
 The reference below enumerates all 2^(n(n-1)) codes with python sets, takes
 parameters from hand-rolled searches and radii from dense eigensolves, then
-rebuilds every per-group extreme.  Nothing of the production path (bitmask
-closure, the batched radius kernel, the scan table) is reused.
+rebuilds every per-group extreme.  Nothing of the production path (class
+generation, the batched radius kernel, the scan table) is reused.
 """
 import dataclasses
 import itertools
@@ -44,6 +44,7 @@ from alphaspec.oracle import (
     verify_theorem,
 )
 from alphaspec import oracle
+from alphaspec.digraph import _relabellings, canonical_codes
 from alphaspec.spectral import DEFAULT_TOL, ConvergenceError
 
 
@@ -260,8 +261,8 @@ def test_scan_validation():
         run_scan(7, (0.0,))
     with pytest.raises(ValueError):
         run_scan(6, (0.0,))  # gated
-    # refused outright: the n = 6 classes would need all 2^30 labelled codes
-    with pytest.raises(ValueError, match=r"all 2\^30 labelled codes"):
+    # refused outright: the n = 6 generation and relabelling table take GBs
+    with pytest.raises(ValueError, match=r"all 720 relabellings"):
         run_scan(6, (0.0, 0.5))
 
 
@@ -280,22 +281,14 @@ def test_scan_deterministic_rerun(stats3):
             assert x.value == y.value and x.codes == y.codes
 
 
-def test_scan_parallel_matches_serial(scan4, monkeypatch):
-    # 2^8-code chunks split the n = 4 enumeration into 16, so the pool joins
-    # many chunks
-    monkeypatch.setattr(oracle, "CHUNK_BITS", 8)
-    ser = run_scan(4, scan4.alphas, workers=1)
-    par = run_scan(4, scan4.alphas, workers=2)
-    for got in (ser, par):
-        assert got.parameters == scan4.parameters == SCAN_PARAMETERS
-        assert got.strong_count == scan4.strong_count
-        # every group of every parameter, with its codes, counts and runner-ups
-        assert got.groups == scan4.groups
-        assert {p for p, _v in got.groups} == set(SCAN_PARAMETERS)
-        assert got.top == scan4.top
-        assert got.bounds == scan4.bounds
-        assert got.max_certificate_width == scan4.max_certificate_width
-        assert got.max_iterations == scan4.max_iterations
+def test_scan_parallel_matches_serial(scan4, scan5):
+    # the pool grows the last vertex on two blocks of the (n-1)-vertex classes
+    for serial in (scan4, scan5):
+        assert serial.parameters == SCAN_PARAMETERS
+        assert {p for p, _v in serial.groups} == set(SCAN_PARAMETERS)
+        # every ScanStats field: groups with their codes, classes, counts and
+        # runner-ups, top levels, bound reports, counts, widths, iterations
+        assert run_scan(serial.n, serial.alphas, workers=2) == serial
 
 
 def test_scan_reports_bound_violations(monkeypatch):
@@ -329,6 +322,62 @@ def test_scan_reports_bound_violations(monkeypatch):
     assert len(stats.bound_report(0.0)["violations"]) == 39
     # alpha = 0.5 adds 18 alpha * max-out-degree violations: capped
     assert len(stats.bound_report(0.5)["violations"]) == VIOLATION_CAP
+
+
+def test_bound_listing_matches_labelled_listing(monkeypatch):
+    # shifting every certified radius down by 0.3 breaks several checks at
+    # n = 4; the kernel's shifted radii are kept per class, by canonical code
+    real = oracle.batch_cw_radius
+    cells = [(i, j) for i in range(4) for j in range(4) if i != j]
+    shifted_radius = {}
+
+    def shifted(mats, tol, max_iters):
+        lam, lo, hi, iters = real(mats, tol=tol, max_iters=max_iters)
+        codes = (mats[:, [i for i, _ in cells], [j for _, j in cells]] > 0) @ (1 << np.arange(12))
+        shifted_radius.update(zip(codes.tolist(), (lam - 0.3).tolist()))
+        return lam - 0.3, lo - 0.3, hi - 0.3, iters
+
+    monkeypatch.setattr(oracle, "batch_cw_radius", shifted)
+    for alpha in (0.0, 0.5):
+        stats = run_scan(4, (alpha,))
+        # the labelled listing: every strongly connected code, check by check,
+        # ascending within a check, cut at the cap
+        rows = []
+        for code in range(1 << 12):
+            g = digraph_from_code(4, code)
+            if is_strongly_connected(g):
+                lam = shifted_radius[int(canonical_codes(4, [code])[0])]
+                outs = [g.out_degree(v) for v in range(4)]
+                rows.append((code, lam, min(outs), max(outs)))
+        checks = {
+            "radius_below_one": lambda lam, dmin, dmax: lam < 1.0 - 1e-9,
+            "radius_above_n_minus_one": lambda lam, dmin, dmax: lam > 3.0 + 1e-9,
+            "radius_one_but_not_cycle":
+                lambda lam, dmin, dmax: abs(lam - 1.0) <= 1e-9 and dmax != 1,
+            "cycle_radius_not_one": lambda lam, dmin, dmax: dmax == 1 and abs(lam - 1.0) > 1e-9,
+            "top_radius_but_not_complete":
+                lambda lam, dmin, dmax: abs(lam - 3.0) <= 1e-9 and dmin != 3,
+            "complete_radius_off": lambda lam, dmin, dmax: dmin == 3 and abs(lam - 3.0) > 1e-9,
+            "regular_radius_off_degree":
+                lambda lam, dmin, dmax: dmin == dmax and abs(lam - dmin) > 1e-9,
+            "irregular_radius_hits_degree":
+                lambda lam, dmin, dmax: dmin != dmax and not dmin + 1e-9 < lam < dmax - 1e-9,
+        }
+        if alpha > 0.0:
+            checks["radius_not_above_alpha_maxdeg"] = (
+                lambda lam, dmin, dmax: lam <= alpha * dmax + 1e-12
+            )
+        listing = [
+            {"check": name, "code": code, "radius": lam}
+            for name, bad in checks.items()
+            for code, lam, dmin, dmax in rows
+            if bad(lam, dmin, dmax)
+        ]
+        assert len(listing) > VIOLATION_CAP
+        assert stats.bound_report(alpha)["violations"] == listing[:VIOLATION_CAP]
+    # at alpha = 0.5 the cap falls inside the fourth listed check
+    assert [v["check"] for v in listing[:VIOLATION_CAP]][-1] == "regular_radius_off_degree"
+    assert len({v["check"] for v in listing[:VIOLATION_CAP]}) == 4
 
 
 def test_scan_convergence_failure_names_its_witness():
@@ -600,30 +649,42 @@ def test_every_statement_vacuous_at_n2(scan2):
 # isomorphism classes
 
 def test_class_enumeration_counts():
-    # classes of strongly connected digraphs (OEIS A035512) and their orbit
+    # every growth step yields the classes of all digraphs on m vertices
+    # (OEIS A000273), ascending canonical codes
+    classes = np.zeros(1, dtype=np.int64)
+    counts = [classes.size]
+    for m in range(2, 6):
+        classes = oracle._grow(m, classes)
+        assert np.all(np.diff(classes) > 0)
+        assert np.array_equal(canonical_codes(m, classes), classes)
+        counts.append(classes.size)
+    assert counts == [1, 3, 16, 218, 9608]
+    # classes of strongly connected digraphs (OEIS A035512) and their weight
     # sums, the strongly connected labelled digraphs (OEIS A003030)
-    for n, classes, labelled in ((2, 1, 1), (3, 5, 18), (4, 83, 1606), (5, 5048, 565080)):
-        got = oracle._classes(n, workers=1)
-        assert got.reps.size == got.weights.size == classes
-        assert int(got.weights.sum()) == got.codes.size == labelled
-        assert np.all(np.diff(got.codes) > 0) and np.all(np.diff(got.reps) > 0)
-        # each representative is the first, smallest, labelled code of its class
-        _, first = np.unique(got.index, return_index=True)
-        assert np.array_equal(got.codes[first], got.reps)
-        assert np.array_equal(np.bincount(got.index), got.weights)
+    for n, want, labelled in ((2, 1, 1), (3, 5, 18), (4, 83, 1606), (5, 5048, 565080)):
+        reps, weights = oracle._classes(n, workers=1)
+        assert reps.size == weights.size == want
+        assert int(weights.sum()) == labelled
+        assert np.all(np.diff(reps) > 0)
 
 
 def test_class_weights_are_orbit_sizes():
-    # n! / |Aut(G)| labelled copies, with automorphisms found by trying every
-    # relabelling of the representative
+    # the labelled enumeration, kept here as the reference: every strongly
+    # connected code, grouped by canonical code
     for n in (2, 3, 4):
-        perms = list(itertools.permutations(range(n)))
-        got = oracle._classes(n, workers=1)
-        for rep, weight in zip(got.reps.tolist(), got.weights.tolist()):
-            g = digraph_from_code(n, rep)
-            assert is_strongly_connected(g)
-            automorphisms = sum(g.relabel(p) == g for p in perms)
-            assert weight == math.factorial(n) // automorphisms
+        strong = np.array([
+            code for code in range(1 << (n * (n - 1)))
+            if is_strongly_connected(digraph_from_code(n, code))
+        ])
+        canon = canonical_codes(n, strong)
+        want_reps, want_weights = np.unique(canon, return_counts=True)
+        reps, weights = oracle._classes(n, workers=1)
+        assert np.array_equal(reps, want_reps)
+        assert np.array_equal(weights, want_weights)
+        # each class's labelled codes are the distinct relabellings of its
+        # representative
+        for rep in reps.tolist():
+            assert np.array_equal(np.unique(_relabellings(n, [rep])), strong[canon == rep])
 
 
 def test_scan_runs_the_kernel_once_per_class(monkeypatch):

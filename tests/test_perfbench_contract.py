@@ -27,3 +27,16 @@ def test_benchmark_selftest_passes():
         cwd=PERFBENCH.parent, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stdout + done.stderr
+
+
+def test_scan_call_shapes_perfbench_uses():
+    # perfbench/workloads.py scans with run_scan(5, alphas, parameters,
+    # workers=1) and reads each group's labelled codes, first and drawn
+    from alphaspec import oracle
+
+    scan = oracle.run_scan(3, (0.0, 0.5), oracle.SCAN_PARAMETERS, workers=1)
+    for per_alpha in scan.groups.values():
+        for modes in per_alpha:
+            for ext in modes.values():
+                assert ext.codes and ext.codes[0] == min(ext.codes)
+                assert len(ext.codes) == ext.count

@@ -8,6 +8,7 @@ the last bit, _exact_cw_interval re-evaluates it in Fraction arithmetic.
 """
 import pickle
 import re
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -34,6 +35,7 @@ from alphaspec import (
     tournament,
 )
 from alphaspec.oracle import digraph_from_code
+from alphaspec.spectral import _widening
 
 TOL = 1e-10
 
@@ -221,6 +223,27 @@ def test_tol_below_rounding_floor_stops_at_once():
     with pytest.raises(ConvergenceError, match="below the rounding floor") as err:
         batch_cw_radius(stack, tol=1e-14)
     assert err.value.index == 1
+
+
+@pytest.mark.parametrize("g, alpha", [(complete(12), 0.5), (b_nd(12, 3), 0.7)])
+def test_tol_just_above_rounding_floor_stops_when_stalled(g, alpha):
+    # a tol just above the floor is still below the spread of the float
+    # quotients, so the width stops narrowing; at the default cap the kernel
+    # would spin for about 10 s
+    f_lo, f_hi = _widening(g.n)
+    floor = spectral_radius(g, alpha).certificate_lo * (f_hi - f_lo) / f_hi
+    start = time.perf_counter()
+    with pytest.raises(ConvergenceError, match="stopped narrowing above tol") as err:
+        spectral_radius(g, alpha, tol=1.1 * floor)
+    assert time.perf_counter() - start < 0.5
+    assert err.value.iterations < 100
+    assert err.value.tol < err.value.hi - err.value.lo
+    assert err.value.floor == pytest.approx(floor, rel=1e-12)
+    back = pickle.loads(pickle.dumps(err.value))
+    assert str(back) == str(err.value)
+    # a little more room certifies
+    res = spectral_radius(g, alpha, tol=1.5 * floor)
+    assert res.certificate_hi - res.certificate_lo <= 1.5 * floor
 
 
 # ---------------------------------------------------------------------------

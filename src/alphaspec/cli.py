@@ -273,7 +273,7 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--max-iters", dest="max_iters", type=int, help="certificate iteration cap")
     sub.add_argument("--workers", type=int, help="scan worker processes")
     sub.add_argument("--long-runs", dest="long_runs", action="store_true",
-                     help="allow the n=7 tournament search (n=6 scans are refused)")
+                     help="allow the n=8 tournament search (n=6 scans are refused)")
     sub.add_argument("--output", choices=OUTPUT_FORMATS, help="report format")
     sub.add_argument("--out", help="write the report to this file instead of stdout")
 
@@ -583,7 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_family = subs.add_parser("family", help="emit a family digraph in text format")
     _add_family_flags(p_family)
     p_family.add_argument("--alpha", type=float, default=0.0,
-                          help="construction alpha for searched families (g0, bruteforce)")
+                          help="construction alpha for searched families (g0, extremal tournament)")
     _add_common_flags(p_family)
     p_family.set_defaults(func=cmd_family)
 

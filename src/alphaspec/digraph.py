@@ -515,6 +515,72 @@ def _relabellings(n: int, codes) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# stacks of codes: decoding, reachability, and growing classes by a vertex
+
+def _masks(n: int, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Out- and in-neighbour bitmasks of each code, vertex-major: two
+    (n, codes) int64 arrays."""
+    out_masks = np.zeros((n, codes.size), dtype=np.int64)
+    in_masks = np.zeros((n, codes.size), dtype=np.int64)
+    for p, (i, j) in enumerate(_cells(n)):
+        bit = (codes >> p) & 1
+        out_masks[i] |= bit << j
+        in_masks[j] |= bit << i
+    return out_masks, in_masks
+
+
+def _adjacency(n: int, out_masks: np.ndarray) -> np.ndarray:
+    """(codes, n, n) uint8 adjacency stack of vertex-major out-neighbour masks."""
+    return ((out_masks.T[:, :, None] >> np.arange(n)) & 1).astype(np.uint8)
+
+
+def _reachability(adj: np.ndarray) -> np.ndarray:
+    """(k, n, n) bool: entry [b, i, j] is whether digraph b of the adjacency
+    stack has a directed path from i to j; every vertex reaches itself.
+    I | A squared ceil(log2(n - 1)) times covers every path of length up to
+    n - 1.  A digraph is strongly connected when its entries are all True,
+    and i, j share a strong component when [b, i, j] and [b, j, i] are."""
+    n = adj.shape[-1]
+    reach = adj.astype(bool) | np.eye(n, dtype=bool)
+    for _ in range(max(n - 2, 0).bit_length()):
+        reach = np.matmul(reach, reach)
+    return reach
+
+
+def _bit_rows(k: int) -> np.ndarray:
+    """(2^k, k) table of every 0/1 row of length k; row r holds the bits of r."""
+    return (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
+
+
+def _grow(m: int, classes: np.ndarray, sets: np.ndarray | None = None) -> np.ndarray:
+    """The classes on m vertices, by canonical code, ascending, that extend
+    one of the given (m-1)-vertex classes by a vertex m-1 whose arcs are a
+    row of sets: m-1 columns of out-arcs to vertices 0..m-2, then m-1 of
+    in-arcs from them (default: all 2^(2m-2) rows, which grows all
+    digraphs).  A candidate is kept only if its new vertex is least in
+    (total degree, out-degree).  Every m-vertex digraph is reached if its
+    vertex-deleted subdigraphs are among the classes and sets holds the
+    arcs of every vertex: deleting a least vertex leaves one of the classes,
+    and adding it back is a kept candidate."""
+    if sets is None:
+        sets = _bit_rows(2 * m - 2)
+    old = _adjacency(m - 1, _masks(m - 1, classes)[0])
+    adj = np.zeros((classes.size, len(sets), m, m), dtype=np.uint8)
+    adj[:, :, :-1, :-1] = old[:, None]
+    adj[:, :, -1, :-1] = sets[:, : m - 1]
+    adj[:, :, :-1, -1] = sets[:, m - 1 :]
+    adj = adj.reshape(-1, m, m)
+    # total degree * m + out-degree orders (total, out) since out-degree < m;
+    # it stays below 2m^2 <= 128 for m <= CANON_CAP, so bytes hold it
+    out = adj.sum(axis=2, dtype=np.uint8)
+    key = (out + adj.sum(axis=1, dtype=np.uint8)) * m + out
+    adj = adj[key[:, -1] == key.min(axis=1)]
+    ci, cj = np.array(_cells(m)).T
+    codes = (adj[:, ci, cj].astype(np.int64) << np.arange(ci.size)).sum(axis=1)
+    return np.unique(canonical_codes(m, codes))
+
+
+# ---------------------------------------------------------------------------
 # text format:  "n <N>" header, one "u v" line per arc, '#' comments
 
 def to_text(G: Digraph) -> str:

@@ -20,8 +20,17 @@ from typing import Iterable
 
 import numpy as np
 
-from .digraph import Digraph, from_arcs
-from .spectral import _alpha_entries
+from .digraph import (
+    CANON_CAP,
+    Digraph,
+    _adjacency,
+    _bit_rows,
+    _grow,
+    _masks,
+    digraph_from_code,
+    from_arcs,
+)
+from .spectral import DEFAULT_MAX_ITERS, DEFAULT_TOL, _check_alpha, _component_enclosures
 
 __all__ = [
     "path",
@@ -41,7 +50,7 @@ FAMILIES = (
     "path", "cycle", "complete", "c_ng", "b_nd", "k_nkm", "tournament", "g0", "h4", "circulant",
 )
 TOURNAMENT_KINDS = ("transitive", "rotational", "brualdi_li", "extremal_bruteforce")
-BRUTEFORCE_CAP = 7  # 2^21 orientations; n = 7 additionally needs the long-runs flag
+BRUTEFORCE_CAP = CANON_CAP  # 6,880 classes at n = 8, which also needs the long-runs flag
 
 
 def path(n: int) -> Digraph:
@@ -158,60 +167,39 @@ def _brualdi_li(n: int) -> Digraph:
     return from_arcs(n, arcs)
 
 
-def _tournament_pairs(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-
-def _tournament_from_code(n: int, code: int, pairs: list[tuple[int, int]]) -> Digraph:
-    arcs = []
-    for p, (i, j) in enumerate(pairs):
-        if (code >> p) & 1:
-            arcs.append((i, j))
-        else:
-            arcs.append((j, i))
-    return Digraph(n, frozenset(arcs))
-
-
-def _radius_batch_eig(adj: np.ndarray, alpha: float) -> np.ndarray:
-    """Spectral radii of alpha matrices for a stack of adjacency matrices.
-
-    Dense eigenvalues instead of the certified kernel: tournaments may be
-    reducible, where spectral_radius refuses to run.
-    """
-    return np.abs(np.linalg.eigvals(_alpha_entries(adj, alpha))).max(axis=1)
+def _tournament_classes(n: int) -> np.ndarray:
+    """Canonical codes, ascending, of the tournament classes on n vertices
+    (OEIS A000568).  Each step adds a vertex that beats or loses to every
+    old vertex; _grow keeps it only where it has least out-degree, since
+    every vertex of a tournament has total degree n - 1."""
+    classes = np.zeros(1, dtype=np.int64)  # the one tournament on one vertex
+    for m in range(2, n + 1):
+        beats = _bit_rows(m - 1)
+        classes = _grow(m, classes, np.hstack([beats, 1 - beats]))
+    return classes
 
 
 def _extremal_tournament(n: int, alpha: float, long_runs_enabled: bool) -> Digraph:
+    """The tournament class of largest A_alpha radius, reducible ones included.
+
+    Every class's radius is enclosed from its strong components.  Of the
+    classes whose enclosure reaches the largest lower end, the one of
+    smallest canonical code, as that code's digraph."""
+    alpha = _check_alpha(alpha)
     if n > BRUTEFORCE_CAP:
         raise ValueError(
-            f"exhaustive tournament search is capped at n = {BRUTEFORCE_CAP}, got {n}"
+            f"exhaustive tournament search is capped at n = {BRUTEFORCE_CAP} "
+            f"(the largest order with canonical codes), got {n}"
         )
     if n == BRUTEFORCE_CAP and not long_runs_enabled:
         raise ValueError(
-            f"n = {BRUTEFORCE_CAP} scans 2^{BRUTEFORCE_CAP * (BRUTEFORCE_CAP - 1) // 2} "
-            "orientations; enable long runs to allow it"
+            f"n = {BRUTEFORCE_CAP} generates and certifies all 6,880 tournament "
+            "classes, which takes several seconds; enable long runs to allow it"
         )
-    pairs = _tournament_pairs(n)
-    nbits = len(pairs)
-    total = 1 << nbits
-    chunk = 4096
-    best_val = -np.inf
-    best_code = 0
-    rows_idx = np.array([p[0] for p in pairs], dtype=np.int64)
-    cols_idx = np.array([p[1] for p in pairs], dtype=np.int64)
-    for lo in range(0, total, chunk):
-        codes = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
-        bits = (codes[:, None] >> np.arange(nbits)) & 1
-        adj = np.zeros((codes.size, n, n), dtype=np.float64)
-        adj[:, rows_idx, cols_idx] = bits
-        adj[:, cols_idx, rows_idx] = 1 - bits
-        vals = _radius_batch_eig(adj, alpha)
-        cmax = float(vals.max())
-        if cmax > best_val + 1e-12:
-            tie = np.flatnonzero(vals >= cmax - 1e-12)
-            best_val = cmax
-            best_code = int(codes[tie[0]])
-    return _tournament_from_code(n, best_code, pairs)
+    classes = _tournament_classes(n)
+    adj = _adjacency(n, _masks(n, classes)[0])
+    lo, hi = _component_enclosures(adj, alpha, DEFAULT_TOL, DEFAULT_MAX_ITERS)
+    return digraph_from_code(n, int(classes[np.argmax(hi >= lo.max())]))
 
 
 def tournament(
@@ -242,7 +230,8 @@ def g0(n: int, d: int, alpha: float, long_runs_enabled: bool = False) -> Digraph
 
     At alpha = 0 the inner tournament is rotational (odd part) or the
     two-transitive-halves tournament (even part); for alpha > 0 no closed-form
-    winner is known, so each part runs the exhaustive search (part size <= 7).
+    winner is known, so each part runs the exhaustive search over tournament
+    classes (part size <= 8, and 8 needs long runs).
     """
     if not 1 <= d <= n:
         raise ValueError(f"need 1 <= d <= n, got d={d}, n={n}")

@@ -42,11 +42,13 @@ import numpy as np
 from . import families, formulas
 from .digraph import (
     Digraph,
+    _adjacency,
     _arc_connectivity,
-    _cells,
     _clique_number,
     _girth,
-    _is_strong,
+    _grow,
+    _masks,
+    _reachability,
     _relabellings,
     _vertex_connectivity,
     canonical_codes,
@@ -97,50 +99,14 @@ PUBLIC_PARAMETERS = ("girth", "clique", "vertex_conn", "arc_conn")
 
 
 # ---------------------------------------------------------------------------
-# decoding codes (the code format is defined in digraph.py), generating classes
-
-def _masks(n: int, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Out- and in-neighbour bitmasks of each code, vertex-major: two
-    (n, codes) int64 arrays."""
-    out_masks = np.zeros((n, codes.size), dtype=np.int64)
-    in_masks = np.zeros((n, codes.size), dtype=np.int64)
-    for p, (i, j) in enumerate(_cells(n)):
-        bit = (codes >> p) & 1
-        out_masks[i] |= bit << j
-        in_masks[j] |= bit << i
-    return out_masks, in_masks
-
-
-def _adjacency(n: int, out_masks: np.ndarray) -> np.ndarray:
-    """(codes, n, n) uint8 adjacency stack of vertex-major out-neighbour masks."""
-    return ((out_masks.T[:, :, None] >> np.arange(n)) & 1).astype(np.uint8)
-
-
-def _grow(m: int, classes: np.ndarray) -> np.ndarray:
-    """The classes on m vertices, by canonical code, ascending, that extend
-    one of the given (m-1)-vertex classes by a vertex m-1 of least total
-    degree.  Every m-vertex digraph is reached from the classes of all
-    (m-1)-vertex digraphs: deleting a vertex of least degree leaves one."""
-    old = _adjacency(m - 1, _masks(m - 1, classes)[0])
-    # one row per (out-set, in-set) of the new vertex
-    sets = (np.arange(1 << (2 * m - 2))[:, None] >> np.arange(2 * m - 2)) & 1
-    adj = np.zeros((classes.size, len(sets), m, m), dtype=np.uint8)
-    adj[:, :, :-1, :-1] = old[:, None]
-    adj[:, :, -1, :-1] = sets[:, : m - 1]
-    adj[:, :, :-1, -1] = sets[:, m - 1 :]
-    adj = adj.reshape(-1, m, m)
-    degree = adj.sum(axis=1) + adj.sum(axis=2)
-    adj = adj[degree[:, -1] == degree.min(axis=1)]
-    ci, cj = np.array(_cells(m)).T
-    codes = (adj[:, ci, cj].astype(np.int64) << np.arange(ci.size)).sum(axis=1)
-    return np.unique(canonical_codes(m, codes))
-
+# the strongly connected classes (codes and the growth step are in digraph.py)
 
 def _classes(n: int, workers: int) -> tuple[np.ndarray, np.ndarray]:
     """The strongly connected classes on n vertices: their canonical codes,
     ascending, and their weights n!/|Aut|, the number of labelled codes of
     each.  With workers > 1 the last growth step runs on blocks of the
-    (n-1)-vertex classes in a process pool."""
+    (n-1)-vertex classes in a process pool.  Strong connectivity is read
+    from the batched reachability closure."""
     classes = np.zeros(1, dtype=np.int64)  # the one digraph on one vertex
     for m in range(2, n):
         classes = _grow(m, classes)
@@ -152,9 +118,7 @@ def _classes(n: int, workers: int) -> tuple[np.ndarray, np.ndarray]:
         with mp.Pool(processes=workers) as pool:
             blocks = pool.starmap(_grow, [(n, b) for b in np.array_split(classes, workers)])
         classes = np.unique(np.concatenate(blocks))
-    out_masks, in_masks = _masks(n, classes)
-    strong = [_is_strong(r, c, n) for r, c in zip(out_masks.T.tolist(), in_masks.T.tolist())]
-    reps = classes[np.array(strong, dtype=bool)]
+    reps = classes[_reachability(_adjacency(n, _masks(n, classes)[0])).all(axis=(1, 2))]
     automorphisms = (_relabellings(n, reps) == reps[:, None]).sum(axis=1)
     return reps, math.factorial(n) // automorphisms
 

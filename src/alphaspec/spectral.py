@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .digraph import Digraph, NotStronglyConnected, _reach, is_strongly_connected
+from .digraph import Digraph, NotStronglyConnected, _reachability, is_strongly_connected
 
 __all__ = [
     "AlphaMatrix",
@@ -331,37 +331,49 @@ def spectral_radius(
     )
 
 
+def _component_enclosures(
+    adj: np.ndarray, alpha: float, tol: float, max_iters: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Certified [lo, hi] enclosures of the A_alpha radius of every digraph
+    of a (k, n, n) adjacency stack, strongly connected or not.
+
+    A_alpha is block-triangular under the condensation order, so its radius
+    is the largest radius of the diagonal blocks of the strong components
+    (whose diagonals keep the out-degrees counted in the whole digraph),
+    enclosed by [max lo, max hi] over the blocks.  The blocks of each size
+    go through the kernel as one stack.
+    """
+    k, n, _ = adj.shape
+    mats = _alpha_entries(adj, alpha)
+    reach = _reachability(adj)
+    same = reach & reach.transpose(0, 2, 1)  # [b, i, j]: i and j share a component
+    # one block per component of each digraph, named by its least vertex
+    owner, least = np.nonzero(same.argmax(axis=2) == np.arange(n))
+    sizes = same[owner, least].sum(axis=1)
+    lo = np.full(k, -np.inf)
+    hi = np.full(k, -np.inf)
+    for size in np.unique(sizes).tolist():
+        pick = sizes == size
+        b = owner[pick]
+        verts = np.nonzero(same[b, least[pick]])[1].reshape(-1, size)
+        blocks = mats[b[:, None, None], verts[:, :, None], verts[:, None, :]]
+        _, block_lo, block_hi, _, _ = _certify(blocks, tol, max_iters)
+        np.maximum.at(lo, b, block_lo)
+        np.maximum.at(hi, b, block_hi)
+    return lo, hi
+
+
 def spectral_radius_general(
     G: Digraph,
     alpha: float,
     tol: float = DEFAULT_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
 ) -> float:
-    """Spectral radius for a possibly reducible digraph (no Perron certificate).
-
-    A_alpha is block-triangular under the condensation order, so its radius is
-    the max over strongly connected components of the component's diagonal
-    block (whose diagonal keeps out-degrees counted in the whole digraph).
-    The blocks of each size go through the kernel as one stack.
-    """
-    full = alpha_matrix(G, alpha).entries
-    rows = G.out_masks
-    cols = G.in_masks
-    assigned = 0
-    by_size: dict[int, list[list[int]]] = {}
-    for v in range(G.n):
-        if (assigned >> v) & 1:
-            continue
-        comp = _reach(rows, 1 << v) & _reach(cols, 1 << v)
-        assigned |= comp
-        verts = [i for i in range(G.n) if (comp >> i) & 1]
-        by_size.setdefault(len(verts), []).append(verts)
-    best = 0.0
-    for comps in by_size.values():
-        idx = np.array(comps)
-        mid = _certify(full[idx[:, :, None], idx[:, None, :]], tol, max_iters)[0]
-        best = max(best, float(mid.max()))
-    return best
+    """Spectral radius for a possibly reducible digraph (no Perron certificate):
+    the midpoint of its enclosure from the strongly connected blocks
+    (_component_enclosures)."""
+    lo, hi = _component_enclosures(G.adjacency_matrix()[None], alpha, tol, max_iters)
+    return float((lo[0] + hi[0]) / 2.0)
 
 
 def quotient_matrix(

@@ -4,8 +4,10 @@ Golden values were computed once from the defining polynomials (for example
 the order-4 girth-2 minimizer satisfies x^4 = x^2 + 1, so its radius is the
 square root of the golden ratio) and are asserted to 1e-9.
 """
+import itertools
 import math
 
+import numpy as np
 import pytest
 
 from alphaspec import (
@@ -30,6 +32,15 @@ from alphaspec import (
     tournament,
     vertex_connectivity,
 )
+from alphaspec import families
+from alphaspec.digraph import (
+    _adjacency,
+    _masks,
+    canonical_codes,
+    code_of_digraph,
+    digraph_from_code,
+)
+from alphaspec.spectral import DEFAULT_MAX_ITERS, DEFAULT_TOL, _component_enclosures
 
 SQRT_GOLDEN = math.sqrt((1 + math.sqrt(5)) / 2)
 
@@ -194,10 +205,11 @@ def test_bruteforce_recovers_known_maximizers():
 
 
 def test_bruteforce_guard_rails():
+    assert _is_tournament(tournament("extremal_bruteforce", 7, 0.0))
     with pytest.raises(ValueError):
-        tournament("extremal_bruteforce", 7, 0.0)  # needs long runs enabled
+        tournament("extremal_bruteforce", 8, 0.0)  # needs long runs enabled
     with pytest.raises(ValueError):
-        tournament("extremal_bruteforce", 8, 0.0, long_runs_enabled=True)
+        tournament("extremal_bruteforce", 9, 0.0, long_runs_enabled=True)
     with pytest.raises(ValueError):
         tournament("round_robin", 4)
     # the search ranks alpha matrices, which exist only for 0 <= alpha < 1
@@ -208,6 +220,83 @@ def test_bruteforce_guard_rails():
     ):
         with pytest.raises(ValueError, match=r"alpha must lie in \[0, 1\)"):
             search()
+
+
+def _is_tournament(T) -> bool:
+    """Exactly one arc between every two vertices (loops cannot occur)."""
+    return all(
+        T.has_arc(i, j) != T.has_arc(j, i) for i in range(T.n) for j in range(i + 1, T.n)
+    )
+
+
+def _eig_radius(adj: np.ndarray, alpha: float) -> np.ndarray:
+    """Spectral radii of alpha*D + (1-alpha)*A by dense eigenvalues, for an
+    adjacency matrix or a stack of them."""
+    n = adj.shape[-1]
+    mats = (1.0 - alpha) * adj + alpha * adj.sum(axis=-1)[..., None] * np.eye(n)
+    return np.abs(np.linalg.eigvals(mats)).max(axis=-1)
+
+
+def _labelled_tournament_max(n: int, alpha: float) -> float:
+    """Largest radius over all 2^(n(n-1)/2) labelled tournaments: the
+    exhaustive search over orientations, kept here as the reference."""
+    pairs = np.array(list(itertools.combinations(range(n), 2)), dtype=np.int64).reshape(-1, 2)
+    bits = (np.arange(1 << len(pairs))[:, None] >> np.arange(len(pairs))) & 1
+    adj = np.zeros((len(bits), n, n))
+    adj[:, pairs[:, 0], pairs[:, 1]] = bits
+    adj[:, pairs[:, 1], pairs[:, 0]] = 1 - bits
+    return float(_eig_radius(adj, alpha).max())
+
+
+def _class_enclosures(n: int, alpha: float):
+    """The classes of tournaments on n vertices and the certified enclosures
+    of their radii, as the search computes them."""
+    classes = families._tournament_classes(n)
+    adj = _adjacency(n, _masks(n, classes)[0])
+    return classes, *_component_enclosures(adj, alpha, DEFAULT_TOL, DEFAULT_MAX_ITERS)
+
+
+def test_tournament_class_counts():
+    # tournaments up to isomorphism, OEIS A000568
+    counts = []
+    for n in range(2, 8):
+        classes = families._tournament_classes(n)
+        assert np.all(np.diff(classes) > 0)
+        assert np.array_equal(canonical_codes(n, classes), classes)
+        assert all(_is_tournament(digraph_from_code(n, c)) for c in classes.tolist())
+        counts.append(classes.size)
+    assert counts == [1, 2, 4, 12, 56, 456]
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.1, 0.5, 0.9, 0.99])
+def test_tournament_search_attains_labelled_maximum(alpha):
+    for n in range(1, 6):
+        T = tournament("extremal_bruteforce", n, alpha)
+        assert _is_tournament(T)
+        best = _labelled_tournament_max(n, alpha)
+        assert float(_eig_radius(T.adjacency_matrix(), alpha)) == pytest.approx(best, abs=1e-9)
+
+
+def test_tournament_search_returns_least_overlapping_class():
+    for n in (3, 4, 5, 6):
+        for alpha in (0.0, 0.01, 0.1, 0.25, 0.5, 0.9):
+            classes, lo, hi = _class_enclosures(n, alpha)
+            assert np.all(lo <= hi)
+            overlapping = classes[hi >= lo.max()]
+            T = tournament("extremal_bruteforce", n, alpha)
+            assert canonical_codes(n, [code_of_digraph(T)])[0] == overlapping.min()
+
+
+def test_tournament_enclosures_hold_half_degree_at_alpha_half():
+    # the columns of D + A sum to n - 1 in every tournament, so at alpha = 1/2
+    # every class, reducible or not, has radius (n - 1) / 2 exactly
+    for n in range(2, 8):
+        _, lo, hi = _class_enclosures(n, 0.5)
+        assert np.all(lo <= (n - 1) / 2) and np.all((n - 1) / 2 <= hi)
+
+
+def test_tournament_search_order_7_is_rotational():
+    assert is_isomorphic(tournament("extremal_bruteforce", 7, 0.0), tournament("rotational", 7))
 
 
 # ---------------------------------------------------------------------------

@@ -114,7 +114,7 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         cfg.long_runs_enabled = True
     if getattr(args, "output", None) is not None:
         cfg.output = args.output
-    if cfg.tol <= 0:
+    if not cfg.tol > 0:
         raise ValueError(f"tol must be positive, got {cfg.tol}")
     if cfg.max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {cfg.max_iters}")

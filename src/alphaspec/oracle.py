@@ -18,7 +18,8 @@ expanded from the orbits of their classes:
 * spectral bound violations (row-sum sandwich, cycle/complete equalities,
   strict alpha * max-out-degree lower bound).
 
-The subdivision sweep runs on the class representatives and their arcs.
+The subdivision sweep reads its classes, weights and base radii from the
+same table, and certifies only its subdivided (representative, arc) stack.
 
 The seven enumeration statements are one table, _STATEMENTS: per statement
 the scan columns it reads (R5.1 reads the top radius levels), min or max, the
@@ -62,7 +63,6 @@ from .spectral import (
     DEFAULT_MAX_ITERS,
     DEFAULT_TOL,
     ConvergenceError,
-    NotStronglyConnected,
     _alpha_entries,
     _check_alpha,
     batch_cw_radius,
@@ -187,7 +187,8 @@ def _scan_table(
 
     # combinatorial parameters, one python pass per column
     need_ac = {"arc_conn", "arc_conn_tight", "vertex_conn"} & set(parameters)
-    masks = list(zip(out_masks.T.tolist(), in_masks.T.tolist()))
+    if parameters:
+        masks = list(zip(out_masks.T.tolist(), in_masks.T.tolist()))
     if "girth" in parameters:
         rows["girth"] = [_girth(r, c, n) for r, c in masks]
     if "clique" in parameters:
@@ -295,11 +296,15 @@ def _bound_report(n: int, alpha: float, table: np.ndarray, lam: np.ndarray) -> d
         checks.append(("radius_not_above_alpha_maxdeg", lam <= alpha * max_out + 1e-12))
     violations: list[dict] = []
     for name, bad in checks:
-        codes = np.unique(_relabellings(n, table["code"][bad]))[: VIOLATION_CAP - len(violations)]
-        rows = np.searchsorted(table["code"], canonical_codes(n, codes))
+        bad_rows = np.flatnonzero(bad)
+        relabelled = _relabellings(n, table["code"][bad_rows])
+        codes, first = np.unique(relabelled, return_index=True)
+        keep = slice(VIOLATION_CAP - len(violations))
+        # a listed code's class is the table row its relabelling came from
+        rows = bad_rows[first[keep] // relabelled.shape[1]]
         violations += [
             {"check": name, "code": code, "radius": float(lam[row])}
-            for code, row in zip(codes.tolist(), rows)
+            for code, row in zip(codes[keep].tolist(), rows)
         ]
     return {"checked": int(table["weight"].sum()), "violations": violations}
 
@@ -339,6 +344,22 @@ class ScanStats:
         return self.bounds[self.alpha_index(alpha)]
 
 
+def _scan_alphas(n: int, alphas: Sequence[float]) -> tuple[float, ...]:
+    """alphas as a tuple, once n and every alpha are checked for a scan or sweep."""
+    if n == ENUM_CAP + 1:
+        raise ValueError(
+            f"n = {n} cannot be scanned: the class generation runs unblocked, and "
+            "weighing the 1,047,008 strong classes takes all 720 relabellings of "
+            "each, 6 GB of codes; enabling long runs does not lift this refusal"
+        )
+    if not 2 <= n <= ENUM_CAP:
+        raise ValueError(f"enumeration supports 2 <= n <= {ENUM_CAP}, got {n}")
+    alphas = tuple(_check_alpha(a) for a in alphas)
+    if len(set(alphas)) != len(alphas):
+        raise ValueError("duplicate alpha values")
+    return alphas
+
+
 def run_scan(
     n: int,
     alphas: Sequence[float],
@@ -356,17 +377,7 @@ def run_scan(
     to.  With workers > 1 the last generation step runs in a process pool;
     the result is identical to the serial one.
     """
-    if n == ENUM_CAP + 1:
-        raise ValueError(
-            f"n = {n} cannot be scanned: the class generation runs unblocked, and "
-            "weighing the 1,047,008 strong classes takes all 720 relabellings of "
-            "each, 6 GB of codes; enabling long runs does not lift this refusal"
-        )
-    if not 2 <= n <= ENUM_CAP:
-        raise ValueError(f"enumeration supports 2 <= n <= {ENUM_CAP}, got {n}")
-    alphas = tuple(_check_alpha(a) for a in alphas)
-    if len(set(alphas)) != len(alphas):
-        raise ValueError("duplicate alpha values")
+    alphas = _scan_alphas(n, alphas)
     parameters = tuple(parameters)
     unknown = set(parameters) - set(SCAN_PARAMETERS)
     if unknown:
@@ -717,34 +728,21 @@ def explore_problem_4_1(
     for d_val in ([d] if d is not None else range(1, n)):
         for alpha in alphas:
             cand = families.g0(n, d_val, alpha)
-            try:
-                g0_radius = spectral_radius(cand, alpha, tol=tol).radius
-            except NotStronglyConnected:
-                g0_radius = spectral_radius_general(cand, alpha, tol=tol)
+            # a strong g0 is its own one block, so this is its certified radius
+            row = {
+                "n": n, "d": d_val, "alpha": alpha,
+                "g0_radius": spectral_radius_general(cand, alpha, tol=tol),
+                "scan_max": None, "gap": None, "classes_match": None, "status": "empty",
+            }
             ext = stats.group("clique", d_val, alpha, "max")
-            if ext is None:
-                rows.append(
-                    {
-                        "n": n, "d": d_val, "alpha": alpha, "g0_radius": g0_radius,
-                        "scan_max": None, "gap": None, "classes_match": None,
-                        "status": "empty",
-                    }
+            if ext is not None:
+                gap = ext.value - row["g0_radius"]
+                match = _attainers_fault(n, ext.classes, [cand]) is None
+                row.update(
+                    scan_max=ext.value, gap=gap, classes_match=match,
+                    status="agrees" if abs(gap) <= ATTAIN_TOL and match else "differs",
                 )
-                continue
-            gap = ext.value - g0_radius
-            match = _attainers_fault(n, ext.classes, [cand]) is None
-            rows.append(
-                {
-                    "n": n,
-                    "d": d_val,
-                    "alpha": alpha,
-                    "g0_radius": g0_radius,
-                    "scan_max": ext.value,
-                    "gap": gap,
-                    "classes_match": match,
-                    "status": "agrees" if abs(gap) <= ATTAIN_TOL and match else "differs",
-                }
-            )
+            rows.append(row)
     return Problem41Report(n=n, rows=tuple(rows))
 
 
@@ -759,43 +757,34 @@ def subdivision_sweep(
 
     Every labelled (digraph, arc) pair is isomorphic to a pair of a class
     representative and one of its arcs, so the sweep runs on those pairs and
-    stays exhaustive; "checked" counts the labelled pairs by class weight,
-    and violations name the representative's code.  At most VIOLATION_CAP
-    violations are listed per alpha."""
-    if not 2 <= n <= ENUM_CAP:
-        raise ValueError(
-            f"the exhaustive subdivision sweep supports 2 <= n <= {ENUM_CAP}, got {n}"
-        )
-    alphas = tuple(_check_alpha(a) for a in alphas)
-    if len(set(alphas)) != len(alphas):
-        raise ValueError("duplicate alpha values")
-    codes, weights = _classes(n, workers=1)
-    adj = _adjacency(n, _masks(n, codes)[0])
-    outdeg = adj.sum(axis=2)
-    not_cycle = ~((outdeg.sum(axis=1) == n) & (outdeg.max(axis=1) == 1))
-    codes, weights, adj = codes[not_cycle], weights[not_cycle], adj[not_cycle]
-    base = adj.astype(np.float64)
+    stays exhaustive.  The classes, their weights and base radii are the scan
+    table's rows (the cycle is the row with max_out == 1); "checked" counts
+    the labelled pairs by class weight, and violations name the
+    representative's code.  At most VIOLATION_CAP violations are listed per
+    alpha."""
+    alphas = _scan_alphas(n, alphas)
+    table, _, _ = _scan_table(n, *_classes(n, workers=1), alphas, (), tol, max_iters)
+    table = table[table["max_out"] > 1]
+    codes, weights, base = table["code"], table["weight"], table["radius"]
     # one subdivided matrix per (representative, arc)
+    adj = _adjacency(n, _masks(n, codes)[0])
     srcrow, uarr, varr = np.nonzero(adj)
-    m = srcrow.size
-    big = np.zeros((m, n + 1, n + 1), dtype=np.float64)
-    big[:, :n, :n] = base[srcrow]
-    rows_idx = np.arange(m)
-    big[rows_idx, uarr, varr] = 0.0
-    big[rows_idx, uarr, n] = 1.0
-    big[rows_idx, n, varr] = 1.0
+    pairs = np.arange(srcrow.size)
+    big = np.zeros((srcrow.size, n + 1, n + 1), dtype=np.uint8)
+    big[:, :n, :n] = adj[srcrow]
+    big[pairs, uarr, varr] = 0
+    big[pairs, uarr, n] = 1
+    big[pairs, n, varr] = 1
     checked = 0
     violations: list[dict] = []
     max_excess = -math.inf
-    for alpha in alphas:
-        lam_base, _, _, _ = _certified_radii(
-            _alpha_entries(base, alpha), tol, max_iters, alpha, lambda i: f"code {codes[i]}"
-        )
+    for ai, alpha in enumerate(alphas):
         lam_sub, _, _, _ = _certified_radii(
             _alpha_entries(big, alpha), tol, max_iters, alpha,
             lambda i: f"code {codes[srcrow[i]]} subdivided at arc ({uarr[i]}, {varr[i]})",
         )
-        excess = lam_sub - lam_base[srcrow]
+        lam_base = base[srcrow, ai]
+        excess = lam_sub - lam_base
         checked += int(weights[srcrow].sum())
         max_excess = max(max_excess, float(excess.max(initial=-math.inf)))
         for idx in np.flatnonzero(excess > 1e-9)[:VIOLATION_CAP]:
@@ -804,7 +793,7 @@ def subdivision_sweep(
                     "code": int(codes[srcrow[idx]]),
                     "arc": (int(uarr[idx]), int(varr[idx])),
                     "alpha": alpha,
-                    "base": float(lam_base[srcrow[idx]]),
+                    "base": float(lam_base[idx]),
                     "subdivided": float(lam_sub[idx]),
                 }
             )

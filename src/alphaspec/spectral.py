@@ -155,7 +155,11 @@ def alpha_matrix(G: Digraph, alpha: float) -> AlphaMatrix:
 def collatz_wielandt_bounds(
     M: AlphaMatrix | np.ndarray, x: Sequence[float]
 ) -> tuple[float, float]:
-    """(min, max) of the quotients (Mx)_i / x_i; both enclose the Perron root."""
+    """(min, max) of the quotients (Mx)_i / x_i, computed in float.
+
+    In exact arithmetic they enclose the Perron root; these are the plain
+    rounded quotients, not widened outward (see _widening), so they are not
+    a certificate.  spectral_radius returns a certified enclosure."""
     entries = M.entries if isinstance(M, AlphaMatrix) else np.asarray(M, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (entries.shape[0],):
@@ -243,7 +247,12 @@ def _certify(
     certifying vector, unit-sum.  Every _STALL_CHECKS checks, a matrix whose
     width has not narrowed since the last such check ends the kernel.  The
     stack runs in blocks of at most _SOLVE_BLOCK elements, each to completion.
+    max_iters < 1 and a tol that is not > 0 (NaN included) raise ValueError.
     """
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol}")
     b, n, _ = mats.shape
     f_lo, f_hi = _widening(n)
     # at best all quotients agree, q_max*f_hi >= rho and rho >= lo, so no

@@ -450,11 +450,25 @@ def test_config_malformed_line(tmp_path, capsys):
     assert rc == EXIT_USAGE and "key=value" in err
 
 
-def test_config_validation_bounds(capsys):
+def test_config_validation_bounds(tmp_path, capsys):
     rc, _, err = run_cli(
         capsys, "radius", "--family", "cycle", "--n", "4", "--alpha", "0", "--tol", "-1"
     )
     assert rc == EXIT_USAGE and "tol" in err
+    # a NaN tol is not positive either: it would stall the kernel (exit 3)
+    for flag, value in (("--tol", "0"), ("--tol", "nan"), ("--max-iters", "0"),
+                        ("--max-iters", "-1")):
+        rc, _, err = run_cli(
+            capsys, "radius", "--family", "cycle", "--n", "4", "--alpha", "0.5", flag, value
+        )
+        assert rc == EXIT_USAGE and flag.lstrip("-").replace("-", "_") in err, flag
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("tol = nan\n")
+    rc, _, err = run_cli(
+        capsys, "radius", "--family", "cycle", "--n", "4", "--alpha", "0.5",
+        "--config", str(cfg),
+    )
+    assert rc == EXIT_USAGE and "tol must be positive" in err
 
 
 # ---------------------------------------------------------------------------

@@ -766,16 +766,51 @@ def test_subdivision_sweep_caps_violations_per_alpha(monkeypatch):
 
 
 def test_subdivision_sweep_range_check():
-    with pytest.raises(ValueError):
-        subdivision_sweep(1)
-    with pytest.raises(ValueError):
+    # the sweep accepts what run_scan accepts, and refuses the rest with
+    # run_scan's message; a repeated alpha would be swept and counted twice
+    cases = [(1, (0.0,)), (6, (0.0,)), (7, (0.0,)), (3, (0.0, 0.0))]
+    cases += [(3, (alpha,)) for alpha in (-0.5, 1.0, 1.5)]
+    for n, alphas in cases:
+        with pytest.raises(ValueError) as scan_err:
+            run_scan(n, alphas)
+        with pytest.raises(ValueError) as sweep_err:
+            subdivision_sweep(n, alphas)
+        assert str(sweep_err.value) == str(scan_err.value)
+    with pytest.raises(ValueError, match="long runs does not lift this refusal"):
         subdivision_sweep(6)
-    for alpha in (-0.5, 1.0, 1.5):
-        with pytest.raises(ValueError):
-            subdivision_sweep(3, (alpha,))
-    # as in run_scan: a repeated alpha would be swept and counted twice
     with pytest.raises(ValueError, match="duplicate alpha values"):
         subdivision_sweep(3, (0.0, 0.0))
+
+
+@pytest.mark.parametrize(
+    "bad", [{"max_iters": 0}, {"max_iters": -1}, {"tol": 0.0}, {"tol": -1.0}, {"tol": math.nan}]
+)
+def test_scan_and_sweep_reject_kernel_input_they_cannot_certify(bad):
+    match = "max_iters must be >= 1|tol must be positive"
+    with pytest.raises(ValueError, match=match):
+        run_scan(3, (0.5,), **bad)
+    with pytest.raises(ValueError, match=match):
+        subdivision_sweep(3, (0.5,), **bad)
+
+
+def test_sweep_reads_base_radii_from_the_scan_table(monkeypatch):
+    # one kernel call per alpha over all 83 strong classes at n = 4, the
+    # cycle included, then one per alpha over the subdivided stack: one
+    # matrix per (non-cycle class, arc)
+    reps, _ = oracle._classes(4, workers=1)
+    arcs = [bin(rep).count("1") for rep in reps.tolist()]
+    pairs = sum(a for a in arcs if a > 4)  # a strong digraph with 4 arcs is the 4-cycle
+    sizes = []
+    real = oracle.batch_cw_radius
+
+    def counted(mats, tol, max_iters):
+        sizes.append(mats.shape)
+        return real(mats, tol=tol, max_iters=max_iters)
+
+    monkeypatch.setattr(oracle, "batch_cw_radius", counted)
+    out = subdivision_sweep(4, (0.0, 0.5))
+    assert sizes == [(83, 4, 4), (83, 4, 4), (pairs, 5, 5), (pairs, 5, 5)]
+    assert out["checked"] == 2 * 11808
 
 
 def test_subdivision_sweep_convergence_failure_names_its_witness(monkeypatch):

@@ -40,3 +40,14 @@ def test_scan_call_shapes_perfbench_uses():
             for ext in modes.values():
                 assert ext.codes and ext.codes[0] == min(ext.codes)
                 assert len(ext.codes) == ext.count
+
+
+def test_sweep_keys_perfbench_reads():
+    # perfbench/checks.py reads a sweep's checked count, its largest excess
+    # and its violations
+    from alphaspec import oracle
+
+    out = oracle.subdivision_sweep(3, (0.0,))
+    assert out["checked"] == 72
+    assert out["max_excess"] < 0.0
+    assert out["violations"] == []

@@ -461,6 +461,21 @@ def test_batch_iteration_cap_names_input_index(max_iters):
     assert err.value.lo < err.value.hi
 
 
+@pytest.mark.parametrize(
+    "bad", [{"max_iters": 0}, {"max_iters": -1}, {"tol": 0.0}, {"tol": -1.0}, {"tol": np.nan}]
+)
+def test_kernel_rejects_input_it_cannot_certify(bad):
+    # no iteration, or no width that is <= tol: the kernel would hand back its
+    # unfilled output buffers as certified, or stall
+    match = "max_iters must be >= 1|tol must be positive"
+    with pytest.raises(ValueError, match=match):
+        spectral_radius(cycle(4), 0.5, **bad)
+    with pytest.raises(ValueError, match=match):
+        spectral_radius_general(path(4), 0.5, **bad)
+    with pytest.raises(ValueError, match=match):
+        batch_cw_radius(_alpha_stack([cycle(4), k_nkm(4, 1, 1)], 0.5), **bad)
+
+
 def test_convergence_error_pickles_with_its_witness():
     err = ConvergenceError(1.0, 2.0, 7, index=3, witness="code 9 at alpha 0.5")
     back = pickle.loads(pickle.dumps(err))

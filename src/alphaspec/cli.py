@@ -413,6 +413,7 @@ def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
         alphas,
         tol=cfg.tol,
         workers=cfg.resolved_workers(),
+        max_iters=cfg.max_iters,
     )
     witness_paths = []
     if verdict.status == "violated":
@@ -448,6 +449,7 @@ def cmd_scan(args: argparse.Namespace, cfg: RunConfig) -> int:
         mode=args.mode,
         tol=cfg.tol,
         workers=cfg.resolved_workers(),
+        max_iters=cfg.max_iters,
     )
     if cfg.output == "json":
         payload = {
@@ -508,6 +510,7 @@ def cmd_explore(args: argparse.Namespace, cfg: RunConfig) -> int:
         alphas=alphas,
         tol=cfg.tol,
         workers=cfg.resolved_workers(),
+        max_iters=cfg.max_iters,
     )
     if cfg.output == "json":
         _emit(

@@ -2,7 +2,8 @@
 
 Loops are forbidden, antiparallel pairs (digons) are allowed.  The adjacency
 structure is kept both as a frozenset of arcs (the identity of the digraph)
-and as per-vertex neighbour bitmasks, which all combinatorial routines run on.
+and as per-vertex neighbour bitmasks, which the routines on one digraph run
+on; routines on stacks of digraphs run on (k, n, n) adjacency arrays.
 A digraph is also an integer code, one bit per off-diagonal cell, and its
 canonical code (n <= 8) is the identity of its isomorphism class.
 """
@@ -140,7 +141,7 @@ def from_arcs(n: int, arcs: Iterable[tuple[int, int]]) -> Digraph:
 
 
 # ---------------------------------------------------------------------------
-# bitmask internals (shared with the class scan, which bypasses Digraph)
+# bitmask internals of the public operations below
 
 def _bits(mask: int):
     while mask:
@@ -296,17 +297,13 @@ def _arc_connectivity(rows: Sequence[int], cols: Sequence[int], n: int) -> int:
     return best
 
 
-def _vertex_connectivity(
-    rows: Sequence[int], cols: Sequence[int], n: int, upper: int | None = None
-) -> int:
+def _vertex_connectivity(rows: Sequence[int], cols: Sequence[int], n: int) -> int:
     full = (1 << n) - 1
     if all(rows[i] == full ^ (1 << i) for i in range(n)):
         return n - 1  # complete digraph: no cut set exists, n-1 by convention
     douts = [rows[i].bit_count() for i in range(n)]
     dins = [cols[i].bit_count() for i in range(n)]
     best = min(min(douts), min(dins))
-    if upper is not None and upper < best:
-        best = upper
     pairs = [
         (u, v)
         for u in range(n)
@@ -515,7 +512,8 @@ def _relabellings(n: int, codes) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# stacks of codes: decoding, reachability, and growing classes by a vertex
+# stacks of codes: decoding, reachability, invariants by vertex subsets, and
+# growing classes by a vertex
 
 def _masks(n: int, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Out- and in-neighbour bitmasks of each code, vertex-major: two
@@ -545,6 +543,43 @@ def _reachability(adj: np.ndarray) -> np.ndarray:
     for _ in range(max(n - 2, 0).bit_length()):
         reach = np.matmul(reach, reach)
     return reach
+
+
+def _subset_invariants(adj: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Girth, clique number, vertex connectivity and arc connectivity of each
+    strongly connected digraph D of a (k, n, n) adjacency stack, n >= 2, as
+    four (k,) arrays.  One pass over the vertex subsets W, each read on the
+    whole stack, with strong connectivity from _reachability:
+
+    * girth is the least |W| >= 2 with D[W] strong: a shortest cycle's
+      vertices induce a strong subdigraph, and a strong one on s vertices
+      has a cycle of length at most s;
+    * the clique number is the largest |W| with D[W] complete, else 1;
+    * vertex connectivity is n minus the largest |W| >= 2 with D[W] not
+      strong (Menger), or n - 1 when there is none, the complete digraph;
+    * arc connectivity is the fewest arcs leaving a nonempty proper W.
+
+    The 2^n subsets suit the scan's orders; girth, clique_number,
+    vertex_connectivity and arc_connectivity serve digraphs of any order."""
+    k, n, _ = adj.shape
+    girth = np.full(k, n)  # D itself is strong
+    clique = np.ones(k, dtype=np.int64)
+    weak = np.zeros(k, dtype=np.int64)  # largest |W| >= 2 with D[W] not strong
+    arc = np.full(k, n * (n - 1))
+    for size in range(1, n):
+        for w in itertools.combinations(range(n), size):
+            rows = adj[:, w]
+            rest = [v for v in range(n) if v not in w]
+            np.minimum(arc, rows[:, :, rest].sum(axis=(1, 2), dtype=np.int64), out=arc)
+            if size == 1:
+                continue
+            sub = rows[:, :, w]
+            strong = _reachability(sub).all(axis=(1, 2))
+            np.minimum(girth, np.where(strong, size, n), out=girth)
+            clique[sub.sum(axis=(1, 2)) == size * (size - 1)] = size
+            weak[~strong] = size
+    clique[adj.sum(axis=(1, 2)) == n * (n - 1)] = n
+    return girth, clique, np.where(weak > 0, n - weak, n - 1), arc
 
 
 def _bit_rows(k: int) -> np.ndarray:

@@ -44,14 +44,11 @@ from . import families, formulas
 from .digraph import (
     Digraph,
     _adjacency,
-    _arc_connectivity,
-    _clique_number,
-    _girth,
     _grow,
     _masks,
     _reachability,
     _relabellings,
-    _vertex_connectivity,
+    _subset_invariants,
     canonical_codes,
     code_of_digraph,
     digraph_from_code,
@@ -173,9 +170,10 @@ def _scan_table(
 ) -> tuple[np.ndarray, float, int]:
     """One table row per class, in class order: its canonical code, its
     weight, invariants and radii; the widest certificate and the most
-    iterations among them.  Unrequested invariant columns stay 0."""
-    out_masks, in_masks = _masks(n, codes)
-    adj = _adjacency(n, out_masks)
+    iterations among them.  The four parameter columns are filled together
+    by one pass over vertex subsets (_subset_invariants) when any parameter
+    is requested, and stay 0 when none is."""
+    adj = _adjacency(n, _masks(n, codes)[0])
     rows = np.zeros(codes.size, dtype=_row_dtype(len(alphas)))
     rows["code"] = codes
     rows["weight"] = weights
@@ -184,24 +182,10 @@ def _scan_table(
     rows["min_out"] = min_out
     rows["max_out"] = outdeg.max(axis=1)
     rows["delta0"] = np.minimum(min_out, adj.sum(axis=1).min(axis=1))
-
-    # combinatorial parameters, one python pass per column
-    need_ac = {"arc_conn", "arc_conn_tight", "vertex_conn"} & set(parameters)
     if parameters:
-        masks = list(zip(out_masks.T.tolist(), in_masks.T.tolist()))
-    if "girth" in parameters:
-        rows["girth"] = [_girth(r, c, n) for r, c in masks]
-    if "clique" in parameters:
-        rows["clique"] = [
-            _clique_number([r[i] & c[i] for i in range(n)], n) for r, c in masks
-        ]
-    if need_ac:
-        ac = [_arc_connectivity(r, c, n) for r, c in masks]
-        rows["arc_conn"] = ac
-        if "vertex_conn" in parameters:
-            rows["vertex_conn"] = [
-                _vertex_connectivity(r, c, n, upper=k) for (r, c), k in zip(masks, ac)
-            ]
+        rows["girth"], rows["clique"], rows["vertex_conn"], rows["arc_conn"] = (
+            _subset_invariants(adj)
+        )
 
     # certified radii, batched per alpha
     width, iterations = 0.0, 0
@@ -344,6 +328,14 @@ class ScanStats:
         return self.bounds[self.alpha_index(alpha)]
 
 
+def _distinct_alphas(alphas: Sequence[float]) -> tuple[float, ...]:
+    """alphas as a tuple, once every alpha is checked and none repeats."""
+    alphas = tuple(_check_alpha(a) for a in alphas)
+    if len(set(alphas)) != len(alphas):
+        raise ValueError("duplicate alpha values")
+    return alphas
+
+
 def _scan_alphas(n: int, alphas: Sequence[float]) -> tuple[float, ...]:
     """alphas as a tuple, once n and every alpha are checked for a scan or sweep."""
     if n == ENUM_CAP + 1:
@@ -354,10 +346,7 @@ def _scan_alphas(n: int, alphas: Sequence[float]) -> tuple[float, ...]:
         )
     if not 2 <= n <= ENUM_CAP:
         raise ValueError(f"enumeration supports 2 <= n <= {ENUM_CAP}, got {n}")
-    alphas = tuple(_check_alpha(a) for a in alphas)
-    if len(set(alphas)) != len(alphas):
-        raise ValueError("duplicate alpha values")
-    return alphas
+    return _distinct_alphas(alphas)
 
 
 def run_scan(
@@ -434,6 +423,7 @@ def extremal_scan(
     scan: ScanStats | None = None,
     tol: float = DEFAULT_TOL,
     workers: int = 1,
+    max_iters: int = DEFAULT_MAX_ITERS,
 ) -> ExtremalReport:
     """Extremal radii per parameter value, with one representative per
     attaining isomorphism class, in its canonical labelling."""
@@ -441,7 +431,7 @@ def extremal_scan(
         raise ValueError(f"parameter must be one of {PUBLIC_PARAMETERS}, got {parameter!r}")
     if mode not in ("min", "max"):
         raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
-    scan = _scan_for(n, (alpha,), (parameter,), scan, tol, workers)
+    scan = _scan_for(n, (alpha,), (parameter,), scan, tol, workers, max_iters)
     entries = []
     for value in scan.group_values(parameter):
         ext = scan.group(parameter, value, alpha, mode)
@@ -481,15 +471,16 @@ _LEVEL = "level"
 class _Statement:
     """An enumeration statement.  For every alpha, every column in reads and
     every value v in values(n), the mode ("min" or "max") radius of the
-    digraphs with that value is radius(n, v, alpha, tol) within tol; every
-    digraph in stated(n, v, alpha) attains it; and every attaining digraph
-    is isomorphic to one of them or, when allowed is set, passes
+    digraphs with that value is radius(n, v, alpha, certify) within tol,
+    where certify(G, alpha) is G's certified radius; every digraph in
+    stated(n, v, alpha) attains it; and every attaining digraph is
+    isomorphic to one of them or, when allowed is set, passes
     allowed(G, v)."""
 
     reads: tuple[str, ...]
     mode: str
     values: Callable[[int], range]
-    radius: Callable[[int, int, float, float], float]
+    radius: Callable[[int, int, float, Callable[[Digraph, float], float]], float]
     stated: Callable[[int, int, float], list[Digraph]]
     allowed: Callable[[Digraph, int], bool] | None = None
     tol: float = ATTAIN_TOL
@@ -500,7 +491,7 @@ def _cut_statement(read: str) -> _Statement:
     K(n, k, n-k-1) and, at alpha = 0 only, also by K(n, k, 1)."""
     return _Statement(
         reads=(read,), mode="max", values=lambda n: range(1, n - 1),
-        radius=lambda n, k, alpha, tol: formulas.max_vertex_conn_radius(n, k, alpha),
+        radius=lambda n, k, alpha, certify: formulas.max_vertex_conn_radius(n, k, alpha),
         stated=lambda n, k, alpha: [
             families.k_nkm(n, k, m) for m in ((1, n - k - 1) if alpha == 0.0 else (n - k - 1,))
         ],
@@ -510,19 +501,19 @@ def _cut_statement(read: str) -> _Statement:
 _STATEMENTS = {
     "T3.1": _Statement(
         reads=("girth",), mode="min", values=lambda n: range(2, n),
-        radius=lambda n, g, alpha, tol: spectral_radius(families.c_ng(n, g), alpha, tol=tol).radius,
+        radius=lambda n, g, alpha, certify: certify(families.c_ng(n, g), alpha),
         stated=lambda n, g, alpha: [families.c_ng(n, g)],
     ),
     "T4.1": _Statement(
         reads=("clique",), mode="min", values=lambda n: range(2, n),
-        radius=lambda n, d, alpha, tol: spectral_radius(families.b_nd(n, d), alpha, tol=tol).radius,
+        radius=lambda n, d, alpha, certify: certify(families.b_nd(n, d), alpha),
         stated=lambda n, d, alpha: [families.b_nd(n, d)],
     ),
     "T5.3": _cut_statement("vertex_conn"),
     # the second maximiser, K_n minus one arc, is strongly connected from n = 3 on
     "R5.1": _Statement(
         reads=(_LEVEL,), mode="max", values=lambda n: range(1, 3) if n >= 3 else range(0),
-        radius=lambda n, level, alpha, tol: (
+        radius=lambda n, level, alpha, certify: (
             n - 1.0 if level == 1 else formulas.second_max_radius(n, alpha)
         ),
         stated=lambda n, level, alpha: [
@@ -533,7 +524,7 @@ _STATEMENTS = {
     "T6.4": _cut_statement("arc_conn"),
     "T6.5": _Statement(
         reads=("vertex_conn", "arc_conn"), mode="min", values=lambda n: range(1, n - 1),
-        radius=lambda n, k, alpha, tol: float(k),
+        radius=lambda n, k, alpha, certify: float(k),
         stated=lambda n, k, alpha: [families.circulant(n, range(1, k + 1))],
         allowed=lambda G, k: all(G.out_degree(v) == k == G.in_degree(v) for v in range(G.n)),
         tol=1e-9,
@@ -588,6 +579,7 @@ def _scan_for(
     scan: ScanStats | None,
     tol: float,
     workers: int,
+    max_iters: int,
 ) -> ScanStats:
     if scan is not None:
         if scan.n != n:
@@ -598,15 +590,16 @@ def _scan_for(
         if missing:
             raise ValueError(f"scan lacks parameters {sorted(missing)}")
         return scan
-    return run_scan(n, alphas, needed, tol=tol, workers=workers)
+    return run_scan(n, alphas, needed, tol=tol, max_iters=max_iters, workers=workers)
 
 
 def _verify_primed(
-    theorem: str, n: int, alphas: tuple[float, ...], tol: float
+    theorem: str, n: int, alphas: Sequence[float], tol: float, max_iters: int
 ) -> VerificationVerdict:
     """L3.1/L4.1: the primed family member has the strictly larger radius."""
     if not 3 <= n <= 12:
         raise ValueError(f"{theorem} supports 3 <= n <= 12, got {n}")
+    alphas = _distinct_alphas(alphas)
     family = families.c_ng if theorem == "L3.1" else families.b_nd
     # Strictness is decided on certified enclosures: the inequality holds
     # when the primed interval lies entirely above the unprimed one.  The
@@ -619,8 +612,10 @@ def _verify_primed(
         min_sep = None
         arg = None
         for p in range(2, n):
-            base = spectral_radius(family(n, p), alpha, tol=strict_tol)
-            primed = spectral_radius(family(n, p, primed=True), alpha, tol=strict_tol)
+            base = spectral_radius(family(n, p), alpha, tol=strict_tol, max_iters=max_iters)
+            primed = spectral_radius(
+                family(n, p, primed=True), alpha, tol=strict_tol, max_iters=max_iters
+            )
             sep = primed.certificate_lo - base.certificate_hi
             if min_sep is None or sep < min_sep:
                 min_sep, arg = sep, p
@@ -648,6 +643,7 @@ def verify_theorem(
     scan: ScanStats | None = None,
     tol: float = DEFAULT_TOL,
     workers: int = 1,
+    max_iters: int = DEFAULT_MAX_ITERS,
 ) -> VerificationVerdict:
     """Check one extremal statement exhaustively (or by formula for L-ids).
 
@@ -656,12 +652,16 @@ def verify_theorem(
     """
     alphas = tuple(float(a) for a in alphas)
     if theorem in FORMULA_THEOREMS:
-        return _verify_primed(theorem, n, alphas, tol)
+        return _verify_primed(theorem, n, alphas, tol, max_iters)
     if theorem not in _STATEMENTS:
         raise ValueError(f"unknown theorem id {theorem!r}; expected one of {THEOREM_IDS}")
     st = _STATEMENTS[theorem]
     needed = tuple(read for read in st.reads if read != _LEVEL)
-    stats = _scan_for(n, alphas, needed, scan, tol, workers)
+    stats = _scan_for(n, alphas, needed, scan, tol, workers, max_iters)
+
+    def certify(G: Digraph, alpha: float) -> float:
+        return spectral_radius(G, alpha, tol=tol, max_iters=max_iters).radius
+
     points = [(a, read, v) for a in alphas for read in st.reads for v in st.values(n)]
     details: list[str] = []
     witnesses: list[Digraph] = []
@@ -669,7 +669,7 @@ def verify_theorem(
     for alpha, read, v in points:
         where = f"alpha={alpha}, {read}={v}"
         ext = _extreme_at(stats, read, v, alpha, st.mode)
-        want = None if ext is None else st.radius(n, v, alpha, tol)
+        want = None if ext is None else st.radius(n, v, alpha, certify)
         if want is not None and abs(ext.value - want) > st.tol:
             # an extreme beyond the stated radius is a counterexample
             beyond = ext.value < want if st.mode == "min" else ext.value > want
@@ -715,6 +715,7 @@ def explore_problem_4_1(
     scan: ScanStats | None = None,
     tol: float = DEFAULT_TOL,
     workers: int = 1,
+    max_iters: int = DEFAULT_MAX_ITERS,
 ) -> Problem41Report:
     """Gap table: block-construction radius vs. scanned maximum per clique number.
 
@@ -723,7 +724,7 @@ def explore_problem_4_1(
     alphas = tuple(float(a) for a in alphas)
     if d is not None and not 1 <= d <= n - 1:
         raise ValueError(f"need 1 <= d <= n-1, got d={d} at n={n}")
-    stats = _scan_for(n, alphas, ("clique",), scan, tol, workers)
+    stats = _scan_for(n, alphas, ("clique",), scan, tol, workers, max_iters)
     rows = []
     for d_val in ([d] if d is not None else range(1, n)):
         for alpha in alphas:
@@ -731,7 +732,7 @@ def explore_problem_4_1(
             # a strong g0 is its own one block, so this is its certified radius
             row = {
                 "n": n, "d": d_val, "alpha": alpha,
-                "g0_radius": spectral_radius_general(cand, alpha, tol=tol),
+                "g0_radius": spectral_radius_general(cand, alpha, tol=tol, max_iters=max_iters),
                 "scan_max": None, "gap": None, "classes_match": None, "status": "empty",
             }
             ext = stats.group("clique", d_val, alpha, "max")

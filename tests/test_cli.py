@@ -392,6 +392,28 @@ def test_scan_gate_without_long_runs(capsys):
     assert rc == EXIT_USAGE and "long runs" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("scan", "--n", "4", "--alpha", "0.5", "--parameter", "girth"),
+        ("verify", "T3.1", "--n", "4"),
+        ("verify", "L3.1", "--n", "3", "--alpha", "0.5"),
+        ("explore", "--n", "4"),
+    ],
+)
+def test_scan_verify_explore_honour_max_iters(capsys, argv):
+    # one iteration certifies nothing, so the run must stop, not report
+    rc, out, err = run_cli(capsys, *argv, "--max-iters", "1")
+    assert rc == EXIT_PRECONDITION and out == ""
+    assert "certification not reached" in err
+
+
+def test_verify_primed_refuses_repeated_alphas(capsys):
+    rc, out, err = run_cli(capsys, "verify", "L3.1", "--n", "3", "--alpha", "0.5,0.5")
+    assert rc == EXIT_USAGE and out == ""
+    assert "duplicate alpha values" in err
+
+
 def test_explore_csv(capsys):
     rc, out, _ = run_cli(
         capsys, "explore", "--n", "3", "--alpha", "0,0.5", "--output", "csv"

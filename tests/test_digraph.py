@@ -16,6 +16,7 @@ from alphaspec import (
     NotStronglyConnected,
     arc_connectivity,
     b_nd,
+    c_ng,
     clique_number,
     complete,
     cycle,
@@ -34,7 +35,12 @@ from alphaspec import (
     union,
     vertex_connectivity,
 )
-from alphaspec.digraph import canonical_codes, code_of_digraph, digraph_from_code
+from alphaspec.digraph import (
+    _subset_invariants,
+    canonical_codes,
+    code_of_digraph,
+    digraph_from_code,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +298,51 @@ def test_connectivity_on_families():
     assert arc_connectivity(cycle(6)) == 1
     assert vertex_connectivity(k_nkm(7, 3, 2)) == 3
     assert arc_connectivity(k_nkm(7, 3, 3)) == 3
+
+
+def subset_invariants(graphs):
+    """[girth, clique, kappa, lambda] per digraph of one order, from the
+    batched pass over vertex subsets."""
+    adj = np.array([g.adjacency_matrix() for g in graphs], dtype=np.uint8)
+    return np.column_stack(_subset_invariants(adj)).tolist()
+
+
+def test_subset_invariants_on_cycles_and_complete_digraphs():
+    # the directed cycle: girth n, no digon beyond n = 2, one vertex or arc
+    # cuts it; the complete digraph: kappa = lambda = n - 1, the convention
+    for n in range(2, 8):
+        cases = [(cycle(n), [n, 2 if n == 2 else 1, 1, 1]), (complete(n), [2, n, n - 1, n - 1])]
+        assert subset_invariants([g for g, _ in cases]) == [want for _, want in cases], n
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_subset_invariants_match_the_public_functions_seeded(n):
+    # past the scan's orders: random strong digraphs, dense and oriented
+    # (girth >= 3), and the families that attain each girth, clique number
+    # and vertex cut, against BFS, Bron-Kerbosch and unit max-flow
+    rng = np.random.default_rng(1400 + n)
+    mats = []
+    for p in (0.3, 0.5, 0.8):
+        mats += [rng.random((n, n)) < p for _ in range(100)]
+    for q in (0.5, 0.8, 1.0):
+        for _ in range(100):
+            pairs = np.triu(rng.random((n, n)) < q, 1)
+            flip = np.triu(rng.random((n, n)) < 0.5, 1)
+            mats.append((pairs & ~flip) | (pairs & flip).T)
+    graphs = [
+        from_arcs(n, [tuple(a) for a in np.argwhere(m).tolist() if a[0] != a[1]])
+        for m in mats
+    ]
+    graphs += [c_ng(n, g) for g in range(2, n)] + [b_nd(n, d) for d in range(2, n)]
+    graphs += [k_nkm(n, k, m) for k in range(1, n - 1) for m in range(1, n - k)]
+    graphs = [g for g in graphs if is_strongly_connected(g)]
+    want = [
+        [girth(g), clique_number(g), vertex_connectivity(g), arc_connectivity(g)]
+        for g in graphs
+    ]
+    assert subset_invariants(graphs) == want
+    assert {row[0] for row in want} == set(range(2, n))
+    assert {row[2] for row in want} >= set(range(1, n - 1))
 
 
 # ---------------------------------------------------------------------------

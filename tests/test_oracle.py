@@ -45,7 +45,7 @@ from alphaspec.oracle import (
 )
 from alphaspec import oracle
 from alphaspec.digraph import _relabellings, canonical_codes
-from alphaspec.spectral import DEFAULT_TOL, ConvergenceError
+from alphaspec.spectral import DEFAULT_MAX_ITERS, DEFAULT_TOL, ConvergenceError
 
 
 # ---------------------------------------------------------------------------
@@ -527,6 +527,15 @@ def test_formula_theorem_bounds():
     assert verdict.status == "confirmed"
 
 
+def test_formula_theorem_refuses_repeated_alphas():
+    # as the enumeration statements do, through run_scan
+    for theorem in FORMULA_THEOREMS:
+        with pytest.raises(ValueError, match="duplicate alpha values"):
+            verify_theorem(theorem, 3, alphas=(0.5, 0.5))
+    with pytest.raises(ValueError, match="duplicate alpha values"):
+        verify_theorem("T3.1", 3, alphas=(0.5, 0.5))
+
+
 def test_formula_theorem_certifies_tiny_gaps():
     # At n=12 the clique-family primed gaps bottom out near 1.1e-10, far below
     # the default certificate width.  The verdict must still resolve them:
@@ -700,6 +709,22 @@ def test_scan_runs_the_kernel_once_per_class(monkeypatch):
     assert sizes == [83, 83]
     assert stats.strong_count == 1606
     assert stats.bound_report(0.5)["checked"] == 1606
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_scan_invariant_columns_match_the_public_functions(n):
+    # the table's four columns come from one pass over vertex subsets; the
+    # public functions (BFS, Bron-Kerbosch, unit max-flow) are the reference
+    reps, weights = oracle._classes(n, workers=1)
+    table, _, _ = oracle._scan_table(
+        n, reps, weights, (), PUBLIC_PARAMETERS, DEFAULT_TOL, DEFAULT_MAX_ITERS
+    )
+    want = []
+    for code in reps.tolist():
+        g = digraph_from_code(n, code)
+        want.append((girth(g), clique_number(g), vertex_connectivity(g), arc_connectivity(g)))
+    got = list(zip(*(table[p].tolist() for p in PUBLIC_PARAMETERS)))
+    assert got == want
 
 
 # ---------------------------------------------------------------------------

@@ -515,21 +515,14 @@ def _relabellings(n: int, codes) -> np.ndarray:
 # stacks of codes: decoding, reachability, invariants by vertex subsets, and
 # growing classes by a vertex
 
-def _masks(n: int, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Out- and in-neighbour bitmasks of each code, vertex-major: two
-    (n, codes) int64 arrays."""
-    out_masks = np.zeros((n, codes.size), dtype=np.int64)
-    in_masks = np.zeros((n, codes.size), dtype=np.int64)
-    for p, (i, j) in enumerate(_cells(n)):
-        bit = (codes >> p) & 1
-        out_masks[i] |= bit << j
-        in_masks[j] |= bit << i
-    return out_masks, in_masks
-
-
-def _adjacency(n: int, out_masks: np.ndarray) -> np.ndarray:
-    """(codes, n, n) uint8 adjacency stack of vertex-major out-neighbour masks."""
-    return ((out_masks.T[:, :, None] >> np.arange(n)) & 1).astype(np.uint8)
+def _decode(n: int, codes) -> np.ndarray:
+    """(codes, n, n) uint8 adjacency stack of a 1-d array of codes: bit p of
+    a code is entry _cells(n)[p]."""
+    codes = np.asarray(codes, dtype=np.int64)
+    ci, cj = np.array(_cells(n), dtype=np.int64).reshape(-1, 2).T
+    adj = np.zeros((codes.size, n, n), dtype=np.uint8)
+    adj[:, ci, cj] = (codes[:, None] >> np.arange(ci.size)) & 1
+    return adj
 
 
 def _reachability(adj: np.ndarray) -> np.ndarray:
@@ -599,7 +592,7 @@ def _grow(m: int, classes: np.ndarray, sets: np.ndarray | None = None) -> np.nda
     and adding it back is a kept candidate."""
     if sets is None:
         sets = _bit_rows(2 * m - 2)
-    old = _adjacency(m - 1, _masks(m - 1, classes)[0])
+    old = _decode(m - 1, classes)
     adj = np.zeros((classes.size, len(sets), m, m), dtype=np.uint8)
     adj[:, :, :-1, :-1] = old[:, None]
     adj[:, :, -1, :-1] = sets[:, : m - 1]

@@ -23,10 +23,9 @@ import numpy as np
 from .digraph import (
     CANON_CAP,
     Digraph,
-    _adjacency,
     _bit_rows,
+    _decode,
     _grow,
-    _masks,
     digraph_from_code,
     from_arcs,
 )
@@ -197,7 +196,7 @@ def _extremal_tournament(n: int, alpha: float, long_runs_enabled: bool) -> Digra
             "classes, which takes several seconds; enable long runs to allow it"
         )
     classes = _tournament_classes(n)
-    adj = _adjacency(n, _masks(n, classes)[0])
+    adj = _decode(n, classes)
     lo, hi = _component_enclosures(adj, alpha, DEFAULT_TOL, DEFAULT_MAX_ITERS)
     return digraph_from_code(n, int(classes[np.argmax(hi >= lo.max())]))
 

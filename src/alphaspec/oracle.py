@@ -9,7 +9,7 @@ codes), girth, clique number, vertex and arc connectivity, minimum degree and
 out-degree range, and certified radius per alpha.  Isomorphic digraphs share
 all of these, so they are computed once per class.  All statistics are numpy
 queries on that table, counted by weight; the labelled codes they list are
-expanded from the orbits of their classes:
+the orbits of their classes:
 
 * for each parameter value (girth, clique number, vertex or arc connectivity)
   the minimum and maximum radius per alpha, the classes within 1e-8 of the
@@ -28,14 +28,15 @@ attain it and those that may.  verify_theorem checks every entry the same way;
 L3.1/L4.1 compare certified enclosures of two family members instead.
 
 An attaining set is a set of isomorphism classes, and _extreme alone decides
-which classes attain: a GroupExtreme lists their canonical codes and their
-labelled codes.  extremal_scan's representatives, the statements' verdicts
-and explore_problem_4_1's class match all read those canonical codes.
+which classes attain: a GroupExtreme lists their canonical codes; its labelled
+codes are their orbits, expanded when read.  extremal_scan's representatives,
+the statements' verdicts and explore_problem_4_1's class match read the classes.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -43,9 +44,8 @@ import numpy as np
 from . import families, formulas
 from .digraph import (
     Digraph,
-    _adjacency,
+    _decode,
     _grow,
-    _masks,
     _reachability,
     _relabellings,
     _subset_invariants,
@@ -115,7 +115,7 @@ def _classes(n: int, workers: int) -> tuple[np.ndarray, np.ndarray]:
         with mp.Pool(processes=workers) as pool:
             blocks = pool.starmap(_grow, [(n, b) for b in np.array_split(classes, workers)])
         classes = np.unique(np.concatenate(blocks))
-    reps = classes[_reachability(_adjacency(n, _masks(n, classes)[0])).all(axis=(1, 2))]
+    reps = classes[_reachability(_decode(n, classes)).all(axis=(1, 2))]
     automorphisms = (_relabellings(n, reps) == reps[:, None]).sum(axis=1)
     return reps, math.factorial(n) // automorphisms
 
@@ -125,11 +125,18 @@ def _classes(n: int, workers: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class GroupExtreme:
+    n: int
     value: float
-    codes: tuple[int, ...]  # the labelled codes of the attaining classes, ascending
     classes: tuple[int, ...]  # the canonical codes of the attaining classes, ascending
     count: int
     runner_up: float | None
+
+    # cached in __dict__ on first read; equality and hashing read the fields only
+    @cached_property
+    def codes(self) -> tuple[int, ...]:
+        """The labelled codes of the attaining classes, ascending: the union
+        of their orbits, expanded when first read."""
+        return tuple(np.unique(_relabellings(self.n, self.classes)).tolist())
 
     @property
     def gap(self) -> float | None:
@@ -173,7 +180,7 @@ def _scan_table(
     iterations among them.  The four parameter columns are filled together
     by one pass over vertex subsets (_subset_invariants) when any parameter
     is requested, and stay 0 when none is."""
-    adj = _adjacency(n, _masks(n, codes)[0])
+    adj = _decode(n, codes)
     rows = np.zeros(codes.size, dtype=_row_dtype(len(alphas)))
     rows["code"] = codes
     rows["weight"] = weights
@@ -203,8 +210,8 @@ def _extreme(
     n: int, vals: np.ndarray, sel: np.ndarray, table: np.ndarray, mode: str
 ) -> GroupExtreme:
     """Best value over the selected table rows, the classes within
-    ATTAIN_TOL of it (by canonical code and by orbit), and the best value
-    outside that band.  Max mode is min mode on negated values."""
+    ATTAIN_TOL of it, and the best value outside that band.  Max mode is min
+    mode on negated values."""
     sign = 1.0 if mode == "min" else -1.0
     signed = np.where(sel, sign * vals, np.inf)
     best = signed.min()
@@ -212,8 +219,8 @@ def _extreme(
     outside = signed[sel & ~inside]
     attaining = table[inside]
     return GroupExtreme(
+        n=n,
         value=sign * float(best),
-        codes=tuple(np.unique(_relabellings(n, attaining["code"])).tolist()),
         classes=tuple(attaining["code"].tolist()),
         count=int(attaining["weight"].sum()),
         runner_up=sign * float(outside.min()) if outside.size else None,
@@ -308,9 +315,8 @@ class ScanStats:
     max_iterations: int
 
     def alpha_index(self, alpha: float) -> int:
-        for i, a in enumerate(self.alphas):
-            if abs(a - alpha) <= 1e-15:
-                return i
+        if alpha in self.alphas:  # exact, as _distinct_alphas compares them
+            return self.alphas.index(alpha)
         raise KeyError(f"alpha {alpha} was not part of this scan (have {self.alphas})")
 
     def group(self, parameter: str, value: int, alpha: float, mode: str) -> GroupExtreme | None:
@@ -581,6 +587,7 @@ def _scan_for(
     workers: int,
     max_iters: int,
 ) -> ScanStats:
+    alphas = _distinct_alphas(alphas)
     if scan is not None:
         if scan.n != n:
             raise ValueError(f"scan was built for n={scan.n}, need n={n}")
@@ -768,7 +775,7 @@ def subdivision_sweep(
     table = table[table["max_out"] > 1]
     codes, weights, base = table["code"], table["weight"], table["radius"]
     # one subdivided matrix per (representative, arc)
-    adj = _adjacency(n, _masks(n, codes)[0])
+    adj = _decode(n, codes)
     srcrow, uarr, varr = np.nonzero(adj)
     pairs = np.arange(srcrow.size)
     big = np.zeros((srcrow.size, n + 1, n + 1), dtype=np.uint8)

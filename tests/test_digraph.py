@@ -36,6 +36,7 @@ from alphaspec import (
     vertex_connectivity,
 )
 from alphaspec.digraph import (
+    _decode,
     _subset_invariants,
     canonical_codes,
     code_of_digraph,
@@ -397,6 +398,26 @@ def test_canonical_code_class_counts():
         codes = range(1 << (n * (n - 1)))
         strong = [c for c in codes if is_strongly_connected(digraph_from_code(n, c))]
         assert np.unique(canonical_codes(n, strong)).size == classes
+
+
+def test_decode_matches_the_adjacency_matrix_of_each_code():
+    # every code at n = 1..3, and seeded codes up to CANON_CAP
+    rng = np.random.default_rng(1600)
+    for n in range(1, 9):
+        bits = n * (n - 1)
+        if n <= 3:
+            codes = np.arange(1 << bits)
+        else:
+            codes = rng.integers(0, 1 << bits, size=200, dtype=np.int64)
+        adj = _decode(n, codes)
+        assert adj.shape == (codes.size, n, n) and adj.dtype == np.uint8
+        for a, code in zip(adj, codes.tolist()):
+            assert np.array_equal(a, digraph_from_code(n, code).adjacency_matrix())
+
+
+def test_decode_of_no_codes_is_an_empty_stack():
+    for n in (1, 3, 8):
+        assert _decode(n, np.zeros(0, dtype=np.int64)).shape == (0, n, n)
 
 
 def test_canonical_code_order_cap():

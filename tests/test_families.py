@@ -34,8 +34,7 @@ from alphaspec import (
 )
 from alphaspec import families
 from alphaspec.digraph import (
-    _adjacency,
-    _masks,
+    _decode,
     canonical_codes,
     code_of_digraph,
     digraph_from_code,
@@ -252,7 +251,7 @@ def _class_enclosures(n: int, alpha: float):
     """The classes of tournaments on n vertices and the certified enclosures
     of their radii, as the search computes them."""
     classes = families._tournament_classes(n)
-    adj = _adjacency(n, _masks(n, classes)[0])
+    adj = _decode(n, classes)
     return classes, *_component_enclosures(adj, alpha, DEFAULT_TOL, DEFAULT_MAX_ITERS)
 
 

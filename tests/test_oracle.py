@@ -248,6 +248,20 @@ def test_scan_accessors(stats3):
     assert stats3.group_values("girth") == [2, 3]
 
 
+def test_alpha_lookup_is_exact():
+    # 0.1 + 0.2 and 0.3 are two distinct alphas to run_scan, so each reads
+    # its own column
+    near = 0.1 + 0.2
+    stats = run_scan(3, (0.3, near))
+    assert stats.alpha_index(0.3) == 0 and stats.alpha_index(near) == 1
+    for alpha, ai in ((0.3, 0), (near, 1)):
+        assert stats.group("girth", 2, alpha, "min") is stats.groups[("girth", 2)][ai]["min"]
+        assert stats.top_buckets(alpha) is stats.top[ai]
+        assert stats.bound_report(alpha) is stats.bounds[ai]
+    with pytest.raises(KeyError, match=r"alpha 0.30000000000000004 was not part of this scan"):
+        run_scan(3, (0.3,)).alpha_index(near)
+
+
 def test_scan_validation():
     with pytest.raises(ValueError):
         run_scan(3, (0.0, 0.0))
@@ -468,6 +482,26 @@ def test_extremal_scan_classes_match_brute_force(scan4):
                 assert e.class_count == len(firsts)
 
 
+def test_extreme_codes_follow_its_classes(scan4):
+    # the labelled codes are the orbits of whatever classes an extreme holds,
+    # expanded when first read; reading them changes neither equality nor hash
+    perms = list(itertools.permutations(range(4)))
+
+    def orbit(code):
+        return {code_of_digraph(digraph_from_code(4, code).relabel(p)) for p in perms}
+
+    ext = scan4.group("girth", 3, 0.5, "min")
+    # the classes of c_ng(4, 2) and of K4 minus an arc, by canonical code
+    moved = dataclasses.replace(ext, classes=(678, 2047))
+    assert moved.codes == tuple(sorted(orbit(678) | orbit(2047)))
+    assert dataclasses.replace(ext, classes=()).codes == ()
+    unread, read = dataclasses.replace(ext), dataclasses.replace(ext)
+    assert read.codes == ext.codes
+    assert "codes" in vars(read) and "codes" not in vars(unread)
+    assert unread == read and hash(unread) == hash(read)
+    assert moved != ext
+
+
 def test_extremal_scan_validation(scan4):
     with pytest.raises(ValueError):
         extremal_scan(4, 0.0, "arc_conn_tight", scan=scan4)
@@ -556,6 +590,12 @@ def test_verify_scan_compatibility_checks(stats3, scan4):
         verify_theorem("T5.3", 3, alphas=(0.0,), scan=girth_only)
 
 
+def test_verify_with_a_scan_refuses_repeated_alphas(stats3):
+    # as without a scan, where run_scan refuses them
+    with pytest.raises(ValueError, match="duplicate alpha values"):
+        verify_theorem("T3.1", 3, (0.5, 0.5), scan=stats3)
+
+
 def test_t65_witness_detail(scan5):
     verdict = verify_theorem("T6.5", 5, alphas=(0.0, 0.5), scan=scan5)
     assert verdict.status == "confirmed"
@@ -581,14 +621,12 @@ def _tampered(scan, read, value, alpha, mode, change):
 
 
 def _add_attainer(G, canonical):
-    """Add G's labelled code and its class, named by its canonical code, to
-    an extreme."""
+    """Add G's class, named by its canonical code, to an extreme; its
+    labelled codes follow from the classes."""
     perms = itertools.permutations(range(G.n))
     assert canonical == min(code_of_digraph(G.relabel(p)) for p in perms)
     return lambda ext: dataclasses.replace(
-        ext,
-        codes=tuple(sorted(ext.codes + (code_of_digraph(G),))),
-        classes=tuple(sorted(ext.classes + (canonical,))),
+        ext, classes=tuple(sorted(ext.classes + (canonical,)))
     )
 
 
@@ -623,7 +661,7 @@ def _add_attainer(G, canonical):
         # witness is the stated digraph, as stated
         (
             "T3.1", ("girth", 3, 0.5, "min"),
-            lambda ext: dataclasses.replace(ext, codes=(), classes=(), count=0),
+            lambda ext: dataclasses.replace(ext, classes=(), count=0),
             lambda ext: c_ng(4, 3),
         ),
     ],
@@ -885,6 +923,13 @@ def test_explore_alpha_zero_agrees(scan4):
     report = explore_problem_4_1(4, alphas=(0.0,), scan=scan4)
     for row in report.rows:
         assert row["status"] == "agrees", row
+
+
+def test_explore_with_a_scan_refuses_repeated_alphas(stats3):
+    # without the check each repeated alpha would add its rows twice
+    with pytest.raises(ValueError, match="duplicate alpha values"):
+        explore_problem_4_1(3, alphas=(0.5, 0.5), scan=stats3)
+    assert len(explore_problem_4_1(3, alphas=(0.5,), scan=stats3).rows) == 2
 
 
 def test_explore_single_d(scan4):

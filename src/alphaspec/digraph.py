@@ -515,10 +515,9 @@ def _relabellings(n: int, codes) -> np.ndarray:
 # stacks of codes: decoding, reachability, invariants by vertex subsets, and
 # growing classes by a vertex
 
-def _decode(n: int, codes) -> np.ndarray:
+def _decode(n: int, codes: np.ndarray) -> np.ndarray:
     """(codes, n, n) uint8 adjacency stack of a 1-d array of codes: bit p of
     a code is entry _cells(n)[p]."""
-    codes = np.asarray(codes, dtype=np.int64)
     ci, cj = np.array(_cells(n), dtype=np.int64).reshape(-1, 2).T
     adj = np.zeros((codes.size, n, n), dtype=np.uint8)
     adj[:, ci, cj] = (codes[:, None] >> np.arange(ci.size)) & 1

@@ -101,9 +101,8 @@ def outputs() -> dict:
 
 
 def encode(value):
-    """value as it reads back from JSON: tuples become lists, numpy scalars
-    Python numbers."""
-    return json.loads(json.dumps(value, default=lambda x: x.item()))
+    """value as it reads back from JSON: tuples become lists."""
+    return json.loads(json.dumps(value))
 
 
 def main() -> None:

@@ -401,7 +401,7 @@ def test_canonical_code_class_counts():
 
 
 def test_decode_matches_the_adjacency_matrix_of_each_code():
-    # every code at n = 1..3, and seeded codes up to CANON_CAP
+    # every code at n = 1..3, seeded codes up to CANON_CAP, and no codes
     rng = np.random.default_rng(1600)
     for n in range(1, 9):
         bits = n * (n - 1)
@@ -413,10 +413,6 @@ def test_decode_matches_the_adjacency_matrix_of_each_code():
         assert adj.shape == (codes.size, n, n) and adj.dtype == np.uint8
         for a, code in zip(adj, codes.tolist()):
             assert np.array_equal(a, digraph_from_code(n, code).adjacency_matrix())
-
-
-def test_decode_of_no_codes_is_an_empty_stack():
-    for n in (1, 3, 8):
         assert _decode(n, np.zeros(0, dtype=np.int64)).shape == (0, n, n)
 
 

@@ -588,9 +588,6 @@ def test_verify_scan_compatibility_checks(stats3, scan4):
     girth_only = run_scan(3, (0.0,), parameters=("girth",))
     with pytest.raises(ValueError):
         verify_theorem("T5.3", 3, alphas=(0.0,), scan=girth_only)
-
-
-def test_verify_with_a_scan_refuses_repeated_alphas(stats3):
     # as without a scan, where run_scan refuses them
     with pytest.raises(ValueError, match="duplicate alpha values"):
         verify_theorem("T3.1", 3, (0.5, 0.5), scan=stats3)

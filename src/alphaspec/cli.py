@@ -38,6 +38,7 @@ EXIT_PRECONDITION = 3
 EXIT_VIOLATION = 4
 
 OUTPUT_FORMATS = ("text", "json", "csv")
+VERIFY_OUTPUTS = ("text", "json")
 
 
 # ---------------------------------------------------------------------------
@@ -48,23 +49,31 @@ class RunConfig:
     tol: float = DEFAULT_TOL
     max_iters: int = DEFAULT_MAX_ITERS
     workers: int = 0  # 0 means: use available parallelism
-    long_runs_enabled: bool = False
     output: str = "text"
 
     def resolved_workers(self) -> int:
-        return self.workers if self.workers >= 1 else (os.cpu_count() or 1)
+        return self.workers or os.cpu_count() or 1
 
 
-_CONFIG_KEYS = ("tol", "max_iters", "workers", "long_runs_enabled", "output")
+# setting -> (flag, value parser, validity test, what the test asks, help).
+# A subcommand registers the flags of the settings it reads; a config file may
+# set any setting, and every value it sets is checked, read or not.
+_SETTINGS = {
+    "tol": ("--tol", float, lambda v: v > 0, "positive",
+            "certificate width target (default 1e-10)"),
+    "max_iters": ("--max-iters", int, lambda v: v >= 1, ">= 1", "certificate iteration cap"),
+    "workers": ("--workers", int, lambda v: v >= 0, ">= 0",
+                "scan worker processes (default 0: every core)"),
+    "output": ("--output", str, OUTPUT_FORMATS.__contains__, f"one of {OUTPUT_FORMATS}",
+               "report format"),
+}
 
 
-def _parse_bool(text: str) -> bool:
-    low = text.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
+def _checked(key: str, value):
+    _flag, _parse, valid, rule, _help = _SETTINGS[key]
+    if not valid(value):
+        raise ValueError(f"{key} must be {rule}, got {value}")
+    return value
 
 
 def _read_config_file(path: str) -> dict:
@@ -78,47 +87,26 @@ def _read_config_file(path: str) -> dict:
             if not sep:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key = key.strip()
-            value = value.strip()
-            if key not in _CONFIG_KEYS:
+            if key not in _SETTINGS:
                 raise ValueError(
-                    f"{path}:{lineno}: unknown key {key!r}; expected one of {_CONFIG_KEYS}"
+                    f"{path}:{lineno}: unknown key {key!r}; expected one of {tuple(_SETTINGS)}"
                 )
-            if key == "tol":
-                values[key] = float(value)
-            elif key in ("max_iters", "workers"):
-                values[key] = int(value)
-            elif key == "long_runs_enabled":
-                values[key] = _parse_bool(value)
-            else:
-                if value not in OUTPUT_FORMATS:
-                    raise ValueError(
-                        f"{path}:{lineno}: output must be one of {OUTPUT_FORMATS}"
-                    )
-                values[key] = value
+            _flag, parse, *_ = _SETTINGS[key]
+            try:
+                values[key] = _checked(key, parse(value.strip()))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return values
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
-    """Defaults, then the config file, then explicit flags."""
-    cfg = RunConfig()
-    if getattr(args, "config", None):
-        for key, value in _read_config_file(args.config).items():
-            setattr(cfg, key, value)
-    if getattr(args, "tol", None) is not None:
-        cfg.tol = args.tol
-    if getattr(args, "max_iters", None) is not None:
-        cfg.max_iters = args.max_iters
-    if getattr(args, "workers", None) is not None:
-        cfg.workers = args.workers
-    if getattr(args, "long_runs", False):
-        cfg.long_runs_enabled = True
-    if getattr(args, "output", None) is not None:
-        cfg.output = args.output
-    if not cfg.tol > 0:
-        raise ValueError(f"tol must be positive, got {cfg.tol}")
-    if cfg.max_iters < 1:
-        raise ValueError(f"max_iters must be >= 1, got {cfg.max_iters}")
-    return cfg
+    """Defaults, then the config file, then the flags the subcommand registers."""
+    values = _read_config_file(args.config) if getattr(args, "config", None) else {}
+    for key in _SETTINGS:
+        value = getattr(args, key, None)
+        if value is not None:
+            values[key] = _checked(key, value)
+    return RunConfig(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -206,16 +194,14 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 _FAMILY_ALIASES = {"knkm": "k_nkm", "cng": "c_ng", "bnd": "b_nd"}
 
 # family -> the parameters of its generator.  Each is filled from the flag of
-# the same name, except alpha and long_runs_enabled, which come from the run;
-# a parameter without a default makes its flag required.
+# the same name, except alpha, which comes from the subcommand's construction
+# alpha; a parameter without a default makes its flag required.
 _FAMILY_FLAGS = {
     name: inspect.signature(getattr(families, name)).parameters for name in families.FAMILIES
 }
 
 
-def build_family_from_args(
-    args: argparse.Namespace, cfg: RunConfig, alpha: float | None
-) -> Digraph:
+def build_family_from_args(args: argparse.Namespace, alpha: float | None) -> Digraph:
     """Build the digraph named by --family; alpha feeds the searched families."""
     name = _FAMILY_ALIASES.get(args.family, args.family)
     if name not in _FAMILY_FLAGS:
@@ -228,8 +214,6 @@ def build_family_from_args(
         value = getattr(args, flag, None)
         if flag == "alpha":
             kwargs[flag] = alpha if alpha is not None else 0.0
-        elif flag == "long_runs_enabled":
-            kwargs[flag] = cfg.long_runs_enabled
         elif value is not None and value is not False:
             kwargs[flag] = parse_steps(value) if flag == "steps" else value
         elif param.default is param.empty:
@@ -237,7 +221,7 @@ def build_family_from_args(
     return families.build_family(name, **kwargs)
 
 
-def _input_digraph(args: argparse.Namespace, cfg: RunConfig, alpha: float | None) -> Digraph:
+def _input_digraph(args: argparse.Namespace, alpha: float | None) -> Digraph:
     has_file = getattr(args, "file", None) is not None
     has_family = getattr(args, "family", None) is not None
     if has_file == has_family:
@@ -248,7 +232,7 @@ def _input_digraph(args: argparse.Namespace, cfg: RunConfig, alpha: float | None
                 return from_text(fh.read())
         except OSError as exc:
             raise ValueError(f"cannot read {args.file}: {exc}") from exc
-    return build_family_from_args(args, cfg, alpha)
+    return build_family_from_args(args, alpha)
 
 
 def _add_family_flags(sub: argparse.ArgumentParser, n_as_range: bool = False) -> None:
@@ -267,14 +251,16 @@ def _add_family_flags(sub: argparse.ArgumentParser, n_as_range: bool = False) ->
     sub.add_argument("--steps", help="comma separated circulant steps, e.g. 1,2")
 
 
-def _add_common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="key=value config file; flags override it")
-    sub.add_argument("--tol", type=float, help="certificate width target (default 1e-10)")
-    sub.add_argument("--max-iters", dest="max_iters", type=int, help="certificate iteration cap")
-    sub.add_argument("--workers", type=int, help="scan worker processes")
-    sub.add_argument("--long-runs", dest="long_runs", action="store_true",
-                     help="allow the n=8 tournament search (n=6 scans are refused)")
-    sub.add_argument("--output", choices=OUTPUT_FORMATS, help="report format")
+def _add_settings(
+    sub: argparse.ArgumentParser, *keys: str, outputs: tuple[str, ...] = OUTPUT_FORMATS
+) -> None:
+    """--config and the flags of the settings the subcommand reads, if any, and --out."""
+    if keys:
+        sub.add_argument("--config", help="key=value config file; flags override it")
+    for key in keys:
+        flag, parse, _valid, _rule, help_text = _SETTINGS[key]
+        sub.add_argument(flag, dest=key, type=parse, help=help_text,
+                         choices=outputs if key == "output" else None)
     sub.add_argument("--out", help="write the report to this file instead of stdout")
 
 
@@ -282,7 +268,7 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
 # subcommands
 
 def cmd_radius(args: argparse.Namespace, cfg: RunConfig) -> int:
-    G = _input_digraph(args, cfg, args.alpha)
+    G = _input_digraph(args, args.alpha)
     result = spectral_radius(G, args.alpha, tol=cfg.tol, max_iters=cfg.max_iters)
     prof = degree_profile(G)
     lam = result.radius
@@ -355,7 +341,7 @@ def cmd_formula(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_family(args: argparse.Namespace, cfg: RunConfig) -> int:
-    G = build_family_from_args(args, cfg, args.alpha)
+    G = build_family_from_args(args, args.alpha)
     _emit(to_text(G), args.out)
     return EXIT_OK
 
@@ -394,7 +380,7 @@ def cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> int:
         if len(orders) != 1:
             raise ValueError("the alpha sweep takes a single --n, not a range")
         args.n = orders[0]
-    G = _input_digraph(args, cfg, args.family_alpha)
+    G = _input_digraph(args, args.family_alpha)
     rows = []
     for alpha in alphas:
         res = spectral_radius(G, alpha, tol=cfg.tol, max_iters=cfg.max_iters)
@@ -406,6 +392,8 @@ def cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
+    if cfg.output not in VERIFY_OUTPUTS:
+        raise ValueError(f"verify output must be one of {VERIFY_OUTPUTS}, got {cfg.output}")
     alphas = parse_float_grid(args.alpha)
     verdict = oracle.verify_theorem(
         args.theorem,
@@ -572,7 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_radius.add_argument("--file", help="digraph text file")
     _add_family_flags(p_radius)
     p_radius.add_argument("--alpha", type=float, required=True)
-    _add_common_flags(p_radius)
+    _add_settings(p_radius, "tol", "max_iters", "output")
     p_radius.set_defaults(func=cmd_radius)
 
     p_formula = subs.add_parser("formula", help="closed-form radius of the k-cut family")
@@ -580,14 +568,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_formula.add_argument("--k", type=int, required=True)
     p_formula.add_argument("--m", type=int, required=True)
     p_formula.add_argument("--alpha", type=float, required=True)
-    _add_common_flags(p_formula)
+    _add_settings(p_formula, "output")
     p_formula.set_defaults(func=cmd_formula)
 
     p_family = subs.add_parser("family", help="emit a family digraph in text format")
     _add_family_flags(p_family)
     p_family.add_argument("--alpha", type=float, default=0.0,
                           help="construction alpha for searched families (g0, extremal tournament)")
-    _add_common_flags(p_family)
+    _add_settings(p_family)
     p_family.set_defaults(func=cmd_family)
 
     p_sweep = subs.add_parser("sweep", help="CSV sweeps (formula agreement or alpha grid)")
@@ -598,7 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="grid: 0,0.3 or 0..0.9/0.05 or 0,0.1,...,0.9")
     p_sweep.add_argument("--family-alpha", dest="family_alpha", type=float, default=None,
                          help="construction alpha for searched families (alpha sweep)")
-    _add_common_flags(p_sweep)
+    _add_settings(p_sweep, "tol", "max_iters")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_verify = subs.add_parser("verify", help="verify one extremal statement exhaustively")
@@ -609,7 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="alpha grid (default 0,0.5)")
     p_verify.add_argument("--witness-dir", dest="witness_dir", default=".",
                           help="directory for violation witness files")
-    _add_common_flags(p_verify)
+    _add_settings(p_verify, "tol", "max_iters", "workers", "output", outputs=VERIFY_OUTPUTS)
     p_verify.set_defaults(func=cmd_verify)
 
     p_scan = subs.add_parser("scan", help="extremal radii per parameter value")
@@ -617,7 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--alpha", type=float, required=True)
     p_scan.add_argument("--parameter", choices=oracle.PUBLIC_PARAMETERS, required=True)
     p_scan.add_argument("--mode", choices=("min", "max"), default="max")
-    _add_common_flags(p_scan)
+    _add_settings(p_scan, "tol", "max_iters", "workers", "output")
     p_scan.set_defaults(func=cmd_scan)
 
     p_explore = subs.add_parser("explore",
@@ -626,7 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_explore.add_argument("--d", type=int, default=None)
     p_explore.add_argument("--alpha", default="0,0.25,0.5,0.75",
                            help="alpha grid (default 0,0.25,0.5,0.75)")
-    _add_common_flags(p_explore)
+    _add_settings(p_explore, "tol", "max_iters", "workers", "output")
     p_explore.set_defaults(func=cmd_explore)
 
     return parser

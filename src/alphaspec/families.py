@@ -49,7 +49,7 @@ FAMILIES = (
     "path", "cycle", "complete", "c_ng", "b_nd", "k_nkm", "tournament", "g0", "h4", "circulant",
 )
 TOURNAMENT_KINDS = ("transitive", "rotational", "brualdi_li", "extremal_bruteforce")
-BRUTEFORCE_CAP = CANON_CAP  # 6,880 classes at n = 8, which also needs the long-runs flag
+BRUTEFORCE_CAP = CANON_CAP  # n = 8: 6,880 classes, about 5 s and 100 MB
 
 
 def path(n: int) -> Digraph:
@@ -178,7 +178,7 @@ def _tournament_classes(n: int) -> np.ndarray:
     return classes
 
 
-def _extremal_tournament(n: int, alpha: float, long_runs_enabled: bool) -> Digraph:
+def _extremal_tournament(n: int, alpha: float) -> Digraph:
     """The tournament class of largest A_alpha radius, reducible ones included.
 
     Every class's radius is enclosed from its strong components.  Of the
@@ -190,23 +190,13 @@ def _extremal_tournament(n: int, alpha: float, long_runs_enabled: bool) -> Digra
             f"exhaustive tournament search is capped at n = {BRUTEFORCE_CAP} "
             f"(the largest order with canonical codes), got {n}"
         )
-    if n == BRUTEFORCE_CAP and not long_runs_enabled:
-        raise ValueError(
-            f"n = {BRUTEFORCE_CAP} generates and certifies all 6,880 tournament "
-            "classes, which takes several seconds; enable long runs to allow it"
-        )
     classes = _tournament_classes(n)
     adj = _decode(n, classes)
     lo, hi = _component_enclosures(adj, alpha, DEFAULT_TOL, DEFAULT_MAX_ITERS)
     return digraph_from_code(n, int(classes[np.argmax(hi >= lo.max())]))
 
 
-def tournament(
-    kind: str,
-    n: int,
-    alpha: float | None = None,
-    long_runs_enabled: bool = False,
-) -> Digraph:
+def tournament(kind: str, n: int, alpha: float | None = None) -> Digraph:
     """Named tournament generators plus the exhaustive extremal search."""
     if n < 1:
         raise ValueError(f"tournament needs n >= 1, got {n}")
@@ -219,18 +209,19 @@ def tournament(
     if kind == "extremal_bruteforce":
         if alpha is None:
             alpha = 0.0
-        return _extremal_tournament(n, float(alpha), long_runs_enabled)
+        return _extremal_tournament(n, float(alpha))
     raise ValueError(f"unknown tournament kind {kind!r}; expected one of {TOURNAMENT_KINDS}")
 
 
-def g0(n: int, d: int, alpha: float, long_runs_enabled: bool = False) -> Digraph:
+def g0(n: int, d: int, alpha: float) -> Digraph:
     """d nearly equal parts with all digons between parts and extremal
     tournaments inside parts.
 
     At alpha = 0 the inner tournament is rotational (odd part) or the
     two-transitive-halves tournament (even part); for alpha > 0 no closed-form
     winner is known, so each part runs the exhaustive search over tournament
-    classes (part size <= 8, and 8 needs long runs).
+    classes (part size <= 8; a part of 8 takes about 5 s), certified at
+    the default tolerance and iteration cap.
     """
     if not 1 <= d <= n:
         raise ValueError(f"need 1 <= d <= n, got d={d}, n={n}")
@@ -241,7 +232,7 @@ def g0(n: int, d: int, alpha: float, long_runs_enabled: bool = False) -> Digraph
         if alpha == 0.0:
             inner[size] = _rotational(size) if size % 2 else _brualdi_li(size)
         else:
-            inner[size] = _extremal_tournament(size, float(alpha), long_runs_enabled)
+            inner[size] = _extremal_tournament(size, float(alpha))
     arcs: list[tuple[int, int]] = []
     offsets = []
     start = 0

@@ -348,7 +348,7 @@ def _scan_alphas(n: int, alphas: Sequence[float]) -> tuple[float, ...]:
         raise ValueError(
             f"n = {n} cannot be scanned: the class generation runs unblocked, and "
             "weighing the 1,047,008 strong classes takes all 720 relabellings of "
-            "each, 6 GB of codes; enabling long runs does not lift this refusal"
+            "each, 6 GB of codes"
         )
     if not 2 <= n <= ENUM_CAP:
         raise ValueError(f"enumeration supports 2 <= n <= {ENUM_CAP}, got {n}")

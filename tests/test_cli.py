@@ -3,6 +3,7 @@
 main(argv) is called in-process so stdout/stderr and exit codes are easy to
 assert; one subprocess test checks the installed console script end to end.
 """
+import argparse
 import csv
 import io
 import json
@@ -389,7 +390,7 @@ def test_scan_json_groups(capsys):
 
 def test_scan_gate_without_long_runs(capsys):
     rc, _, err = run_cli(capsys, "scan", "--n", "6", "--alpha", "0", "--parameter", "girth")
-    assert rc == EXIT_USAGE and "long runs" in err
+    assert rc == EXIT_USAGE and "n = 6 cannot be scanned" in err
 
 
 @pytest.mark.parametrize(
@@ -491,6 +492,98 @@ def test_config_validation_bounds(tmp_path, capsys):
         "--config", str(cfg),
     )
     assert rc == EXIT_USAGE and "tol must be positive" in err
+
+
+def test_config_output_is_checked_where_it_is_not_read(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("output = xml\n")
+    for argv in (("radius", "--family", "cycle", "--n", "4", "--alpha", "0"),
+                 ("sweep", "alpha", "--family", "cycle", "--n", "4", "--alpha", "0")):
+        rc, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+        assert rc == EXIT_USAGE and out == "" and "output must be one of" in err
+
+
+def test_config_long_runs_key_is_unknown(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("long_runs_enabled = true\n")
+    rc, _, err = run_cli(
+        capsys, "radius", "--family", "cycle", "--n", "4", "--alpha", "0",
+        "--config", str(cfg),
+    )
+    assert rc == EXIT_USAGE and "unknown key 'long_runs_enabled'" in err
+
+
+def test_negative_workers_is_usage_error(tmp_path, capsys):
+    scan = ("scan", "--n", "3", "--alpha", "0", "--parameter", "girth")
+    rc, out, err = run_cli(capsys, *scan, "--workers", "-2")
+    assert rc == EXIT_USAGE and out == "" and "workers must be >= 0" in err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("workers = -1\n")
+    rc, out, err = run_cli(capsys, *scan, "--config", str(cfg))
+    assert rc == EXIT_USAGE and out == "" and "workers must be >= 0" in err
+
+
+# ---------------------------------------------------------------------------
+# which settings each subcommand takes
+
+SETTING_FLAGS = {"--config", "--tol", "--max-iters", "--workers", "--output", "--out"}
+
+
+def _subparsers():
+    parser = cli.build_parser()
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_subcommands_register_only_the_settings_they_read():
+    want = {
+        "radius": {"--config", "--tol", "--max-iters", "--output", "--out"},
+        "formula": {"--config", "--output", "--out"},
+        "family": {"--out"},
+        "sweep": {"--config", "--tol", "--max-iters", "--out"},
+        "verify": SETTING_FLAGS,
+        "scan": SETTING_FLAGS,
+        "explore": SETTING_FLAGS,
+    }
+    outputs = {}
+    for name, sub in _subparsers().items():
+        flags = {f for a in sub._actions for f in a.option_strings}
+        assert flags & SETTING_FLAGS == want[name], name
+        assert "--long-runs" not in flags
+        outputs[name] = next((a.choices for a in sub._actions if "--output" in a.option_strings),
+                             None)
+    assert outputs["verify"] == ("text", "json")
+    assert all(outputs[name] == ("text", "json", "csv")
+               for name in ("radius", "formula", "scan", "explore"))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("formula", "--n", "4", "--k", "1", "--m", "1", "--alpha", "0", "--tol", "1e-3"),
+        ("formula", "--n", "4", "--k", "1", "--m", "1", "--alpha", "0", "--workers", "9"),
+        ("radius", "--family", "cycle", "--n", "4", "--alpha", "0", "--workers", "2"),
+        ("sweep", "alpha", "--family", "cycle", "--n", "4", "--alpha", "0", "--output", "json"),
+        ("family", "--family", "cycle", "--n", "4", "--output", "json"),
+        ("family", "--family", "cycle", "--n", "4", "--config", "run.cfg"),
+        ("verify", "T3.1", "--n", "3", "--output", "csv"),
+        ("scan", "--n", "3", "--alpha", "0", "--parameter", "girth", "--long-runs"),
+        ("family", "--family", "tournament", "--kind", "extremal_bruteforce", "--n", "8",
+         "--long-runs"),
+    ],
+)
+def test_flags_a_subcommand_does_not_read_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == EXIT_USAGE
+
+
+def test_verify_config_csv_output_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("output = csv\n")
+    rc, out, err = run_cli(capsys, "verify", "T3.1", "--n", "3", "--config", str(cfg))
+    assert rc == EXIT_USAGE and out == ""
+    assert "verify output must be one of ('text', 'json'), got csv" in err
 
 
 # ---------------------------------------------------------------------------

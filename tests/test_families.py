@@ -203,12 +203,24 @@ def test_bruteforce_recovers_known_maximizers():
     assert bf == pytest.approx(2.0, abs=1e-10)
 
 
+def test_bruteforce_runs_at_eight_without_a_flag(monkeypatch):
+    # a few classes stand in for the 6,880 at n = 8, which take seconds
+    codes = sorted(code_of_digraph(t) for t in (tournament("transitive", 8),
+                                                tournament("brualdi_li", 8)))
+    monkeypatch.setattr(families, "_tournament_classes", lambda n: np.array(codes))
+    assert tournament("extremal_bruteforce", 8, 0.0) == tournament("brualdi_li", 8)
+    # every tournament has radius 7/2 at alpha = 1/2: the smallest code wins
+    assert tournament("extremal_bruteforce", 8, 0.5) == digraph_from_code(8, codes[0])
+    # g0 with parts of 8 searches too: two such tournaments, all digons between
+    G = g0(16, 2, 0.5)
+    assert frozenset(a for a in G.arcs if max(a) < 8) == digraph_from_code(8, codes[0]).arcs
+    assert G.num_arcs == 2 * 28 + 2 * 8 * 8
+
+
 def test_bruteforce_guard_rails():
     assert _is_tournament(tournament("extremal_bruteforce", 7, 0.0))
     with pytest.raises(ValueError):
-        tournament("extremal_bruteforce", 8, 0.0)  # needs long runs enabled
-    with pytest.raises(ValueError):
-        tournament("extremal_bruteforce", 9, 0.0, long_runs_enabled=True)
+        tournament("extremal_bruteforce", 9, 0.0)
     with pytest.raises(ValueError):
         tournament("round_robin", 4)
     # the search ranks alpha matrices, which exist only for 0 <= alpha < 1

@@ -836,7 +836,7 @@ def test_subdivision_sweep_range_check():
         with pytest.raises(ValueError) as sweep_err:
             subdivision_sweep(n, alphas)
         assert str(sweep_err.value) == str(scan_err.value)
-    with pytest.raises(ValueError, match="long runs does not lift this refusal"):
+    with pytest.raises(ValueError, match="n = 6 cannot be scanned"):
         subdivision_sweep(6)
     with pytest.raises(ValueError, match="duplicate alpha values"):
         subdivision_sweep(3, (0.0, 0.0))

@@ -1,6 +1,8 @@
 """Command line surface for the toolkit.
 
-Subcommands: radius, formula, family, sweep, verify, scan, explore.
+Subcommands: radius, formula, family, sweep (kinds formula and alpha), verify,
+scan, explore.  Each registers only the flags it reads; a family flag that the
+family's generator does not take, and a repeated grid value, exit 2 too.
 Exit codes are a stable contract: 0 ok, 2 usage or invalid input, 3 failed
 precondition (non-strong digraph, certification not reached), 4 a verified
 statement was violated.
@@ -116,8 +118,14 @@ def _fmt(x: float) -> str:
     return f"{float(x):.12g}"
 
 
+def _distinct(values: list, what: str) -> list:
+    if len(set(values)) != len(values):
+        raise ValueError(f"duplicate {what}")
+    return values
+
+
 def parse_float_grid(text: str) -> list[float]:
-    """Grids: '0.5', '0,0.3,0.7', '0..0.9/0.05', or '0,0.1,...,0.9'."""
+    """Grids: '0.5', '0,0.3,0.7', '0..0.9/0.05', or '0,0.1,...,0.9'; no value twice."""
     text = text.strip()
     if not text:
         raise ValueError("empty value grid")
@@ -132,7 +140,7 @@ def parse_float_grid(text: str) -> list[float]:
         if end < start:
             raise ValueError(f"grid end {end} below start {start}")
         count = int((end - start) / step + 1e-9) + 1
-        return [round(start + i * step, 12) for i in range(count)]
+        return _distinct([round(start + i * step, 12) for i in range(count)], "alpha values")
     tokens = [t.strip() for t in text.split(",")]
     if "..." in tokens:
         cut = tokens.index("...")
@@ -152,12 +160,12 @@ def parse_float_grid(text: str) -> list[float]:
             values.append(round(values[-1] + step, 12))
         if abs(values[-1] - end) > 1e-9:
             raise ValueError(f"grid end {end} is not on the step lattice of {text!r}")
-        return values
-    return [float(t) for t in tokens]
+        return _distinct(values, "alpha values")
+    return _distinct([float(t) for t in tokens], "alpha values")
 
 
 def parse_int_range(text: str) -> list[int]:
-    """Ranges: '5', '4..10', or '3,5,7'."""
+    """Ranges: '5', '4..10', or '3,5,7'; no value twice."""
     text = text.strip()
     if ".." in text:
         start_text, _, end_text = text.partition("..")
@@ -165,7 +173,7 @@ def parse_int_range(text: str) -> list[int]:
         if end < start:
             raise ValueError(f"range end {end} below start {start}")
         return list(range(start, end + 1))
-    return [int(t.strip()) for t in text.split(",")]
+    return _distinct([int(t.strip()) for t in text.split(",")], "orders")
 
 
 def parse_steps(text: str) -> list[int]:
@@ -193,60 +201,69 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 
 _FAMILY_ALIASES = {"knkm": "k_nkm", "cng": "c_ng", "bnd": "b_nd"}
 
-# family -> the parameters of its generator.  Each is filled from the flag of
-# the same name, except alpha, which comes from the subcommand's construction
-# alpha; a parameter without a default makes its flag required.
+# family -> its generator's parameters, the one list of the flags it takes:
+# each is filled from the flag of its name (None when absent, --primed too),
+# alpha from the subcommand's alpha.  A parameter without a default makes its
+# flag required; a family flag the generator does not take exits 2.
 _FAMILY_FLAGS = {
     name: inspect.signature(getattr(families, name)).parameters for name in families.FAMILIES
 }
+_FAMILY_PARAMS = tuple(
+    dict.fromkeys(p for params in _FAMILY_FLAGS.values() for p in params if p != "alpha")
+)
 
 
-def build_family_from_args(args: argparse.Namespace, alpha: float | None) -> Digraph:
-    """Build the digraph named by --family; alpha feeds the searched families."""
+def _input_digraph(args: argparse.Namespace, alpha: float | None,
+                   alpha_flag: str | None = None) -> Digraph:
+    """The digraph of --file or of --family and its flags.  alpha feeds the
+    searched families; alpha_flag names its flag where only they read it, and
+    that flag, like any family flag the input does not take, exits 2."""
+    has_file = getattr(args, "file", None) is not None
+    if has_file == (args.family is not None):
+        raise ValueError("provide exactly one of --file and --family" if "file" in args
+                         else "family requires --family")
     name = _FAMILY_ALIASES.get(args.family, args.family)
-    if name not in _FAMILY_FLAGS:
+    if not has_file and name not in _FAMILY_FLAGS:
         raise ValueError(
             f"unknown family {args.family!r}; expected one of "
             f"{sorted(set(_FAMILY_FLAGS) | set(_FAMILY_ALIASES))}"
         )
-    kwargs: dict = {}
-    for flag, param in _FAMILY_FLAGS[name].items():
-        value = getattr(args, flag, None)
-        if flag == "alpha":
-            kwargs[flag] = alpha if alpha is not None else 0.0
-        elif value is not None and value is not False:
-            kwargs[flag] = parse_steps(value) if flag == "steps" else value
-        elif param.default is param.empty:
-            raise ValueError(f"family {name} requires --{flag}")
-    return families.build_family(name, **kwargs)
-
-
-def _input_digraph(args: argparse.Namespace, alpha: float | None) -> Digraph:
-    has_file = getattr(args, "file", None) is not None
-    has_family = getattr(args, "family", None) is not None
-    if has_file == has_family:
-        raise ValueError("provide exactly one of --file and --family")
+    taken = {} if has_file else _FAMILY_FLAGS[name]
+    unread = [f"--{p}" for p in _FAMILY_PARAMS
+              if p not in taken and getattr(args, p, None) is not None]
+    if alpha_flag and alpha is not None and "alpha" not in taken:
+        unread.append(alpha_flag)
+    if unread:
+        reader = "a digraph read with --file" if has_file else f"family {name}"
+        raise ValueError(f"{reader} takes no {', '.join(unread)}")
     if has_file:
         try:
             with open(args.file, "r", encoding="utf-8") as fh:
                 return from_text(fh.read())
         except OSError as exc:
             raise ValueError(f"cannot read {args.file}: {exc}") from exc
-    return build_family_from_args(args, alpha)
+    kwargs: dict = {}
+    for flag, param in taken.items():
+        value = getattr(args, flag, None)
+        if flag == "alpha":
+            kwargs[flag] = alpha if alpha is not None else 0.0
+        elif value is not None:
+            kwargs[flag] = parse_steps(value) if flag == "steps" else value
+        elif param.default is param.empty:
+            raise ValueError(f"family {name} requires --{flag}")
+    return families.build_family(name, **kwargs)
 
 
-def _add_family_flags(sub: argparse.ArgumentParser, n_as_range: bool = False) -> None:
+def _add_family_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--family", help="family name (path, cycle, complete, c_ng, b_nd, knkm, tournament, g0, h4, circulant)")
-    if n_as_range:
-        sub.add_argument("--n", help="order, or a range like 4..10 (formula sweep)")
-    else:
-        sub.add_argument("--n", type=int, help="order")
+    sub.add_argument("--n", type=int, help="order")
     sub.add_argument("--g", type=int, help="girth parameter (c_ng)")
     sub.add_argument("--d", type=int, help="clique parameter (b_nd, g0)")
     sub.add_argument("--k", type=int, help="cut size (knkm, h4)")
     sub.add_argument("--m", type=int, help="source block size (knkm)")
     sub.add_argument("--a", type=int, help="first block size (h4)")
-    sub.add_argument("--primed", action="store_true", help="primed variant (c_ng, b_nd)")
+    sub.add_argument("--primed", action="store_true", default=None,
+                     help="primed variant (c_ng, b_nd)")
     sub.add_argument("--kind", choices=families.TOURNAMENT_KINDS, help="tournament kind")
     sub.add_argument("--steps", help="comma separated circulant steps, e.g. 1,2")
 
@@ -341,46 +358,39 @@ def cmd_formula(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_family(args: argparse.Namespace, cfg: RunConfig) -> int:
-    G = build_family_from_args(args, args.alpha)
+    G = _input_digraph(args, args.alpha, "--alpha")
     _emit(to_text(G), args.out)
     return EXIT_OK
 
 
-def cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_sweep_formula(args: argparse.Namespace, cfg: RunConfig) -> int:
     alphas = parse_float_grid(args.alpha)
-    if args.kind == "formula":
-        if args.n is None:
-            raise ValueError("sweep formula requires --n (a value or a range like 4..10)")
-        rows = []
-        for n in parse_int_range(args.n):
-            if n < 3:
-                raise ValueError(f"sweep formula needs n >= 3, got {n}")
-            for k in range(1, n - 1):
-                for m in range(1, n - k):
-                    G = families.k_nkm(n, k, m)
-                    for alpha in alphas:
-                        formula = formulas.lambda_knkm(n, k, m, alpha)
-                        numeric = spectral_radius(
-                            G, alpha, tol=cfg.tol, max_iters=cfg.max_iters
-                        ).radius
-                        rows.append(
-                            [
-                                n, k, m, _fmt(alpha), _fmt(formula), _fmt(numeric),
-                                _fmt(abs(formula - numeric)),
-                            ]
-                        )
-        _emit(
-            _csv_text(["n", "k", "m", "alpha", "formula", "numeric", "abs_err"], rows),
-            args.out,
-        )
-        return EXIT_OK
-    # alpha sweep: one fixed digraph, radius tabulated over the grid
-    if args.n is not None:
-        orders = parse_int_range(args.n)
-        if len(orders) != 1:
-            raise ValueError("the alpha sweep takes a single --n, not a range")
-        args.n = orders[0]
-    G = _input_digraph(args, args.family_alpha)
+    if args.n is None:
+        raise ValueError("sweep formula requires --n (a value or a range like 4..10)")
+    rows = []
+    for n in parse_int_range(args.n):
+        if n < 3:
+            raise ValueError(f"sweep formula needs n >= 3, got {n}")
+        for k in range(1, n - 1):
+            for m in range(1, n - k):
+                G = families.k_nkm(n, k, m)
+                for alpha in alphas:
+                    formula = formulas.lambda_knkm(n, k, m, alpha)
+                    numeric = spectral_radius(G, alpha, tol=cfg.tol, max_iters=cfg.max_iters).radius
+                    rows.append(
+                        [
+                            n, k, m, _fmt(alpha), _fmt(formula), _fmt(numeric),
+                            _fmt(abs(formula - numeric)),
+                        ]
+                    )
+    _emit(_csv_text(["n", "k", "m", "alpha", "formula", "numeric", "abs_err"], rows), args.out)
+    return EXIT_OK
+
+
+def cmd_sweep_alpha(args: argparse.Namespace, cfg: RunConfig) -> int:
+    """One fixed digraph, its radius tabulated over the grid."""
+    alphas = parse_float_grid(args.alpha)
+    G = _input_digraph(args, args.family_alpha, "--family-alpha")
     rows = []
     for alpha in alphas:
         res = spectral_radius(G, alpha, tol=cfg.tol, max_iters=cfg.max_iters)
@@ -573,21 +583,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_family = subs.add_parser("family", help="emit a family digraph in text format")
     _add_family_flags(p_family)
-    p_family.add_argument("--alpha", type=float, default=0.0,
+    p_family.add_argument("--alpha", type=float,
                           help="construction alpha for searched families (g0, extremal tournament)")
     _add_settings(p_family)
     p_family.set_defaults(func=cmd_family)
 
     p_sweep = subs.add_parser("sweep", help="CSV sweeps (formula agreement or alpha grid)")
-    p_sweep.add_argument("kind", choices=("formula", "alpha"))
-    p_sweep.add_argument("--file", help="digraph text file (alpha sweep)")
-    _add_family_flags(p_sweep, n_as_range=True)
-    p_sweep.add_argument("--alpha", required=True,
-                         help="grid: 0,0.3 or 0..0.9/0.05 or 0,0.1,...,0.9")
-    p_sweep.add_argument("--family-alpha", dest="family_alpha", type=float, default=None,
-                         help="construction alpha for searched families (alpha sweep)")
-    _add_settings(p_sweep, "tol", "max_iters")
-    p_sweep.set_defaults(func=cmd_sweep)
+    kinds = p_sweep.add_subparsers(dest="sweep_kind", metavar="kind", required=True)
+    grid_help = "grid: 0,0.3 or 0..0.9/0.05 or 0,0.1,...,0.9"
+    p_sweep_formula = kinds.add_parser("formula", help="formula vs certified radius of K(n,k,m)")
+    p_sweep_formula.add_argument("--n", help="order, or a range like 4..10")
+    p_sweep_formula.add_argument("--alpha", required=True, help=grid_help)
+    _add_settings(p_sweep_formula, "tol", "max_iters")
+    p_sweep_formula.set_defaults(func=cmd_sweep_formula)
+    p_sweep_alpha = kinds.add_parser("alpha", help="radius of one digraph over an alpha grid")
+    p_sweep_alpha.add_argument("--file", help="digraph text file")
+    _add_family_flags(p_sweep_alpha)
+    p_sweep_alpha.add_argument("--alpha", required=True, help=grid_help)
+    p_sweep_alpha.add_argument("--family-alpha", dest="family_alpha", type=float,
+                               help="construction alpha for searched families")
+    _add_settings(p_sweep_alpha, "tol", "max_iters")
+    p_sweep_alpha.set_defaults(func=cmd_sweep_alpha)
 
     p_verify = subs.add_parser("verify", help="verify one extremal statement exhaustively")
     p_verify.add_argument("theorem", choices=oracle.THEOREM_IDS, metavar="ID",

@@ -16,6 +16,7 @@ All generators are deterministic and use fixed vertex numbering conventions:
 """
 from __future__ import annotations
 
+from functools import reduce
 from typing import Iterable
 
 import numpy as np
@@ -28,6 +29,7 @@ from .digraph import (
     _grow,
     digraph_from_code,
     from_arcs,
+    join,
 )
 from .spectral import DEFAULT_MAX_ITERS, DEFAULT_TOL, _check_alpha, _component_enclosures
 
@@ -233,20 +235,7 @@ def g0(n: int, d: int, alpha: float) -> Digraph:
             inner[size] = _rotational(size) if size % 2 else _brualdi_li(size)
         else:
             inner[size] = _extremal_tournament(size, float(alpha))
-    arcs: list[tuple[int, int]] = []
-    offsets = []
-    start = 0
-    for size in sizes:
-        offsets.append((start, size))
-        t = inner[size]
-        arcs.extend((start + u, start + v) for u, v in t.arcs)
-        start += size
-    for ai, (sa, za) in enumerate(offsets):
-        for bi, (sb, zb) in enumerate(offsets):
-            if ai == bi:
-                continue
-            arcs.extend((sa + u, sb + v) for u in range(za) for v in range(zb))
-    return from_arcs(n, arcs)
+    return reduce(join, (inner[size] for size in sizes))
 
 
 def h4(n: int, k: int, a: int) -> Digraph:

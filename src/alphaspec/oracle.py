@@ -288,6 +288,8 @@ def _bound_report(n: int, alpha: float, table: np.ndarray, lam: np.ndarray) -> d
     violations: list[dict] = []
     for name, bad in checks:
         bad_rows = np.flatnonzero(bad)
+        if len(violations) == VIOLATION_CAP or not bad_rows.size:
+            continue
         relabelled = _relabellings(n, table["code"][bad_rows])
         codes, first = np.unique(relabelled, return_index=True)
         keep = slice(VIOLATION_CAP - len(violations))

@@ -261,6 +261,11 @@ def test_family_unknown_name(capsys):
     assert rc == EXIT_USAGE and "unknown family" in err
 
 
+def test_family_requires_family(capsys):
+    rc, out, err = run_cli(capsys, "family", "--n", "4")
+    assert rc == EXIT_USAGE and out == "" and "family requires --family" in err
+
+
 # ---------------------------------------------------------------------------
 # sweeps
 
@@ -529,8 +534,8 @@ def test_negative_workers_is_usage_error(tmp_path, capsys):
 SETTING_FLAGS = {"--config", "--tol", "--max-iters", "--workers", "--output", "--out"}
 
 
-def _subparsers():
-    parser = cli.build_parser()
+def _subparsers(parser=None):
+    parser = parser or cli.build_parser()
     (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     return action.choices
 
@@ -540,13 +545,16 @@ def test_subcommands_register_only_the_settings_they_read():
         "radius": {"--config", "--tol", "--max-iters", "--output", "--out"},
         "formula": {"--config", "--output", "--out"},
         "family": {"--out"},
-        "sweep": {"--config", "--tol", "--max-iters", "--out"},
+        "sweep formula": {"--config", "--tol", "--max-iters", "--out"},
+        "sweep alpha": {"--config", "--tol", "--max-iters", "--out"},
         "verify": SETTING_FLAGS,
         "scan": SETTING_FLAGS,
         "explore": SETTING_FLAGS,
     }
     outputs = {}
-    for name, sub in _subparsers().items():
+    subs = dict(_subparsers())
+    subs.update({f"sweep {kind}": p for kind, p in _subparsers(subs.pop("sweep")).items()})
+    for name, sub in subs.items():
         flags = {f for a in sub._actions for f in a.option_strings}
         assert flags & SETTING_FLAGS == want[name], name
         assert "--long-runs" not in flags
@@ -570,12 +578,83 @@ def test_subcommands_register_only_the_settings_they_read():
         ("scan", "--n", "3", "--alpha", "0", "--parameter", "girth", "--long-runs"),
         ("family", "--family", "tournament", "--kind", "extremal_bruteforce", "--n", "8",
          "--long-runs"),
+        ("sweep", "formula", "--n", "4", "--alpha", "0", "--family", "cycle", "--kind",
+         "transitive"),
     ],
 )
 def test_flags_a_subcommand_does_not_read_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert exc.value.code == EXIT_USAGE
+
+
+def test_sweep_kinds_register_their_own_input_flags():
+    kinds = _subparsers(_subparsers()["sweep"])
+    flags = {name: {f for a in sub._actions for f in a.option_strings} - {"-h", "--help"}
+             for name, sub in kinds.items()}
+    assert flags["formula"] == {"--n", "--alpha", "--config", "--tol", "--max-iters", "--out"}
+    assert {"--file", "--family", "--n", "--kind", "--family-alpha"} <= flags["alpha"]
+    args = cli.build_parser().parse_args(
+        ["sweep", "alpha", "--family", "tournament", "--kind", "rotational", "--alpha", "0"]
+    )
+    assert (args.sweep_kind, args.kind) == ("alpha", "rotational")
+
+
+# ---------------------------------------------------------------------------
+# which input flags each family takes
+
+@pytest.mark.parametrize(
+    "argv, unread",
+    [
+        (("radius", "--family", "cycle", "--n", "4", "--g", "3", "--primed", "--alpha", "0"),
+         ("--g", "--primed")),
+        (("family", "--family", "cycle", "--n", "4", "--alpha", "0.7"), ("--alpha",)),
+        (("radius", "--file", "{file}", "--g", "3", "--alpha", "0"), ("--g",)),
+        (("sweep", "alpha", "--file", "{file}", "--family-alpha", "0.4", "--alpha", "0"),
+         ("--family-alpha",)),
+        (("sweep", "alpha", "--family", "cycle", "--n", "4", "--alpha", "0",
+          "--family-alpha", "0.5"), ("--family-alpha",)),
+    ],
+)
+def test_family_flags_the_input_does_not_take_are_usage_errors(tmp_path, capsys, argv, unread):
+    path = tmp_path / "tri.dg"
+    path.write_text(cli.to_text(cycle(3)))
+    rc, out, err = run_cli(capsys, *(a.format(file=path) for a in argv))
+    assert rc == EXIT_USAGE and out == ""
+    assert all(flag in err for flag in unread), err
+
+
+def test_sweep_alpha_tournament_requires_kind(capsys):
+    rc, out, err = run_cli(capsys, "sweep", "alpha", "--family", "tournament", "--n", "4",
+                           "--alpha", "0")
+    assert rc == EXIT_USAGE and out == "" and "requires --kind" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("family", "--family", "g0", "--n", "5", "--d", "2", "--alpha", "0.5"),
+        ("sweep", "alpha", "--family", "tournament", "--kind", "rotational", "--n", "5",
+         "--alpha", "0"),
+    ],
+)
+def test_family_flags_the_generator_takes_are_accepted(capsys, argv):
+    rc, out, _ = run_cli(capsys, *argv)
+    assert rc == EXIT_OK and out
+
+
+@pytest.mark.parametrize(
+    "argv, repeated",
+    [
+        (("sweep", "formula", "--n", "4", "--alpha", "0,0"), "duplicate alpha values"),
+        (("sweep", "alpha", "--family", "cycle", "--n", "4", "--alpha", "0,0.5,0"),
+         "duplicate alpha values"),
+        (("sweep", "formula", "--n", "4,4", "--alpha", "0"), "duplicate orders"),
+    ],
+)
+def test_sweep_refuses_a_repeated_grid_value(capsys, argv, repeated):
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == EXIT_USAGE and out == "" and repeated in err
 
 
 def test_verify_config_csv_output_is_usage_error(tmp_path, capsys):

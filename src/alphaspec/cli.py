@@ -3,6 +3,8 @@
 Subcommands: radius, formula, family, sweep (kinds formula and alpha), verify,
 scan, explore.  Each registers only the flags it reads; a family flag that the
 family's generator does not take, and a repeated grid value, exit 2 too.
+Three settings tune a run: tol, workers (default 1, a serial scan) and
+output; the kernel's iteration cap is a constant, not a setting.
 Exit codes are a stable contract: 0 ok, 2 usage or invalid input, 3 failed
 precondition (non-strong digraph, certification not reached), 4 a verified
 statement was violated.
@@ -27,12 +29,7 @@ from .digraph import (
     from_text,
     to_text,
 )
-from .spectral import (
-    DEFAULT_MAX_ITERS,
-    DEFAULT_TOL,
-    ConvergenceError,
-    spectral_radius,
-)
+from .spectral import DEFAULT_TOL, ConvergenceError, spectral_radius
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -49,12 +46,8 @@ VERIFY_OUTPUTS = ("text", "json")
 @dataclass
 class RunConfig:
     tol: float = DEFAULT_TOL
-    max_iters: int = DEFAULT_MAX_ITERS
-    workers: int = 0  # 0 means: use available parallelism
+    workers: int = 1
     output: str = "text"
-
-    def resolved_workers(self) -> int:
-        return self.workers or os.cpu_count() or 1
 
 
 # setting -> (flag, value parser, validity test, what the test asks, help).
@@ -63,9 +56,8 @@ class RunConfig:
 _SETTINGS = {
     "tol": ("--tol", float, lambda v: v > 0, "positive",
             "certificate width target (default 1e-10)"),
-    "max_iters": ("--max-iters", int, lambda v: v >= 1, ">= 1", "certificate iteration cap"),
-    "workers": ("--workers", int, lambda v: v >= 0, ">= 0",
-                "scan worker processes (default 0: every core)"),
+    "workers": ("--workers", int, lambda v: v >= 1, ">= 1",
+                "scan worker processes (default 1)"),
     "output": ("--output", str, OUTPUT_FORMATS.__contains__, f"one of {OUTPUT_FORMATS}",
                "report format"),
 }
@@ -124,8 +116,21 @@ def _distinct(values: list, what: str) -> list:
     return values
 
 
+_GRID_RESOLUTION = 1e-12  # grid values are rounded to it, so no step may be finer
+
+
+def _grid_step(step: float) -> float:
+    if not step >= _GRID_RESOLUTION:
+        raise ValueError(
+            f"grid step must be at least {_GRID_RESOLUTION} (the resolution of grid values), "
+            f"got {step}"
+        )
+    return step
+
+
 def parse_float_grid(text: str) -> list[float]:
-    """Grids: '0.5', '0,0.3,0.7', '0..0.9/0.05', or '0,0.1,...,0.9'; no value twice."""
+    """Grids: '0.5', '0,0.3,0.7', '0..0.9/0.05', or '0,0.1,...,0.9'; no value
+    twice, and a step of at least _GRID_RESOLUTION."""
     text = text.strip()
     if not text:
         raise ValueError("empty value grid")
@@ -134,9 +139,7 @@ def parse_float_grid(text: str) -> list[float]:
         start_text, sep, end_text = span.partition("..")
         if not sep:
             raise ValueError(f"range grid must look like start..end/step, got {text!r}")
-        start, end, step = float(start_text), float(end_text), float(step_text)
-        if step <= 0:
-            raise ValueError(f"grid step must be positive, got {step}")
+        start, end, step = float(start_text), float(end_text), _grid_step(float(step_text))
         if end < start:
             raise ValueError(f"grid end {end} below start {start}")
         count = int((end - start) / step + 1e-9) + 1
@@ -151,9 +154,7 @@ def parse_float_grid(text: str) -> list[float]:
                 "an ellipsis grid needs two leading values and one final value, "
                 "like 0,0.1,...,0.9"
             )
-        step = head[-1] - head[-2]
-        if step <= 0:
-            raise ValueError(f"ellipsis grid step must be positive, got {step}")
+        step = _grid_step(head[-1] - head[-2])
         end = float(tail[0])
         values = list(head)
         while values[-1] + step <= end + 1e-9:
@@ -286,7 +287,7 @@ def _add_settings(
 
 def cmd_radius(args: argparse.Namespace, cfg: RunConfig) -> int:
     G = _input_digraph(args, args.alpha)
-    result = spectral_radius(G, args.alpha, tol=cfg.tol, max_iters=cfg.max_iters)
+    result = spectral_radius(G, args.alpha, tol=cfg.tol)
     prof = degree_profile(G)
     lam = result.radius
     checks = [
@@ -376,7 +377,7 @@ def cmd_sweep_formula(args: argparse.Namespace, cfg: RunConfig) -> int:
                 G = families.k_nkm(n, k, m)
                 for alpha in alphas:
                     formula = formulas.lambda_knkm(n, k, m, alpha)
-                    numeric = spectral_radius(G, alpha, tol=cfg.tol, max_iters=cfg.max_iters).radius
+                    numeric = spectral_radius(G, alpha, tol=cfg.tol).radius
                     rows.append(
                         [
                             n, k, m, _fmt(alpha), _fmt(formula), _fmt(numeric),
@@ -393,7 +394,7 @@ def cmd_sweep_alpha(args: argparse.Namespace, cfg: RunConfig) -> int:
     G = _input_digraph(args, args.family_alpha, "--family-alpha")
     rows = []
     for alpha in alphas:
-        res = spectral_radius(G, alpha, tol=cfg.tol, max_iters=cfg.max_iters)
+        res = spectral_radius(G, alpha, tol=cfg.tol)
         rows.append(
             [_fmt(alpha), _fmt(res.radius), _fmt(res.certificate_lo), _fmt(res.certificate_hi)]
         )
@@ -405,14 +406,7 @@ def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
     if cfg.output not in VERIFY_OUTPUTS:
         raise ValueError(f"verify output must be one of {VERIFY_OUTPUTS}, got {cfg.output}")
     alphas = parse_float_grid(args.alpha)
-    verdict = oracle.verify_theorem(
-        args.theorem,
-        args.n,
-        alphas,
-        tol=cfg.tol,
-        workers=cfg.resolved_workers(),
-        max_iters=cfg.max_iters,
-    )
+    verdict = oracle.verify_theorem(args.theorem, args.n, alphas, tol=cfg.tol, workers=cfg.workers)
     witness_paths = []
     if verdict.status == "violated":
         stem = args.theorem.replace(".", "_")
@@ -441,13 +435,7 @@ def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 def cmd_scan(args: argparse.Namespace, cfg: RunConfig) -> int:
     report = oracle.extremal_scan(
-        args.n,
-        args.alpha,
-        args.parameter,
-        mode=args.mode,
-        tol=cfg.tol,
-        workers=cfg.resolved_workers(),
-        max_iters=cfg.max_iters,
+        args.n, args.alpha, args.parameter, mode=args.mode, tol=cfg.tol, workers=cfg.workers
     )
     if cfg.output == "json":
         payload = {
@@ -503,12 +491,7 @@ def cmd_scan(args: argparse.Namespace, cfg: RunConfig) -> int:
 def cmd_explore(args: argparse.Namespace, cfg: RunConfig) -> int:
     alphas = parse_float_grid(args.alpha)
     report = oracle.explore_problem_4_1(
-        args.n,
-        d=args.d,
-        alphas=alphas,
-        tol=cfg.tol,
-        workers=cfg.resolved_workers(),
-        max_iters=cfg.max_iters,
+        args.n, d=args.d, alphas=alphas, tol=cfg.tol, workers=cfg.workers
     )
     if cfg.output == "json":
         _emit(
@@ -570,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_radius.add_argument("--file", help="digraph text file")
     _add_family_flags(p_radius)
     p_radius.add_argument("--alpha", type=float, required=True)
-    _add_settings(p_radius, "tol", "max_iters", "output")
+    _add_settings(p_radius, "tol", "output")
     p_radius.set_defaults(func=cmd_radius)
 
     p_formula = subs.add_parser("formula", help="closed-form radius of the k-cut family")
@@ -594,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep_formula = kinds.add_parser("formula", help="formula vs certified radius of K(n,k,m)")
     p_sweep_formula.add_argument("--n", help="order, or a range like 4..10")
     p_sweep_formula.add_argument("--alpha", required=True, help=grid_help)
-    _add_settings(p_sweep_formula, "tol", "max_iters")
+    _add_settings(p_sweep_formula, "tol")
     p_sweep_formula.set_defaults(func=cmd_sweep_formula)
     p_sweep_alpha = kinds.add_parser("alpha", help="radius of one digraph over an alpha grid")
     p_sweep_alpha.add_argument("--file", help="digraph text file")
@@ -602,7 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep_alpha.add_argument("--alpha", required=True, help=grid_help)
     p_sweep_alpha.add_argument("--family-alpha", dest="family_alpha", type=float,
                                help="construction alpha for searched families")
-    _add_settings(p_sweep_alpha, "tol", "max_iters")
+    _add_settings(p_sweep_alpha, "tol")
     p_sweep_alpha.set_defaults(func=cmd_sweep_alpha)
 
     p_verify = subs.add_parser("verify", help="verify one extremal statement exhaustively")
@@ -613,7 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="alpha grid (default 0,0.5)")
     p_verify.add_argument("--witness-dir", dest="witness_dir", default=".",
                           help="directory for violation witness files")
-    _add_settings(p_verify, "tol", "max_iters", "workers", "output", outputs=VERIFY_OUTPUTS)
+    _add_settings(p_verify, "tol", "workers", "output", outputs=VERIFY_OUTPUTS)
     p_verify.set_defaults(func=cmd_verify)
 
     p_scan = subs.add_parser("scan", help="extremal radii per parameter value")
@@ -621,7 +604,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--alpha", type=float, required=True)
     p_scan.add_argument("--parameter", choices=oracle.PUBLIC_PARAMETERS, required=True)
     p_scan.add_argument("--mode", choices=("min", "max"), default="max")
-    _add_settings(p_scan, "tol", "max_iters", "workers", "output")
+    _add_settings(p_scan, "tol", "workers", "output")
     p_scan.set_defaults(func=cmd_scan)
 
     p_explore = subs.add_parser("explore",
@@ -630,7 +613,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_explore.add_argument("--d", type=int, default=None)
     p_explore.add_argument("--alpha", default="0,0.25,0.5,0.75",
                            help="alpha grid (default 0,0.25,0.5,0.75)")
-    _add_settings(p_explore, "tol", "max_iters", "workers", "output")
+    _add_settings(p_explore, "tol", "workers", "output")
     p_explore.set_defaults(func=cmd_explore)
 
     return parser

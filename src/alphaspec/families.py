@@ -31,7 +31,7 @@ from .digraph import (
     from_arcs,
     join,
 )
-from .spectral import DEFAULT_MAX_ITERS, DEFAULT_TOL, _check_alpha, _component_enclosures
+from .spectral import DEFAULT_TOL, _check_alpha, _component_enclosures
 
 __all__ = [
     "path",
@@ -194,7 +194,7 @@ def _extremal_tournament(n: int, alpha: float) -> Digraph:
         )
     classes = _tournament_classes(n)
     adj = _decode(n, classes)
-    lo, hi = _component_enclosures(adj, alpha, DEFAULT_TOL, DEFAULT_MAX_ITERS)
+    lo, hi = _component_enclosures(adj, alpha, DEFAULT_TOL)
     return digraph_from_code(n, int(classes[np.argmax(hi >= lo.max())]))
 
 

@@ -57,7 +57,6 @@ from .digraph import (
     is_isomorphic,  # noqa: F401
 )
 from .spectral import (
-    DEFAULT_MAX_ITERS,
     DEFAULT_TOL,
     ConvergenceError,
     _alpha_entries,
@@ -160,10 +159,10 @@ def _row_dtype(nalphas: int) -> np.dtype:
     )
 
 
-def _certified_radii(mats: np.ndarray, tol: float, max_iters: int, alpha: float, witness):
+def _certified_radii(mats: np.ndarray, tol: float, alpha: float, witness):
     """batch_cw_radius, naming the matrix that did not converge by witness(index)."""
     try:
-        return batch_cw_radius(mats, tol=tol, max_iters=max_iters)
+        return batch_cw_radius(mats, tol=tol)
     except ConvergenceError as err:
         raise ConvergenceError(
             err.lo, err.hi, err.iterations, err.index,
@@ -173,7 +172,7 @@ def _certified_radii(mats: np.ndarray, tol: float, max_iters: int, alpha: float,
 
 def _scan_table(
     n: int, codes: np.ndarray, weights: np.ndarray, alphas: tuple[float, ...],
-    parameters: tuple[str, ...], tol: float, max_iters: int,
+    parameters: tuple[str, ...], tol: float,
 ) -> tuple[np.ndarray, float, int]:
     """One table row per class, in class order: its canonical code, its
     weight, invariants and radii; the widest certificate and the most
@@ -198,7 +197,7 @@ def _scan_table(
     width, iterations = 0.0, 0
     for ai, alpha in enumerate(alphas):
         lam, lo_c, hi_c, iters = _certified_radii(
-            _alpha_entries(adj, alpha), tol, max_iters, alpha, lambda i: f"code {codes[i]}"
+            _alpha_entries(adj, alpha), tol, alpha, lambda i: f"code {codes[i]}"
         )
         rows["radius"][:, ai] = lam
         width = max(width, float((hi_c - lo_c).max()))
@@ -362,7 +361,6 @@ def run_scan(
     alphas: Sequence[float],
     parameters: Sequence[str] = SCAN_PARAMETERS,
     tol: float = DEFAULT_TOL,
-    max_iters: int = DEFAULT_MAX_ITERS,
     workers: int = 1,
 ) -> ScanStats:
     """Scan every strongly connected digraph on n vertices.
@@ -380,7 +378,7 @@ def run_scan(
     if unknown:
         raise ValueError(f"unknown scan parameters {sorted(unknown)}")
     codes, weights = _classes(n, workers)
-    table, width, iterations = _scan_table(n, codes, weights, alphas, parameters, tol, max_iters)
+    table, width, iterations = _scan_table(n, codes, weights, alphas, parameters, tol)
     radius = table["radius"]
     return ScanStats(
         n=n,
@@ -431,7 +429,6 @@ def extremal_scan(
     scan: ScanStats | None = None,
     tol: float = DEFAULT_TOL,
     workers: int = 1,
-    max_iters: int = DEFAULT_MAX_ITERS,
 ) -> ExtremalReport:
     """Extremal radii per parameter value, with one representative per
     attaining isomorphism class, in its canonical labelling."""
@@ -439,7 +436,7 @@ def extremal_scan(
         raise ValueError(f"parameter must be one of {PUBLIC_PARAMETERS}, got {parameter!r}")
     if mode not in ("min", "max"):
         raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
-    scan = _scan_for(n, (alpha,), (parameter,), scan, tol, workers, max_iters)
+    scan = _scan_for(n, (alpha,), (parameter,), scan, tol, workers)
     entries = []
     for value in scan.group_values(parameter):
         ext = scan.group(parameter, value, alpha, mode)
@@ -587,7 +584,6 @@ def _scan_for(
     scan: ScanStats | None,
     tol: float,
     workers: int,
-    max_iters: int,
 ) -> ScanStats:
     alphas = _distinct_alphas(alphas)
     if scan is not None:
@@ -599,11 +595,11 @@ def _scan_for(
         if missing:
             raise ValueError(f"scan lacks parameters {sorted(missing)}")
         return scan
-    return run_scan(n, alphas, needed, tol=tol, max_iters=max_iters, workers=workers)
+    return run_scan(n, alphas, needed, tol=tol, workers=workers)
 
 
 def _verify_primed(
-    theorem: str, n: int, alphas: Sequence[float], tol: float, max_iters: int
+    theorem: str, n: int, alphas: Sequence[float], tol: float
 ) -> VerificationVerdict:
     """L3.1/L4.1: the primed family member has the strictly larger radius."""
     if not 3 <= n <= 12:
@@ -621,10 +617,8 @@ def _verify_primed(
         min_sep = None
         arg = None
         for p in range(2, n):
-            base = spectral_radius(family(n, p), alpha, tol=strict_tol, max_iters=max_iters)
-            primed = spectral_radius(
-                family(n, p, primed=True), alpha, tol=strict_tol, max_iters=max_iters
-            )
+            base = spectral_radius(family(n, p), alpha, tol=strict_tol)
+            primed = spectral_radius(family(n, p, primed=True), alpha, tol=strict_tol)
             sep = primed.certificate_lo - base.certificate_hi
             if min_sep is None or sep < min_sep:
                 min_sep, arg = sep, p
@@ -652,7 +646,6 @@ def verify_theorem(
     scan: ScanStats | None = None,
     tol: float = DEFAULT_TOL,
     workers: int = 1,
-    max_iters: int = DEFAULT_MAX_ITERS,
 ) -> VerificationVerdict:
     """Check one extremal statement exhaustively (or by formula for L-ids).
 
@@ -661,15 +654,15 @@ def verify_theorem(
     """
     alphas = tuple(float(a) for a in alphas)
     if theorem in FORMULA_THEOREMS:
-        return _verify_primed(theorem, n, alphas, tol, max_iters)
+        return _verify_primed(theorem, n, alphas, tol)
     if theorem not in _STATEMENTS:
         raise ValueError(f"unknown theorem id {theorem!r}; expected one of {THEOREM_IDS}")
     st = _STATEMENTS[theorem]
     needed = tuple(read for read in st.reads if read != _LEVEL)
-    stats = _scan_for(n, alphas, needed, scan, tol, workers, max_iters)
+    stats = _scan_for(n, alphas, needed, scan, tol, workers)
 
     def certify(G: Digraph, alpha: float) -> float:
-        return spectral_radius(G, alpha, tol=tol, max_iters=max_iters).radius
+        return spectral_radius(G, alpha, tol=tol).radius
 
     points = [(a, read, v) for a in alphas for read in st.reads for v in st.values(n)]
     details: list[str] = []
@@ -724,7 +717,6 @@ def explore_problem_4_1(
     scan: ScanStats | None = None,
     tol: float = DEFAULT_TOL,
     workers: int = 1,
-    max_iters: int = DEFAULT_MAX_ITERS,
 ) -> Problem41Report:
     """Gap table: block-construction radius vs. scanned maximum per clique number.
 
@@ -733,7 +725,7 @@ def explore_problem_4_1(
     alphas = tuple(float(a) for a in alphas)
     if d is not None and not 1 <= d <= n - 1:
         raise ValueError(f"need 1 <= d <= n-1, got d={d} at n={n}")
-    stats = _scan_for(n, alphas, ("clique",), scan, tol, workers, max_iters)
+    stats = _scan_for(n, alphas, ("clique",), scan, tol, workers)
     rows = []
     for d_val in ([d] if d is not None else range(1, n)):
         for alpha in alphas:
@@ -741,7 +733,7 @@ def explore_problem_4_1(
             # a strong g0 is its own one block, so this is its certified radius
             row = {
                 "n": n, "d": d_val, "alpha": alpha,
-                "g0_radius": spectral_radius_general(cand, alpha, tol=tol, max_iters=max_iters),
+                "g0_radius": spectral_radius_general(cand, alpha, tol=tol),
                 "scan_max": None, "gap": None, "classes_match": None, "status": "empty",
             }
             ext = stats.group("clique", d_val, alpha, "max")
@@ -760,7 +752,6 @@ def subdivision_sweep(
     n: int,
     alphas: Sequence[float] = (0.0, 0.5),
     tol: float = DEFAULT_TOL,
-    max_iters: int = DEFAULT_MAX_ITERS,
 ) -> dict:
     """Subdivide every arc of every strongly connected non-cycle digraph on n
     vertices and check the radius never increases (within 1e-9).
@@ -773,7 +764,7 @@ def subdivision_sweep(
     representative's code.  At most VIOLATION_CAP violations are listed per
     alpha."""
     alphas = _scan_alphas(n, alphas)
-    table, _, _ = _scan_table(n, *_classes(n, workers=1), alphas, (), tol, max_iters)
+    table, _, _ = _scan_table(n, *_classes(n, workers=1), alphas, (), tol)
     table = table[table["max_out"] > 1]
     codes, weights, base = table["code"], table["weight"], table["radius"]
     # one subdivided matrix per (representative, arc)
@@ -790,7 +781,7 @@ def subdivision_sweep(
     max_excess = -math.inf
     for ai, alpha in enumerate(alphas):
         lam_sub, _, _, _ = _certified_radii(
-            _alpha_entries(big, alpha), tol, max_iters, alpha,
+            _alpha_entries(big, alpha), tol, alpha,
             lambda i: f"code {codes[srcrow[i]]} subdivided at arc ({uarr[i]}, {varr[i]})",
         )
         lam_base = base[srcrow, ai]

@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-10
-DEFAULT_MAX_ITERS = 200_000
+_MAX_ITERS = 200_000  # checks per matrix; no measured matrix has needed more than 21
 _SOLVE_BLOCK = 1 << 18  # float64 matrix elements (2 MB) per batched solve
 _X_MIN = 2.0 ** -500  # least iterate entry; keeps each product M_ij x_j from underflow
 _STALL_CHECKS = 8  # checks after which a width that has not narrowed ends the kernel
@@ -234,7 +234,6 @@ def _inverse_step(
 def _certify(
     mats: np.ndarray,
     tol: float,
-    max_iters: int,
     start: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The certified-radius kernel: (radius, lo, hi, perron, iterations) for
@@ -246,11 +245,10 @@ def _certify(
     first check whose enclosure is at most tol wide; perron is that
     certifying vector, unit-sum.  Every _STALL_CHECKS checks, a matrix whose
     width has not narrowed since the last such check ends the kernel.  The
-    stack runs in blocks of at most _SOLVE_BLOCK elements, each to completion.
-    max_iters < 1 and a tol that is not > 0 (NaN included) raise ValueError.
+    stack runs in blocks of at most _SOLVE_BLOCK elements, each to completion,
+    and a matrix still uncertified after _MAX_ITERS checks (read at call time)
+    ends it.  A tol that is not > 0 (NaN included) raises ValueError.
     """
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     b, n, _ = mats.shape
@@ -273,7 +271,7 @@ def _certify(
             m = mats[s : s + step]
             x = x0[s : s + step]
             last = np.full(len(act), np.inf)  # widths at the last stall test
-            for it in range(1, max_iters + 1):
+            for it in range(1, _MAX_ITERS + 1):
                 q = np.matmul(m, x[:, :, None])[:, :, 0] / x
                 lo = np.nextafter(q.min(axis=1) * f_lo, -np.inf)
                 hi = np.nextafter(q.max(axis=1) * f_hi, np.inf)
@@ -295,10 +293,10 @@ def _certify(
                         float(lo[i]), float(hi[i]), it, index=int(act[i]),
                         floor=float(lo[i] * floor_factor), tol=tol,
                     )
-                if it == max_iters:
+                if it == _MAX_ITERS:
                     worst = int(np.argmax(hi - lo))
                     raise ConvergenceError(
-                        float(lo[worst]), float(hi[worst]), max_iters, index=int(act[worst])
+                        float(lo[worst]), float(hi[worst]), it, index=int(act[worst])
                     )
                 x = _inverse_step(m, x, lo, hi, eye)
     return (out_lo + out_hi) / 2.0, out_lo, out_hi, out_x, out_it
@@ -308,7 +306,6 @@ def spectral_radius(
     G: Digraph,
     alpha: float,
     tol: float = DEFAULT_TOL,
-    max_iters: int = DEFAULT_MAX_ITERS,
     start: np.ndarray | None = None,
 ) -> SpectralResult:
     """Certified Perron root of A_alpha(G) for strongly connected G.
@@ -327,10 +324,10 @@ def spectral_radius(
         start = np.asarray(start, dtype=np.float64)
         if start.shape != (G.n,):
             raise ValueError(f"start vector shape {start.shape} does not match order {G.n}")
-        if not (start > 0.0).all():
-            raise ValueError("start vector must be strictly positive")
+        if not ((start > 0.0) & (start < np.inf)).all():
+            raise ValueError("start vector must be strictly positive and finite")
         start = np.maximum(start / start.sum(), _X_MIN)[None]
-    mid, lo, hi, x, iters = _certify(m[None], tol, max_iters, start)
+    mid, lo, hi, x, iters = _certify(m[None], tol, start)
     return SpectralResult(
         radius=float(mid[0]),
         perron=x[0],
@@ -341,7 +338,7 @@ def spectral_radius(
 
 
 def _component_enclosures(
-    adj: np.ndarray, alpha: float, tol: float, max_iters: int
+    adj: np.ndarray, alpha: float, tol: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Certified [lo, hi] enclosures of the A_alpha radius of every digraph
     of a (k, n, n) adjacency stack, strongly connected or not.
@@ -366,22 +363,17 @@ def _component_enclosures(
         b = owner[pick]
         verts = np.nonzero(same[b, least[pick]])[1].reshape(-1, size)
         blocks = mats[b[:, None, None], verts[:, :, None], verts[:, None, :]]
-        _, block_lo, block_hi, _, _ = _certify(blocks, tol, max_iters)
+        _, block_lo, block_hi, _, _ = _certify(blocks, tol)
         np.maximum.at(lo, b, block_lo)
         np.maximum.at(hi, b, block_hi)
     return lo, hi
 
 
-def spectral_radius_general(
-    G: Digraph,
-    alpha: float,
-    tol: float = DEFAULT_TOL,
-    max_iters: int = DEFAULT_MAX_ITERS,
-) -> float:
+def spectral_radius_general(G: Digraph, alpha: float, tol: float = DEFAULT_TOL) -> float:
     """Spectral radius for a possibly reducible digraph (no Perron certificate):
     the midpoint of its enclosure from the strongly connected blocks
     (_component_enclosures)."""
-    lo, hi = _component_enclosures(G.adjacency_matrix()[None], alpha, tol, max_iters)
+    lo, hi = _component_enclosures(G.adjacency_matrix()[None], alpha, tol)
     return float((lo[0] + hi[0]) / 2.0)
 
 
@@ -422,15 +414,22 @@ def quotient_matrix(
 
 
 def batch_cw_radius(
-    mats: np.ndarray,
-    tol: float = DEFAULT_TOL,
-    max_iters: int = DEFAULT_MAX_ITERS,
+    mats: np.ndarray, tol: float = DEFAULT_TOL
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Certified radii for a stack of nonnegative irreducible matrices.
 
     Runs the kernel of spectral_radius on every matrix of the (B, n, n)
     stack; each matrix leaves the batch at the first check whose enclosure
-    is within tol.  Returns arrays (radius, lo, hi, iterations).
+    is within tol.  Returns arrays (radius, lo, hi, iterations).  A negative
+    or non-finite entry, which no certificate covers, raises ValueError.
     """
-    mid, lo, hi, _x, iters = _certify(np.asarray(mats, dtype=np.float64), tol, max_iters)
+    mats = np.asarray(mats, dtype=np.float64)
+    # min and max propagate NaN, so two reductions test every entry
+    if mats.size and not (mats.min() >= 0.0 and mats.max() < np.inf):
+        b, i, j = np.argwhere(~((mats >= 0.0) & (mats < np.inf)))[0]
+        raise ValueError(
+            f"matrix {b} of the stack has entry ({i}, {j}) = {float(mats[b, i, j])!r}; "
+            "the kernel certifies nonnegative finite matrices only"
+        )
+    mid, lo, hi, _x, iters = _certify(mats, tol)
     return mid, lo, hi, iters

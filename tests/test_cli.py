@@ -55,6 +55,15 @@ def test_parse_float_grid_errors():
             parse_float_grid(bad)
 
 
+def test_parse_float_grid_refuses_steps_below_its_resolution():
+    # grid values are rounded to 1e-12: a finer ellipsis step made no
+    # progress (an endless loop), and a finer range step built 10^13 values
+    for bad in ("0,1e-13,...,0.1", "0..1/1e-13"):
+        with pytest.raises(ValueError, match="grid step must be at least 1e-12"):
+            parse_float_grid(bad)
+    assert parse_float_grid("0..3e-12/1e-12") == [0.0, 1e-12, 2e-12, 3e-12]
+
+
 def test_parse_int_range_forms():
     assert parse_int_range("5") == [5]
     assert parse_int_range("4..7") == [4, 5, 6, 7]
@@ -158,9 +167,10 @@ def test_radius_not_strong_exit_code(capsys):
 
 
 def test_radius_iteration_cap_exit_code(capsys):
+    # a tol below every rounding floor stops the kernel at its first check
     rc, _, err = run_cli(
         capsys, "radius", "--family", "knkm", "--n", "6", "--k", "2", "--m", "1",
-        "--alpha", "0", "--max-iters", "2",
+        "--alpha", "0", "--tol", "1e-300",
     )
     assert rc == EXIT_PRECONDITION
     assert "certification not reached" in err
@@ -407,9 +417,10 @@ def test_scan_gate_without_long_runs(capsys):
         ("explore", "--n", "4"),
     ],
 )
-def test_scan_verify_explore_honour_max_iters(capsys, argv):
-    # one iteration certifies nothing, so the run must stop, not report
-    rc, out, err = run_cli(capsys, *argv, "--max-iters", "1")
+def test_scan_verify_explore_honour_tol(capsys, argv):
+    # a tol below every rounding floor certifies nothing, so the run must
+    # stop, not report
+    rc, out, err = run_cli(capsys, *argv, "--tol", "1e-300")
     assert rc == EXIT_PRECONDITION and out == ""
     assert "certification not reached" in err
 
@@ -484,12 +495,11 @@ def test_config_validation_bounds(tmp_path, capsys):
     )
     assert rc == EXIT_USAGE and "tol" in err
     # a NaN tol is not positive either: it would stall the kernel (exit 3)
-    for flag, value in (("--tol", "0"), ("--tol", "nan"), ("--max-iters", "0"),
-                        ("--max-iters", "-1")):
+    for value in ("0", "nan"):
         rc, _, err = run_cli(
-            capsys, "radius", "--family", "cycle", "--n", "4", "--alpha", "0.5", flag, value
+            capsys, "radius", "--family", "cycle", "--n", "4", "--alpha", "0.5", "--tol", value
         )
-        assert rc == EXIT_USAGE and flag.lstrip("-").replace("-", "_") in err, flag
+        assert rc == EXIT_USAGE and "tol must be positive" in err, value
     cfg = tmp_path / "run.cfg"
     cfg.write_text("tol = nan\n")
     rc, _, err = run_cli(
@@ -518,20 +528,32 @@ def test_config_long_runs_key_is_unknown(tmp_path, capsys):
     assert rc == EXIT_USAGE and "unknown key 'long_runs_enabled'" in err
 
 
+def test_config_max_iters_key_is_unknown(tmp_path, capsys):
+    # the kernel's iteration cap is a constant, not a setting
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("max_iters = 5\n")
+    rc, out, err = run_cli(
+        capsys, "radius", "--family", "cycle", "--n", "4", "--alpha", "0",
+        "--config", str(cfg),
+    )
+    assert rc == EXIT_USAGE and out == "" and "unknown key 'max_iters'" in err
+
+
 def test_negative_workers_is_usage_error(tmp_path, capsys):
     scan = ("scan", "--n", "3", "--alpha", "0", "--parameter", "girth")
-    rc, out, err = run_cli(capsys, *scan, "--workers", "-2")
-    assert rc == EXIT_USAGE and out == "" and "workers must be >= 0" in err
+    for value in ("-2", "0"):
+        rc, out, err = run_cli(capsys, *scan, "--workers", value)
+        assert rc == EXIT_USAGE and out == "" and "workers must be >= 1" in err, value
     cfg = tmp_path / "run.cfg"
     cfg.write_text("workers = -1\n")
     rc, out, err = run_cli(capsys, *scan, "--config", str(cfg))
-    assert rc == EXIT_USAGE and out == "" and "workers must be >= 0" in err
+    assert rc == EXIT_USAGE and out == "" and "workers must be >= 1" in err
 
 
 # ---------------------------------------------------------------------------
 # which settings each subcommand takes
 
-SETTING_FLAGS = {"--config", "--tol", "--max-iters", "--workers", "--output", "--out"}
+SETTING_FLAGS = {"--config", "--tol", "--workers", "--output", "--out"}
 
 
 def _subparsers(parser=None):
@@ -542,11 +564,11 @@ def _subparsers(parser=None):
 
 def test_subcommands_register_only_the_settings_they_read():
     want = {
-        "radius": {"--config", "--tol", "--max-iters", "--output", "--out"},
+        "radius": {"--config", "--tol", "--output", "--out"},
         "formula": {"--config", "--output", "--out"},
         "family": {"--out"},
-        "sweep formula": {"--config", "--tol", "--max-iters", "--out"},
-        "sweep alpha": {"--config", "--tol", "--max-iters", "--out"},
+        "sweep formula": {"--config", "--tol", "--out"},
+        "sweep alpha": {"--config", "--tol", "--out"},
         "verify": SETTING_FLAGS,
         "scan": SETTING_FLAGS,
         "explore": SETTING_FLAGS,
@@ -580,6 +602,13 @@ def test_subcommands_register_only_the_settings_they_read():
          "--long-runs"),
         ("sweep", "formula", "--n", "4", "--alpha", "0", "--family", "cycle", "--kind",
          "transitive"),
+        # the iteration cap is a constant: every subcommand that took it refuses it
+        ("radius", "--family", "cycle", "--n", "4", "--alpha", "0", "--max-iters", "5"),
+        ("sweep", "formula", "--n", "4", "--alpha", "0", "--max-iters", "5"),
+        ("sweep", "alpha", "--family", "cycle", "--n", "4", "--alpha", "0", "--max-iters", "5"),
+        ("verify", "T3.1", "--n", "3", "--max-iters", "5"),
+        ("scan", "--n", "3", "--alpha", "0", "--parameter", "girth", "--max-iters", "5"),
+        ("explore", "--n", "3", "--max-iters", "5"),
     ],
 )
 def test_flags_a_subcommand_does_not_read_are_usage_errors(capsys, argv):
@@ -592,7 +621,7 @@ def test_sweep_kinds_register_their_own_input_flags():
     kinds = _subparsers(_subparsers()["sweep"])
     flags = {name: {f for a in sub._actions for f in a.option_strings} - {"-h", "--help"}
              for name, sub in kinds.items()}
-    assert flags["formula"] == {"--n", "--alpha", "--config", "--tol", "--max-iters", "--out"}
+    assert flags["formula"] == {"--n", "--alpha", "--config", "--tol", "--out"}
     assert {"--file", "--family", "--n", "--kind", "--family-alpha"} <= flags["alpha"]
     args = cli.build_parser().parse_args(
         ["sweep", "alpha", "--family", "tournament", "--kind", "rotational", "--alpha", "0"]

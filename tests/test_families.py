@@ -39,7 +39,7 @@ from alphaspec.digraph import (
     code_of_digraph,
     digraph_from_code,
 )
-from alphaspec.spectral import DEFAULT_MAX_ITERS, DEFAULT_TOL, _component_enclosures
+from alphaspec.spectral import DEFAULT_TOL, _component_enclosures
 
 SQRT_GOLDEN = math.sqrt((1 + math.sqrt(5)) / 2)
 
@@ -264,7 +264,7 @@ def _class_enclosures(n: int, alpha: float):
     of their radii, as the search computes them."""
     classes = families._tournament_classes(n)
     adj = _decode(n, classes)
-    return classes, *_component_enclosures(adj, alpha, DEFAULT_TOL, DEFAULT_MAX_ITERS)
+    return classes, *_component_enclosures(adj, alpha, DEFAULT_TOL)
 
 
 def test_tournament_class_counts():

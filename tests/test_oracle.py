@@ -43,9 +43,9 @@ from alphaspec.oracle import (
     subdivision_sweep,
     verify_theorem,
 )
-from alphaspec import oracle
+from alphaspec import oracle, spectral
 from alphaspec.digraph import _relabellings, canonical_codes
-from alphaspec.spectral import DEFAULT_MAX_ITERS, DEFAULT_TOL, ConvergenceError
+from alphaspec.spectral import DEFAULT_TOL, ConvergenceError
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +311,8 @@ def test_scan_reports_bound_violations(monkeypatch):
     # the alpha * max-out-degree bound
     real = oracle.batch_cw_radius
 
-    def shifted(mats, tol, max_iters):
-        lam, lo, hi, iters = real(mats, tol=tol, max_iters=max_iters)
+    def shifted(mats, tol):
+        lam, lo, hi, iters = real(mats, tol=tol)
         return lam - 10.0, lo - 10.0, hi - 10.0, iters
 
     monkeypatch.setattr(oracle, "batch_cw_radius", shifted)
@@ -345,8 +345,8 @@ def test_bound_listing_matches_labelled_listing(monkeypatch):
     cells = [(i, j) for i in range(4) for j in range(4) if i != j]
     shifted_radius = {}
 
-    def shifted(mats, tol, max_iters):
-        lam, lo, hi, iters = real(mats, tol=tol, max_iters=max_iters)
+    def shifted(mats, tol):
+        lam, lo, hi, iters = real(mats, tol=tol)
         codes = (mats[:, [i for i, _ in cells], [j for _, j in cells]] > 0) @ (1 << np.arange(12))
         shifted_radius.update(zip(codes.tolist(), (lam - 0.3).tolist()))
         return lam - 0.3, lo - 0.3, hi - 0.3, iters
@@ -394,9 +394,10 @@ def test_bound_listing_matches_labelled_listing(monkeypatch):
     assert len({v["check"] for v in listing[:VIOLATION_CAP]}) == 4
 
 
-def test_scan_convergence_failure_names_its_witness():
+def test_scan_convergence_failure_names_its_witness(monkeypatch):
+    monkeypatch.setattr(spectral, "_MAX_ITERS", 1)
     with pytest.raises(ConvergenceError) as info:
-        run_scan(3, (0.5,), max_iters=1)
+        run_scan(3, (0.5,))
     message = str(info.value)
     code = int(re.search(r"code (\d+) at alpha 0\.5:", message).group(1))
     assert is_strongly_connected(digraph_from_code(3, code))
@@ -735,9 +736,9 @@ def test_scan_runs_the_kernel_once_per_class(monkeypatch):
     sizes = []
     real = oracle.batch_cw_radius
 
-    def counted(mats, tol, max_iters):
+    def counted(mats, tol):
         sizes.append(len(mats))
-        return real(mats, tol=tol, max_iters=max_iters)
+        return real(mats, tol=tol)
 
     monkeypatch.setattr(oracle, "batch_cw_radius", counted)
     stats = run_scan(4, (0.0, 0.5))
@@ -751,9 +752,7 @@ def test_scan_invariant_columns_match_the_public_functions(n):
     # the table's four columns come from one pass over vertex subsets; the
     # public functions (BFS, Bron-Kerbosch, unit max-flow) are the reference
     reps, weights = oracle._classes(n, workers=1)
-    table, _, _ = oracle._scan_table(
-        n, reps, weights, (), PUBLIC_PARAMETERS, DEFAULT_TOL, DEFAULT_MAX_ITERS
-    )
+    table, _, _ = oracle._scan_table(n, reps, weights, (), PUBLIC_PARAMETERS, DEFAULT_TOL)
     want = []
     for code in reps.tolist():
         g = digraph_from_code(n, code)
@@ -812,8 +811,8 @@ def test_subdivision_sweep_caps_violations_per_alpha(monkeypatch):
     # violation
     real = oracle.batch_cw_radius
 
-    def raised_when_subdivided(mats, tol, max_iters):
-        lam, lo, hi, iters = real(mats, tol=tol, max_iters=max_iters)
+    def raised_when_subdivided(mats, tol):
+        lam, lo, hi, iters = real(mats, tol=tol)
         return (lam + 1.0 if mats.shape[-1] == 5 else lam), lo, hi, iters
 
     monkeypatch.setattr(oracle, "batch_cw_radius", raised_when_subdivided)
@@ -842,11 +841,9 @@ def test_subdivision_sweep_range_check():
         subdivision_sweep(3, (0.0, 0.0))
 
 
-@pytest.mark.parametrize(
-    "bad", [{"max_iters": 0}, {"max_iters": -1}, {"tol": 0.0}, {"tol": -1.0}, {"tol": math.nan}]
-)
+@pytest.mark.parametrize("bad", [{"tol": 0.0}, {"tol": -1.0}, {"tol": math.nan}])
 def test_scan_and_sweep_reject_kernel_input_they_cannot_certify(bad):
-    match = "max_iters must be >= 1|tol must be positive"
+    match = "tol must be positive"
     with pytest.raises(ValueError, match=match):
         run_scan(3, (0.5,), **bad)
     with pytest.raises(ValueError, match=match):
@@ -863,9 +860,9 @@ def test_sweep_reads_base_radii_from_the_scan_table(monkeypatch):
     sizes = []
     real = oracle.batch_cw_radius
 
-    def counted(mats, tol, max_iters):
+    def counted(mats, tol):
         sizes.append(mats.shape)
-        return real(mats, tol=tol, max_iters=max_iters)
+        return real(mats, tol=tol)
 
     monkeypatch.setattr(oracle, "batch_cw_radius", counted)
     out = subdivision_sweep(4, (0.0, 0.5))
@@ -875,15 +872,18 @@ def test_sweep_reads_base_radii_from_the_scan_table(monkeypatch):
 
 def test_subdivision_sweep_convergence_failure_names_its_witness(monkeypatch):
     # unsubdivided radii come first and stall on an irregular digraph
-    with pytest.raises(ConvergenceError, match=r"^code \d+ at alpha 0\.5: "):
-        subdivision_sweep(3, (0.5,), max_iters=1)
+    with monkeypatch.context() as patch, pytest.raises(
+        ConvergenceError, match=r"^code \d+ at alpha 0\.5: "
+    ):
+        patch.setattr(spectral, "_MAX_ITERS", 1)
+        subdivision_sweep(3, (0.5,))
     # a stalled subdivided matrix is named by its digraph and arc
     real = oracle.batch_cw_radius
 
-    def stalls_when_subdivided(mats, tol, max_iters):
+    def stalls_when_subdivided(mats, tol):
         if mats.shape[-1] == 4:
-            raise ConvergenceError(0.0, 1.0, max_iters, index=0)
-        return real(mats, tol=tol, max_iters=max_iters)
+            raise ConvergenceError(0.0, 1.0, 1, index=0)
+        return real(mats, tol=tol)
 
     monkeypatch.setattr(oracle, "batch_cw_radius", stalls_when_subdivided)
     first = next(

@@ -34,6 +34,7 @@ from alphaspec import (
     spectral_radius_general,
     tournament,
 )
+from alphaspec import spectral
 from alphaspec.oracle import digraph_from_code
 from alphaspec.spectral import _widening
 
@@ -174,10 +175,11 @@ def test_not_strong_rejected():
         spectral_radius(path(4), 0.0)
 
 
-def test_convergence_error_carries_state():
+def test_convergence_error_carries_state(monkeypatch):
     g = k_nkm(6, 2, 1)
+    monkeypatch.setattr(spectral, "_MAX_ITERS", 3)
     with pytest.raises(ConvergenceError) as err:
-        spectral_radius(g, 0.0, max_iters=3)
+        spectral_radius(g, 0.0)
     assert err.value.iterations == 3
     assert err.value.lo < err.value.hi
 
@@ -443,37 +445,59 @@ def test_batch_empty_stack():
     assert rad.size == lo.size == hi.size == its.size == 0
 
 
-def test_batch_iteration_cap():
+def test_batch_iteration_cap(monkeypatch):
+    monkeypatch.setattr(spectral, "_MAX_ITERS", 3)
     with pytest.raises(ConvergenceError):
-        batch_cw_radius(_alpha_stack([k_nkm(6, 2, 1)], 0.0), max_iters=3)
+        batch_cw_radius(_alpha_stack([k_nkm(6, 2, 1)], 0.0))
 
 
-@pytest.mark.parametrize("max_iters", [1, 3])
-def test_batch_iteration_cap_names_input_index(max_iters):
+@pytest.mark.parametrize("cap", [1, 3])
+def test_batch_iteration_cap_names_input_index(monkeypatch, cap):
     # 40 regular matrices certify at iteration 1 and are compacted away
-    # (max_iters = 1: on the last iteration); the error still names the
-    # stalled matrix by its position in the input stack
+    # (cap = 1: on the last iteration); the error still names the stalled
+    # matrix by its position in the input stack
+    monkeypatch.setattr(spectral, "_MAX_ITERS", cap)
     stack = _alpha_stack([complete(6)] * 40 + [k_nkm(6, 2, 1)], 0.0)
     with pytest.raises(ConvergenceError) as err:
-        batch_cw_radius(stack, max_iters=max_iters)
+        batch_cw_radius(stack)
     assert err.value.index == 40
-    assert err.value.iterations == max_iters
+    assert err.value.iterations == cap
     assert err.value.lo < err.value.hi
 
 
-@pytest.mark.parametrize(
-    "bad", [{"max_iters": 0}, {"max_iters": -1}, {"tol": 0.0}, {"tol": -1.0}, {"tol": np.nan}]
-)
+@pytest.mark.parametrize("bad", [{"tol": 0.0}, {"tol": -1.0}, {"tol": np.nan}])
 def test_kernel_rejects_input_it_cannot_certify(bad):
-    # no iteration, or no width that is <= tol: the kernel would hand back its
-    # unfilled output buffers as certified, or stall
-    match = "max_iters must be >= 1|tol must be positive"
+    # no width that is <= tol: the kernel would stall
+    match = "tol must be positive"
     with pytest.raises(ValueError, match=match):
         spectral_radius(cycle(4), 0.5, **bad)
     with pytest.raises(ValueError, match=match):
         spectral_radius_general(path(4), 0.5, **bad)
     with pytest.raises(ValueError, match=match):
         batch_cw_radius(_alpha_stack([cycle(4), k_nkm(4, 1, 1)], 0.5), **bad)
+
+
+@pytest.mark.parametrize("entry", [-1.0, np.nan, np.inf])
+def test_batch_refuses_entries_it_cannot_certify(entry):
+    # a negative stack came back with radius -1 "certified" (the true radius
+    # of [[0, -1], [-1, 0]] is 1); a NaN or infinite entry ran the whole
+    # iteration cap before failing
+    stack = _alpha_stack([cycle(3), complete(3)], 0.5)
+    stack[1, 2, 0] = entry
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match=r"matrix 1 of the stack has entry \(2, 0\)"):
+        batch_cw_radius(stack)
+    with pytest.raises(ValueError, match="nonnegative finite"):
+        batch_cw_radius(np.array([[[0.0, entry], [entry, 0.0]]]))
+    assert time.perf_counter() - started < 1.0
+
+
+@pytest.mark.parametrize("entry", [np.inf, np.nan, -1.0, 0.0])
+def test_start_vector_must_be_positive_and_finite(entry):
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match="start vector must be strictly positive and finite"):
+        spectral_radius(cycle(3), 0.5, start=[1.0, entry, 1.0])
+    assert time.perf_counter() - started < 1.0
 
 
 def test_convergence_error_pickles_with_its_witness():

@@ -155,12 +155,14 @@ def parse_float_grid(text: str) -> list[float]:
                 "like 0,0.1,...,0.9"
             )
         step = _grid_step(head[-1] - head[-2])
-        end = float(tail[0])
+        # values are rounded to _GRID_RESOLUTION, which no step is finer than,
+        # so the end is compared on that lattice, exactly and with no slack
+        end = round(float(tail[0]), 12)
         values = list(head)
-        while values[-1] + step <= end + 1e-9:
+        while round(values[-1] + step, 12) <= end:
             values.append(round(values[-1] + step, 12))
-        if abs(values[-1] - end) > 1e-9:
-            raise ValueError(f"grid end {end} is not on the step lattice of {text!r}")
+        if round(values[-1], 12) != end:
+            raise ValueError(f"grid end {tail[0]} is not on the step lattice of {text!r}")
         return _distinct(values, "alpha values")
     return _distinct([float(t) for t in tokens], "alpha values")
 
@@ -232,10 +234,16 @@ def _input_digraph(args: argparse.Namespace, alpha: float | None,
     taken = {} if has_file else _FAMILY_FLAGS[name]
     unread = [f"--{p}" for p in _FAMILY_PARAMS
               if p not in taken and getattr(args, p, None) is not None]
-    if alpha_flag and alpha is not None and "alpha" not in taken:
+    # of the tournaments, families.tournament reads alpha for the search only
+    reads_alpha = "alpha" in taken and (
+        name != "tournament" or args.kind in (None, "extremal_bruteforce")
+    )
+    if alpha_flag and alpha is not None and not reads_alpha:
         unread.append(alpha_flag)
     if unread:
         reader = "a digraph read with --file" if has_file else f"family {name}"
+        if name == "tournament" and args.kind is not None:
+            reader += f" --kind {args.kind}"
         raise ValueError(f"{reader} takes no {', '.join(unread)}")
     if has_file:
         try:

@@ -16,6 +16,15 @@ Collatz-Wielandt quotients r_i = (Mx)_i / x_i whose extremes enclose the
 Perron root.  They are computed in float and widened outward by a bound on
 every rounding involved (see _widening), so the returned interval holds the
 exact root of alpha*D + (1-alpha)*A for the double-valued alpha.
+
+The kernel, _certify, holds each block of matrices batch-last, as one
+(n, n, k) array, so its numpy operations run along the long axis k.  Blocks
+of at least _ELIMINATION_MIN matrices solve by Gaussian elimination without
+pivoting, vectorised over k; smaller ones, such as the single matrix of
+spectral_radius, by np.linalg.solve (_inverse_step).  Skipping pivoting is
+safe because mu*I - M is a nonsingular M-matrix, whose elimination needs no
+row exchanges and is stable.  Neither solver can touch the certificate: it
+is evaluated afresh on whatever positive vector the step returns.
 """
 from __future__ import annotations
 
@@ -46,6 +55,11 @@ _MAX_ITERS = 200_000  # checks per matrix; no measured matrix has needed more th
 _SOLVE_BLOCK = 1 << 18  # float64 matrix elements (2 MB) per batched solve
 _X_MIN = 2.0 ** -500  # least iterate entry; keeps each product M_ij x_j from underflow
 _STALL_CHECKS = 8  # checks after which a width that has not narrowed ends the kernel
+# Least block that _inverse_step solves by elimination; below it, np.linalg.solve.
+# Timed per step on random strong stacks (2-core x86-64, numpy 2.4.6 with
+# OpenBLAS 0.3.31), the two cost the same at about 96 matrices for n = 3..5
+# and at 192-256 for n = 6..8.
+_ELIMINATION_MIN = 128
 
 
 class ConvergenceError(RuntimeError):
@@ -205,29 +219,57 @@ def _widening(n: int) -> tuple[float, float]:
     return f_lo, f_hi
 
 
-def _inverse_step(
-    m: np.ndarray, x: np.ndarray, lo: np.ndarray, hi: np.ndarray, eye: np.ndarray
-) -> np.ndarray:
-    """Next iterate of every matrix of the (k, n, n) stack m, unit-sum.
+def _inverse_step(m: np.ndarray, x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Next iterate of every matrix of the batch-last (n, n, k) stack m,
+    as an (n, k) block of unit-sum columns.
 
     z solves (mu*I - M) z = x with mu just above the certified hi >= rho, so
     mu*I - M is a nonsingular M-matrix with a positive inverse and z > 0 in
     exact arithmetic.  The offset max(1e-6*(hi - lo), 1e-15*hi) keeps every
-    tested case within a few solves, up to alpha = 0.9999.  An iterate that
-    comes out not finite or not positive is replaced by one power step on
-    M + I, which keeps it positive; a bad solve costs an iteration, never the
-    certificate, which is taken afresh on whatever vector results.
+    tested case within a few solves, up to alpha = 0.9999.
+
+    Two solvers give z.  A block of at least _ELIMINATION_MIN matrices is
+    solved by Gaussian elimination without pivoting, each step one numpy
+    operation over all k columns, in place on one (n, n, k) copy.  That is
+    safe here: every leading principal submatrix of a nonsingular M-matrix
+    is one too, so every pivot is positive in exact arithmetic, and
+    elimination without row exchanges is stable on M-matrices (Funderlic,
+    Neumann and Plemmons, Numer. Math. 40, 1982).  A smaller block, such as
+    the one matrix of spectral_radius, goes to np.linalg.solve on a
+    transposed view, which costs less per call there.
+
+    An iterate that comes out not finite or not positive is replaced by one
+    power step on M + I, which keeps it positive.  Under elimination a zero
+    or non-finite pivot spoils only its own column; a singular matrix makes
+    np.linalg.solve fail for its whole block.  Either way a bad solve costs
+    an iteration, never the certificate: _certify takes it afresh on
+    whatever vector results, so no solver's rounding can reach it.
     """
+    n, _, k = m.shape
     mu = hi + np.maximum(1e-6 * (hi - lo), 1e-15 * hi)
-    try:
-        z = np.linalg.solve(mu[:, None, None] * eye - m, x[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:  # an exactly singular pivot in the stack
-        z = np.full_like(x, np.nan)
-    z /= z.sum(axis=1, keepdims=True)
-    bad = ~((z > _X_MIN) & np.isfinite(z)).all(axis=1)
-    if bad.any():
-        p = x[bad] + np.matmul(m[bad], x[bad][:, :, None])[:, :, 0]
-        z[bad] = p / p.sum(axis=1, keepdims=True)
+    a = np.negative(m)
+    a.reshape(n * n, k)[:: n + 1] += mu  # the diagonal, as a view of the contiguous copy
+    if k >= _ELIMINATION_MIN:
+        z = x.copy()
+        for p in range(n - 1):
+            f = a[p + 1 :, p] / a[p, p]
+            a[p + 1 :, p + 1 :] -= f[:, None] * a[p, p + 1 :]
+            z[p + 1 :] -= f * z[p]
+        for p in range(n - 1, -1, -1):
+            z[p] -= np.einsum("jk,jk->k", a[p, p + 1 :], z[p + 1 :])
+            z[p] /= a[p, p]
+    else:
+        try:
+            z = np.linalg.solve(a.transpose(2, 0, 1), x.T[:, :, None])[:, :, 0].T
+        except np.linalg.LinAlgError:  # an exactly singular pivot in the block
+            z = np.full_like(x, np.nan)
+    z /= z.sum(axis=0)
+    # min and max propagate NaN, so two reductions test every entry
+    if z.min() > _X_MIN and z.max() < np.inf:
+        return z
+    bad = ~((z > _X_MIN) & np.isfinite(z)).all(axis=0)
+    p = x[:, bad] + np.einsum("ijk,jk->ik", m[:, :, bad], x[:, bad])
+    z[:, bad] = p / p.sum(axis=0)
     return z
 
 
@@ -241,13 +283,19 @@ def _certify(
 
     Iteration k checks the widened Collatz-Wielandt certificate of the
     current vector: the first check takes start (default all equal), each
-    later one follows one inverse iteration step.  A matrix is done at the
-    first check whose enclosure is at most tol wide; perron is that
-    certifying vector, unit-sum.  Every _STALL_CHECKS checks, a matrix whose
-    width has not narrowed since the last such check ends the kernel.  The
-    stack runs in blocks of at most _SOLVE_BLOCK elements, each to completion,
-    and a matrix still uncertified after _MAX_ITERS checks (read at call time)
-    ends it.  A tol that is not > 0 (NaN included) raises ValueError.
+    later one follows one inverse iteration step (_inverse_step).  A matrix
+    is done at the first check whose enclosure is at most tol wide; perron is
+    that certifying vector, unit-sum.  Every _STALL_CHECKS checks, a matrix
+    whose width has not narrowed since the last such check ends the kernel.
+    The stack runs in blocks of at most _SOLVE_BLOCK elements, each to
+    completion, and a matrix still uncertified after _MAX_ITERS checks (read
+    at call time) ends it.  A tol that is not > 0 (NaN included) raises
+    ValueError.
+
+    A block is held batch-last: its matrices as one (n, n, k) array and its
+    iterates as one (n, k) array, so the quotients, their min and max, the
+    normalisation, the positivity test and the removal of certified matrices
+    all run along the long axis k.  Only the outputs are batch-first.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -257,7 +305,6 @@ def _certify(
     # width can fall below the floor lo*(f_hi - f_lo)/f_hi (the nextafter
     # steps only add)
     floor_factor = (f_hi - f_lo) / f_hi
-    eye = np.eye(n)
     x0 = np.full((b, n), 1.0 / n) if start is None else start
     out_lo = np.empty(b, dtype=np.float64)
     out_hi = np.empty(b, dtype=np.float64)
@@ -268,21 +315,23 @@ def _certify(
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for s in range(0, b, step):
             act = np.arange(s, min(s + step, b))
-            m = mats[s : s + step]
-            x = x0[s : s + step]
+            m = np.ascontiguousarray(mats[s : s + step].transpose(1, 2, 0))
+            x = np.ascontiguousarray(x0[s : s + step].T)
             last = np.full(len(act), np.inf)  # widths at the last stall test
             for it in range(1, _MAX_ITERS + 1):
-                q = np.matmul(m, x[:, :, None])[:, :, 0] / x
-                lo = np.nextafter(q.min(axis=1) * f_lo, -np.inf)
-                hi = np.nextafter(q.max(axis=1) * f_hi, np.inf)
+                q = np.einsum("ijk,jk->ik", m, x) / x
+                lo = np.nextafter(q.min(axis=0) * f_lo, -np.inf)
+                hi = np.nextafter(q.max(axis=0) * f_hi, np.inf)
                 fin = hi - lo <= tol
                 if fin.any():
                     g = act[fin]
-                    out_lo[g], out_hi[g], out_x[g], out_it[g] = lo[fin], hi[fin], x[fin], it
+                    out_lo[g], out_hi[g], out_x[g], out_it[g] = lo[fin], hi[fin], x[:, fin].T, it
                     keep = ~fin
                     if not keep.any():
                         break
-                    act, m, x, lo, hi, last = (a[keep] for a in (act, m, x, lo, hi, last))
+                    act, lo, hi, last = (a[keep] for a in (act, lo, hi, last))
+                    # compress, unlike m[:, :, keep], keeps k the contiguous axis
+                    m, x = np.compress(keep, m, axis=2), np.compress(keep, x, axis=1)
                 stuck = lo * floor_factor > tol
                 if it % _STALL_CHECKS == 0:
                     stuck |= hi - lo >= last
@@ -298,7 +347,7 @@ def _certify(
                     raise ConvergenceError(
                         float(lo[worst]), float(hi[worst]), it, index=int(act[worst])
                     )
-                x = _inverse_step(m, x, lo, hi, eye)
+                x = _inverse_step(m, x, lo, hi)
     return (out_lo + out_hi) / 2.0, out_lo, out_hi, out_x, out_it
 
 

@@ -62,6 +62,8 @@ def test_parse_float_grid_refuses_steps_below_its_resolution():
         with pytest.raises(ValueError, match="grid step must be at least 1e-12"):
             parse_float_grid(bad)
     assert parse_float_grid("0..3e-12/1e-12") == [0.0, 1e-12, 2e-12, 3e-12]
+    # an absolute end slack of 1e-9 ran this grid on to 1.005e-9 (1,006 values)
+    assert parse_float_grid("0,1e-12,...,5e-12") == [0.0, 1e-12, 2e-12, 3e-12, 4e-12, 5e-12]
 
 
 def test_parse_int_range_forms():
@@ -643,6 +645,11 @@ def test_sweep_kinds_register_their_own_input_flags():
          ("--family-alpha",)),
         (("sweep", "alpha", "--family", "cycle", "--n", "4", "--alpha", "0",
           "--family-alpha", "0.5"), ("--family-alpha",)),
+        # the tournament takes alpha, but only the extremal search reads it
+        (("family", "--family", "tournament", "--kind", "rotational", "--n", "5",
+          "--alpha", "0.5"), ("--alpha",)),
+        (("sweep", "alpha", "--family", "tournament", "--kind", "rotational", "--n", "5",
+          "--alpha", "0", "--family-alpha", "0.5"), ("--family-alpha",)),
     ],
 )
 def test_family_flags_the_input_does_not_take_are_usage_errors(tmp_path, capsys, argv, unread):
@@ -665,6 +672,10 @@ def test_sweep_alpha_tournament_requires_kind(capsys):
         ("family", "--family", "g0", "--n", "5", "--d", "2", "--alpha", "0.5"),
         ("sweep", "alpha", "--family", "tournament", "--kind", "rotational", "--n", "5",
          "--alpha", "0"),
+        ("radius", "--family", "tournament", "--kind", "rotational", "--n", "5",
+         "--alpha", "0.5"),
+        ("family", "--family", "tournament", "--kind", "extremal_bruteforce", "--n", "4",
+         "--alpha", "0.5"),
     ],
 )
 def test_family_flags_the_generator_takes_are_accepted(capsys, argv):

@@ -440,6 +440,72 @@ def test_batch_compaction_freezes_early_entries():
     assert its[150] > its[0]
 
 
+def _solver_stack(alpha):
+    # directed 6-cycles (period 6), the complete bipartite digraph K_{3,3} with
+    # both arc directions (period 2) and random strong digraphs, 6 vertices each
+    rng = np.random.default_rng(606)
+    bipartite = from_arcs(6, {(u, v) for u in range(6) for v in range(6) if (u < 3) != (v < 3)})
+    graphs = [cycle(6), bipartite] * 3 + [random_strong(rng, 6) for _ in range(150)]
+    return graphs, _alpha_stack(graphs, alpha)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 0.9999])
+def test_both_solvers_enclose_the_exact_root(monkeypatch, alpha):
+    # the crossover at 0 sends every solve to elimination, at the stack size
+    # plus one every solve to np.linalg.solve
+    graphs, stack = _solver_stack(alpha)
+    results = []
+    for crossover in (0, len(stack) + 1):
+        monkeypatch.setattr(spectral, "_ELIMINATION_MIN", crossover)
+        _mid, lo, hi, perron, _its = spectral._certify(stack, TOL)
+        for i, g in enumerate(graphs):
+            exact_lo, exact_hi = _exact_cw_interval(g, alpha, perron[i])
+            assert lo[i] <= exact_lo <= exact_hi <= hi[i], (crossover, i)
+        assert (hi - lo <= TOL).all()
+        results.append((lo, hi))
+    # both enclose the same root, so they overlap
+    (lo_e, hi_e), (lo_s, hi_s) = results
+    assert (np.maximum(lo_e, lo_s) <= np.minimum(hi_e, hi_s)).all()
+
+
+def test_zero_pivot_spoils_only_its_own_matrix(monkeypatch):
+    # With hi >= rho every pivot is positive, so the first step is handed
+    # hi = lo = 0 for the first matrix of its block: then mu = 0, and at
+    # alpha 0 that matrix's first pivot mu - M_00 is exactly zero.  Its column
+    # takes the power step on M + I; every other column solves as before.
+    monkeypatch.setattr(spectral, "_ELIMINATION_MIN", 0)
+    graphs, stack = _solver_stack(0.0)
+    want = spectral._certify(stack, TOL)
+    step = spectral._inverse_step
+    first = []
+
+    def spoil_first_step(m, x, lo, hi):
+        if first:
+            return step(m, x, lo, hi)
+        lo, hi = lo.copy(), hi.copy()
+        lo[0] = hi[0] = 0.0
+        z = step(m, x, lo, hi)
+        first.append((m[:, :, 0].copy(), x[:, 0].copy(), z[:, 0].copy()))
+        return z
+
+    monkeypatch.setattr(spectral, "_inverse_step", spoil_first_step)
+    _mid, lo, hi, perron, its = spectral._certify(stack, TOL)
+    # the cycles and K_{3,3} certify at the first check, so the block's first
+    # matrix is input 6
+    spoiled = 6
+    assert (want[4][:spoiled] == 1).all() and want[4][spoiled] > 1
+    m, x, z = first[0]
+    assert m[0, 0] == 0.0 and np.array_equal(m, stack[spoiled])
+    power = x + m @ x
+    np.testing.assert_allclose(z, power / power.sum(), rtol=1e-14, atol=0)
+    exact_lo, exact_hi = _exact_cw_interval(graphs[spoiled], 0.0, perron[spoiled])
+    assert lo[spoiled] <= exact_lo <= exact_hi <= hi[spoiled]
+    assert hi[spoiled] - lo[spoiled] <= TOL
+    others = np.arange(len(stack)) != spoiled
+    for got, ref in zip((lo, hi, perron, its), want[1:]):
+        assert np.array_equal(got[others], ref[others])
+
+
 def test_batch_empty_stack():
     rad, lo, hi, its = batch_cw_radius(np.zeros((0, 4, 4)))
     assert rad.size == lo.size == hi.size == its.size == 0
@@ -451,16 +517,29 @@ def test_batch_iteration_cap(monkeypatch):
         batch_cw_radius(_alpha_stack([k_nkm(6, 2, 1)], 0.0))
 
 
-@pytest.mark.parametrize("cap", [1, 3])
-def test_batch_iteration_cap_names_input_index(monkeypatch, cap):
-    # 40 regular matrices certify at iteration 1 and are compacted away
-    # (cap = 1: on the last iteration); the error still names the stalled
-    # matrix by its position in the input stack
+@pytest.mark.parametrize(
+    "cap, lead",
+    [
+        pytest.param(1, "regular", id="1"),
+        pytest.param(3, "regular", id="3"),
+        pytest.param(3, "halved", id="3-above-crossover"),
+    ],
+)
+def test_batch_iteration_cap_names_input_index(monkeypatch, cap, lead):
+    # regular: 40 regular matrices certify at iteration 1 and are compacted
+    # away (cap = 1: on the last iteration).  halved: a block above the
+    # elimination crossover of half copies of the stalled matrix, which stay
+    # uncertified with exactly half its width.  Either way the error names
+    # the stalled matrix by its position in the input stack.
     monkeypatch.setattr(spectral, "_MAX_ITERS", cap)
-    stack = _alpha_stack([complete(6)] * 40 + [k_nkm(6, 2, 1)], 0.0)
+    stalled = _alpha_stack([k_nkm(6, 2, 1)], 0.0)
+    if lead == "regular":
+        lead = _alpha_stack([complete(6)] * 40, 0.0)
+    else:
+        lead = np.repeat(stalled / 2, 2 * spectral._ELIMINATION_MIN, axis=0)
     with pytest.raises(ConvergenceError) as err:
-        batch_cw_radius(stack)
-    assert err.value.index == 40
+        batch_cw_radius(np.concatenate([lead, stalled]))
+    assert err.value.index == len(lead)
     assert err.value.iterations == cap
     assert err.value.lo < err.value.hi
 

@@ -16,9 +16,11 @@ import csv
 import inspect
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 from . import families, formulas, oracle
@@ -116,65 +118,65 @@ def _distinct(values: list, what: str) -> list:
     return values
 
 
-_GRID_RESOLUTION = 1e-12  # grid values are rounded to it, so no step may be finer
+# Spans, ellipses and ranges expand to at most this many values, counted first:
+# each costs a certified radius (0.1-0.4 ms at n <= 6), so 10^6 are minutes.
+_MAX_VALUES = 10**6
 
 
-def _grid_step(step: float) -> float:
-    if not step >= _GRID_RESOLUTION:
-        raise ValueError(
-            f"grid step must be at least {_GRID_RESOLUTION} (the resolution of grid values), "
-            f"got {step}"
-        )
-    return step
+def _lattice(text: str, head: list[str], step_text: str | None, end_text: str) -> list[float]:
+    """head[:-1], then from head[-1] on the lattice of 1e-12 (texts read exactly,
+    rounded half to even): a span by step_text to the last point at or below
+    end_text, an ellipsis by its last two head values exactly to end_text."""
+    texts = (*head, end_text, step_text or "0")
+    # float() refuses junk and inf; below 1e-13 is 0 units (Fraction spends minutes on 1e-99999999)
+    floats = [float(t) for t in texts]
+    if not all(map(math.isfinite, floats)):
+        raise ValueError(f"grid {text!r} has a value that is not finite")
+    *before, start, end, step = (
+        round(Fraction(t) * 10**12) if abs(x) >= 1e-13 else 0 for t, x in zip(texts, floats))
+    step = start - before[-1] if step_text is None else step
+    if step < 1:
+        raise ValueError(f"grid step must be at least 1e-12, the grid's resolution: {text!r}")
+    count, offset = divmod(end - start, step)
+    if offset and step_text is None:
+        raise ValueError(f"grid end {end_text} is not on the step lattice of {text!r}")
+    if not 0 <= count < _MAX_VALUES:
+        raise ValueError(f"grid {text!r} has {max(count + 1, 0)} values, not 1 to {_MAX_VALUES}")
+    return [u / 10**12 for u in before] + [(start + i * step) / 10**12 for i in range(count + 1)]
 
 
 def parse_float_grid(text: str) -> list[float]:
-    """Grids: '0.5', '0,0.3,0.7', '0..0.9/0.05', or '0,0.1,...,0.9'; no value
-    twice, and a step of at least _GRID_RESOLUTION."""
+    """Grids '0.5', '0,0.3,0.7', '0..0.9/0.05' or '0,0.1,...,0.9' (_lattice); no value twice."""
     text = text.strip()
     if not text:
         raise ValueError("empty value grid")
+    tokens = [t.strip() for t in text.split(",")]
     if "/" in text:
         span, _, step_text = text.partition("/")
         start_text, sep, end_text = span.partition("..")
         if not sep:
             raise ValueError(f"range grid must look like start..end/step, got {text!r}")
-        start, end, step = float(start_text), float(end_text), _grid_step(float(step_text))
-        if end < start:
-            raise ValueError(f"grid end {end} below start {start}")
-        count = int((end - start) / step + 1e-9) + 1
-        return _distinct([round(start + i * step, 12) for i in range(count)], "alpha values")
-    tokens = [t.strip() for t in text.split(",")]
+        return _distinct(_lattice(text, [start_text], step_text, end_text), "alpha values")
     if "..." in tokens:
         cut = tokens.index("...")
-        head = [float(t) for t in tokens[:cut]]
-        tail = tokens[cut + 1 :]
+        head, tail = tokens[:cut], tokens[cut + 1 :]
         if len(head) < 2 or len(tail) != 1 or tail[0] == "...":
             raise ValueError(
                 "an ellipsis grid needs two leading values and one final value, "
                 "like 0,0.1,...,0.9"
             )
-        step = _grid_step(head[-1] - head[-2])
-        # values are rounded to _GRID_RESOLUTION, which no step is finer than,
-        # so the end is compared on that lattice, exactly and with no slack
-        end = round(float(tail[0]), 12)
-        values = list(head)
-        while round(values[-1] + step, 12) <= end:
-            values.append(round(values[-1] + step, 12))
-        if round(values[-1], 12) != end:
-            raise ValueError(f"grid end {tail[0]} is not on the step lattice of {text!r}")
-        return _distinct(values, "alpha values")
+        return _distinct(_lattice(text, head, None, tail[0]), "alpha values")
     return _distinct([float(t) for t in tokens], "alpha values")
 
 
 def parse_int_range(text: str) -> list[int]:
-    """Ranges: '5', '4..10', or '3,5,7'; no value twice."""
+    """Ranges: '5', '4..10', or '3,5,7'; no value twice, at most _MAX_VALUES."""
     text = text.strip()
     if ".." in text:
         start_text, _, end_text = text.partition("..")
         start, end = int(start_text), int(end_text)
-        if end < start:
-            raise ValueError(f"range end {end} below start {start}")
+        if not 0 <= end - start < _MAX_VALUES:
+            raise ValueError(f"range {text!r} has {max(end - start + 1, 0)} values, not 1 to {_MAX_VALUES}")
         return list(range(start, end + 1))
     return _distinct([int(t.strip()) for t in text.split(",")], "orders")
 

@@ -409,9 +409,12 @@ def induced(G: Digraph, vertices: Iterable[int]) -> Digraph:
 
 
 def is_isomorphic(G: Digraph, H: Digraph) -> bool:
-    """Equal order, arc count and canonical code; n <= 8 (ValueError above)."""
-    a, b = (canonical_codes(X.n, [code_of_digraph(X)])[0] for X in (G, H))
-    return G.n == H.n and G.num_arcs == H.num_arcs and bool(a == b)
+    """Equal order, arc count and canonical code; the code needs n <= 8
+    (ValueError above) and is computed only when order and arc count agree."""
+    if G.n != H.n or G.num_arcs != H.num_arcs:
+        return False
+    a, b = canonical_codes(G.n, [code_of_digraph(G), code_of_digraph(H)])
+    return bool(a == b)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import alphaspec
 from alphaspec import cli, cycle, from_text, k_nkm, lambda_knkm, spectral_radius
@@ -64,6 +66,63 @@ def test_parse_float_grid_refuses_steps_below_its_resolution():
     assert parse_float_grid("0..3e-12/1e-12") == [0.0, 1e-12, 2e-12, 3e-12]
     # an absolute end slack of 1e-9 ran this grid on to 1.005e-9 (1,006 values)
     assert parse_float_grid("0,1e-12,...,5e-12") == [0.0, 1e-12, 2e-12, 3e-12, 4e-12, 5e-12]
+
+
+@pytest.mark.parametrize(
+    "parse, text, want",
+    [
+        # the float count slack dropped the last value: 3 values
+        (parse_float_grid, "0.9..0.900000000003/1e-12",
+         [0.9, 0.900000000001, 0.900000000002, 0.900000000003]),
+        # the float step 9.9998e-13 was refused as below the resolution
+        (parse_float_grid, "0.9,0.900000000001,...,0.900000000005",
+         [0.9, 0.900000000001, 0.900000000002, 0.900000000003, 0.900000000004,
+          0.900000000005]),
+        # an OverflowError (exit 1), an endless loop, and a span of nan
+        (parse_float_grid, "0..inf/0.1", "not finite"),
+        (parse_float_grid, "0,0.5,...,inf", "not finite"),
+        (parse_float_grid, "nan..0.5/0.1", "not finite"),
+        # built value by value before any check, until memory ran out
+        (parse_float_grid, "0..1/1e-12", "has 1000000000001 values"),
+        (parse_float_grid, "0..0.999999999999/1e-12", "has 1000000000000 values"),
+        (parse_float_grid, "0..1e300/0.5", "has 2" + "0" * 299 + "1 values"),
+        (parse_int_range, "3..1000000000000", "has 999999999998 values"),
+        # values before an ellipsis's last two are kept, on the lattice too
+        (parse_float_grid, "0,0.2,0.3,...,0.6", [0.0, 0.2, 0.3, 0.4, 0.5, 0.6]),
+        # an overflowing value, and one whose exact read would take minutes
+        (parse_float_grid, "0..1e400/1", "not finite"),
+        (parse_float_grid, "1e-99999999..0.5/0.25", [0.0, 0.25, 0.5]),
+    ],
+)
+def test_grids_lie_on_the_lattice_and_are_counted_before_they_are_built(parse, text, want):
+    if isinstance(want, str):
+        with pytest.raises(ValueError, match=want):
+            parse(text)
+    else:
+        assert parse(text) == want
+
+
+@st.composite
+def _lattice_grids(draw):
+    count = draw(st.integers(min_value=0, max_value=50))
+    step = draw(st.integers(min_value=1, max_value=(10**12 - 1) // max(count, 1)))
+    start = draw(st.integers(min_value=0, max_value=10**12 - 1 - count * step))
+    return start, step, count
+
+
+@settings(max_examples=200, deadline=None)
+@given(_lattice_grids())
+def test_spans_and_ellipses_give_exact_lattice_points(grid):
+    start, step, count = grid
+
+    def text(units):
+        return "0." + str(units).zfill(12)
+
+    want = [(start + i * step) / 10**12 for i in range(count + 1)]
+    end = text(start + count * step)
+    assert parse_float_grid(f"{text(start)}..{end}/{text(step)}") == want
+    if count:  # an ellipsis writes two values before its end
+        assert parse_float_grid(f"{text(start)},{text(start + step)},...,{end}") == want
 
 
 def test_parse_int_range_forms():
@@ -707,6 +766,35 @@ def test_verify_config_csv_output_is_usage_error(tmp_path, capsys):
 
 # ---------------------------------------------------------------------------
 # installed entry point
+
+def test_unbounded_grids_exit_2_without_hanging():
+    # these hung with memory growing, or exited 1 with a traceback; one child
+    # runs all three as `python -m alphaspec.cli` does, under a 2 GB address
+    # space, so the timeout or the limit ends whatever hangs
+    grids = ["0,0.5,...,inf", "0..1e300/0.5", "0..inf/0.1"]
+    child = (
+        "import resource, runpy, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        "for grid in sys.argv[1:]:\n"
+        "    sys.argv = ['alphaspec', 'sweep', 'alpha', '--family', 'cycle', '--n', '3',\n"
+        "                '--alpha', grid]\n"
+        "    try:\n"
+        "        runpy.run_module('alphaspec.cli', run_name='__main__')\n"
+        "    except SystemExit as exc:\n"
+        "        print(exc.code)\n"
+    )
+    src = os.path.dirname(os.path.dirname(alphaspec.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", child, *grids],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.stdout.split() == ["2", "2", "2"]
+    assert proc.stderr.count("error: ") == 3 and "Traceback" not in proc.stderr
+
 
 def test_console_script_smoke():
     # the child imports the package this suite imported, installed or not

@@ -418,6 +418,8 @@ def test_decode_matches_the_adjacency_matrix_of_each_code():
 
 def test_canonical_code_order_cap():
     assert is_isomorphic(k_nkm(8, 2, 3), k_nkm(8, 2, 3).relabel([7, 6, 5, 4, 3, 2, 1, 0]))
+    # orders that differ answer False before any canonical code is computed
+    assert not is_isomorphic(cycle(3), cycle(9))
     with pytest.raises(ValueError, match="n <= 8"):
         is_isomorphic(cycle(9), cycle(9))
     with pytest.raises(ValueError, match="out of range"):

@@ -64,6 +64,21 @@ class Digraph:
         return tuple(cols)
 
     @cached_property
+    def adjacency(self) -> np.ndarray:
+        """The float adjacency matrix, built once and read-only;
+        adjacency_matrix() returns a writable copy."""
+        a = np.zeros((self.n, self.n), dtype=np.float64)
+        for u, v in self.arcs:
+            a[u, v] = 1.0
+        a.flags.writeable = False
+        return a
+
+    @cached_property
+    def strongly_connected(self) -> bool:
+        """True when every ordered vertex pair is joined by a directed path."""
+        return self.n == 1 or _is_strong(self.out_masks, self.in_masks, self.n)
+
+    @cached_property
     def sorted_arcs(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self.arcs))
 
@@ -87,10 +102,7 @@ class Digraph:
         return self.in_masks[v].bit_count()
 
     def adjacency_matrix(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n), dtype=np.float64)
-        for u, v in self.arcs:
-            a[u, v] = 1.0
-        return a
+        return self.adjacency.copy()
 
     def add_arcs(self, new: Iterable[tuple[int, int]]) -> "Digraph":
         return from_arcs(self.n, self.arcs | set(new))
@@ -110,6 +122,11 @@ class Digraph:
 
     def reverse(self) -> "Digraph":
         return Digraph(self.n, frozenset((v, u) for u, v in self.arcs))
+
+    def __reduce__(self):
+        # rebuilt from its fields, so no cache (the read-only adjacency
+        # included) crosses a pickle, where it would come back writable
+        return type(self), (self.n, self.arcs)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Digraph(n={self.n}, arcs={sorted(self.arcs)})"
@@ -328,9 +345,7 @@ def _vertex_connectivity(rows: Sequence[int], cols: Sequence[int], n: int) -> in
 
 def is_strongly_connected(G: Digraph) -> bool:
     """True when every ordered vertex pair is joined by a directed path."""
-    if G.n == 1:
-        return True
-    return _is_strong(G.out_masks, G.in_masks, G.n)
+    return G.strongly_connected
 
 
 def girth(G: Digraph) -> int | None:

@@ -17,25 +17,31 @@ Perron root.  They are computed in float and widened outward by a bound on
 every rounding involved (see _widening), so the returned interval holds the
 exact root of alpha*D + (1-alpha)*A for the double-valued alpha.
 
-The kernel, _certify, holds each block of matrices batch-last, as one
-(n, n, k) array, so its numpy operations run along the long axis k.  Blocks
-of at least _ELIMINATION_MIN matrices solve by Gaussian elimination without
-pivoting, vectorised over k; smaller ones, such as the single matrix of
-spectral_radius, by np.linalg.solve (_inverse_step).  Skipping pivoting is
-safe because mu*I - M is a nonsingular M-matrix, whose elimination needs no
-row exchanges and is stable.  Neither solver can touch the certificate: it
-is evaluated afresh on whatever positive vector the step returns.
+The kernel, _certify, runs a stack of matrices in solve blocks.  A block of
+several matrices is held batch-last, as one (n, n, k) array, so its numpy
+operations run along the long axis k.  Blocks of at least _ELIMINATION_MIN
+matrices solve by Gaussian elimination without pivoting, vectorised over k;
+smaller ones by np.linalg.solve (_inverse_step).  Skipping pivoting is safe
+because mu*I - M is a nonsingular M-matrix, whose elimination needs no row
+exchanges and is stable.  A block of one matrix, such as that of
+spectral_radius, runs on 2-D arrays instead (_certify_one): one
+np.linalg.solve on the (n, n) matrix and Python floats for the bounds, with
+the same checks and its sums in the same order, so until a solve fails it
+certifies as a block below _ELIMINATION_MIN does, bit for bit.  No solver
+can touch the certificate: it is evaluated afresh (_enclosure) on whatever
+positive vector the step returns.
 """
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .digraph import Digraph, NotStronglyConnected, _reachability, is_strongly_connected
+from .digraph import Digraph, NotStronglyConnected, _reachability
 
 __all__ = [
     "AlphaMatrix",
@@ -152,8 +158,8 @@ def _check_alpha(alpha: float) -> float:
 
 def _alpha_entries(adj: np.ndarray, alpha: float) -> np.ndarray:
     """alpha * D + (1 - alpha) * A in float64 for an adjacency matrix or a
-    (..., n, n) stack of them; D holds the out-degrees (row sums of A)."""
-    alpha = _check_alpha(alpha)
+    (..., n, n) stack of them; D holds the out-degrees (row sums of A).
+    alpha is one that _check_alpha has passed."""
     m = (1.0 - alpha) * adj
     idx = np.arange(m.shape[-1])
     m[..., idx, idx] += alpha * adj.sum(axis=-1)
@@ -163,7 +169,7 @@ def _alpha_entries(adj: np.ndarray, alpha: float) -> np.ndarray:
 def alpha_matrix(G: Digraph, alpha: float) -> AlphaMatrix:
     """alpha * D + (1 - alpha) * A as a dense float matrix."""
     alpha = _check_alpha(alpha)
-    return AlphaMatrix(n=G.n, alpha=alpha, entries=_alpha_entries(G.adjacency_matrix(), alpha))
+    return AlphaMatrix(n=G.n, alpha=alpha, entries=_alpha_entries(G.adjacency, alpha))
 
 
 def collatz_wielandt_bounds(
@@ -173,14 +179,26 @@ def collatz_wielandt_bounds(
 
     In exact arithmetic they enclose the Perron root; these are the plain
     rounded quotients, not widened outward (see _widening), so they are not
-    a certificate.  spectral_radius returns a certified enclosure."""
+    a certificate.  spectral_radius returns a certified enclosure.  A matrix
+    entry that is negative or not finite, or a vector entry that is not
+    positive and finite, raises ValueError naming it."""
     entries = M.entries if isinstance(M, AlphaMatrix) else np.asarray(M, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (entries.shape[0],):
         raise ValueError(f"vector shape {x.shape} does not match matrix order {entries.shape[0]}")
-    if not (x > 0.0).all():
-        bad = int(np.argmin(x))
-        raise ValueError(f"test vector must be strictly positive; entry {bad} is {x[bad]!r}")
+    ok = (x > 0.0) & (x < np.inf)
+    if not ok.all():
+        bad = int(np.argmin(ok))
+        raise ValueError(
+            f"test vector must be strictly positive and finite; entry {bad} is {x[bad]!r}"
+        )
+    ok = (entries >= 0.0) & (entries < np.inf)
+    if not ok.all():
+        i, j = np.argwhere(~ok)[0]
+        raise ValueError(
+            f"matrix entry ({i}, {j}) is {float(entries[i, j])!r}; "
+            "the quotients bound the Perron root of nonnegative finite matrices only"
+        )
     r = (entries @ x) / x
     return float(r.min()), float(r.max())
 
@@ -219,6 +237,19 @@ def _widening(n: int) -> tuple[float, float]:
     return f_lo, f_hi
 
 
+def _enclosure(q_min, q_max, f_lo: float, f_hi: float, nextafter=np.nextafter):
+    """The certified [lo, hi] from the least and greatest float quotients:
+    each times its _widening factor, then one step outward.  Takes arrays,
+    or floats with nextafter=math.nextafter."""
+    return nextafter(q_min * f_lo, -math.inf), nextafter(q_max * f_hi, math.inf)
+
+
+def _shift(lo, hi, maximum=np.maximum):
+    """mu of the inverse step (_inverse_step), just above hi; takes arrays,
+    or floats with maximum=max."""
+    return hi + maximum(1e-6 * (hi - lo), 1e-15 * hi)
+
+
 def _inverse_step(m: np.ndarray, x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Next iterate of every matrix of the batch-last (n, n, k) stack m,
     as an (n, k) block of unit-sum columns.
@@ -234,9 +265,10 @@ def _inverse_step(m: np.ndarray, x: np.ndarray, lo: np.ndarray, hi: np.ndarray) 
     safe here: every leading principal submatrix of a nonsingular M-matrix
     is one too, so every pivot is positive in exact arithmetic, and
     elimination without row exchanges is stable on M-matrices (Funderlic,
-    Neumann and Plemmons, Numer. Math. 40, 1982).  A smaller block, such as
-    the one matrix of spectral_radius, goes to np.linalg.solve on a
-    transposed view, which costs less per call there.
+    Neumann and Plemmons, Numer. Math. 40, 1982).  A smaller block goes to
+    np.linalg.solve on a transposed view, which costs less per call there.
+    A block of one matrix never comes here: _certify_one takes the same step
+    on 2-D arrays.
 
     An iterate that comes out not finite or not positive is replaced by one
     power step on M + I, which keeps it positive.  Under elimination a zero
@@ -246,9 +278,9 @@ def _inverse_step(m: np.ndarray, x: np.ndarray, lo: np.ndarray, hi: np.ndarray) 
     whatever vector results, so no solver's rounding can reach it.
     """
     n, _, k = m.shape
-    mu = hi + np.maximum(1e-6 * (hi - lo), 1e-15 * hi)
     a = np.negative(m)
-    a.reshape(n * n, k)[:: n + 1] += mu  # the diagonal, as a view of the contiguous copy
+    # the diagonal, as a view of the contiguous copy
+    a.reshape(n * n, k)[:: n + 1] += _shift(lo, hi)
     if k >= _ELIMINATION_MIN:
         z = x.copy()
         for p in range(n - 1):
@@ -292,10 +324,11 @@ def _certify(
     at call time) ends it.  A tol that is not > 0 (NaN included) raises
     ValueError.
 
-    A block is held batch-last: its matrices as one (n, n, k) array and its
-    iterates as one (n, k) array, so the quotients, their min and max, the
-    normalisation, the positivity test and the removal of certified matrices
-    all run along the long axis k.  Only the outputs are batch-first.
+    A block of several matrices is held batch-last: its matrices as one
+    (n, n, k) array and its iterates as one (n, k) array, so the quotients,
+    their min and max, the normalisation, the positivity test and the removal
+    of certified matrices all run along the long axis k.  Only the outputs
+    are batch-first.  A block of one matrix goes to _certify_one.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -311,17 +344,21 @@ def _certify(
     out_x = np.empty((b, n), dtype=np.float64)
     out_it = np.zeros(b, dtype=np.int64)
     step = max(1, _SOLVE_BLOCK // max(1, n * n))
-    # a failed solve may divide by zero or overflow; _inverse_step replaces it
+    # a failed solve may divide by zero or overflow; the step replaces its iterate
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for s in range(0, b, step):
+            if min(step, b - s) == 1:
+                out_lo[s], out_hi[s], out_x[s], out_it[s] = _certify_one(
+                    mats[s], x0[s], tol, s, f_lo, f_hi, floor_factor
+                )
+                continue
             act = np.arange(s, min(s + step, b))
             m = np.ascontiguousarray(mats[s : s + step].transpose(1, 2, 0))
             x = np.ascontiguousarray(x0[s : s + step].T)
             last = np.full(len(act), np.inf)  # widths at the last stall test
             for it in range(1, _MAX_ITERS + 1):
                 q = np.einsum("ijk,jk->ik", m, x) / x
-                lo = np.nextafter(q.min(axis=0) * f_lo, -np.inf)
-                hi = np.nextafter(q.max(axis=0) * f_hi, np.inf)
+                lo, hi = _enclosure(q.min(axis=0), q.max(axis=0), f_lo, f_hi)
                 fin = hi - lo <= tol
                 if fin.any():
                     g = act[fin]
@@ -351,6 +388,61 @@ def _certify(
     return (out_lo + out_hi) / 2.0, out_lo, out_hi, out_x, out_it
 
 
+def _certify_one(
+    m: np.ndarray,
+    x: np.ndarray,
+    tol: float,
+    index: int,
+    f_lo: float,
+    f_hi: float,
+    floor_factor: float,
+) -> tuple[float, float, np.ndarray, int]:
+    """_certify for a solve block of one (n, n) matrix m, from the start
+    vector x: (lo, hi, perron, iterations).
+
+    The checks are those of the batched loop: the same certificate
+    (_enclosure), floor, stall rule and cap, with ConvergenceError naming m
+    by its index in the input stack, and the same shifted solve (_shift)
+    with the power step on M + I when its iterate is not positive and
+    finite.  Only the layout differs: 2-D arrays, one np.linalg.solve on the
+    (n, n) matrix, the bounds as Python floats, and no active set.  At k = 1
+    the batched loop's numpy calls cost their dispatch, not their work.
+    The quotients and the normalisation after a solve are summed in the
+    order the batched loop sums them, so until a solve fails a matrix
+    certifies bit for bit alike alone and in a block below _ELIMINATION_MIN
+    (the power steps of the two loops sum in different orders).
+    """
+    n = x.shape[0]
+    last = math.inf  # width at the last stall test
+    for it in range(1, _MAX_ITERS + 1):
+        # each row of M x summed in index order, as the batched einsum sums
+        # each column (np.add.accumulate is sequential; BLAS and np.sum pair
+        # or fuse terms); Python's min and max cost less at this size
+        q = (np.add.accumulate(m * x, axis=1)[:, -1] / x).tolist()
+        lo, hi = _enclosure(min(q), max(q), f_lo, f_hi, math.nextafter)
+        if hi - lo <= tol:
+            return lo, hi, x, it
+        stuck = lo * floor_factor > tol
+        if it % _STALL_CHECKS == 0:
+            stuck |= hi - lo >= last
+            last = hi - lo
+        if stuck:
+            raise ConvergenceError(lo, hi, it, index=index, floor=lo * floor_factor, tol=tol)
+        if it == _MAX_ITERS:
+            raise ConvergenceError(lo, hi, it, index=index)
+        a = np.negative(m)
+        a.flat[:: n + 1] += _shift(lo, hi, max)
+        try:
+            z = np.linalg.solve(a, x)
+        except np.linalg.LinAlgError:  # an exactly singular pivot
+            z = np.full_like(x, np.nan)
+        z /= z.sum()  # as the batched loop sums np.linalg.solve's contiguous columns
+        if not (z.min() > _X_MIN and z.max() < np.inf):
+            z = x + m @ x
+            z /= z.sum()
+        x = z
+
+
 def spectral_radius(
     G: Digraph,
     alpha: float,
@@ -364,11 +456,11 @@ def spectral_radius(
     certifies it, an approximate eigenvector normalised to unit 1-norm.
     start, a positive vector, replaces the all-equal first iterate.
     """
-    if not is_strongly_connected(G):
+    if not G.strongly_connected:
         raise NotStronglyConnected(
             "spectral radius with Perron data needs a strongly connected digraph"
         )
-    m = alpha_matrix(G, alpha).entries
+    m = _alpha_entries(G.adjacency, _check_alpha(alpha))
     if start is not None:
         start = np.asarray(start, dtype=np.float64)
         if start.shape != (G.n,):
@@ -399,7 +491,7 @@ def _component_enclosures(
     go through the kernel as one stack.
     """
     k, n, _ = adj.shape
-    mats = _alpha_entries(adj, alpha)
+    mats = _alpha_entries(adj, _check_alpha(alpha))
     reach = _reachability(adj)
     same = reach & reach.transpose(0, 2, 1)  # [b, i, j]: i and j share a component
     # one block per component of each digraph, named by its least vertex
@@ -422,7 +514,7 @@ def spectral_radius_general(G: Digraph, alpha: float, tol: float = DEFAULT_TOL) 
     """Spectral radius for a possibly reducible digraph (no Perron certificate):
     the midpoint of its enclosure from the strongly connected blocks
     (_component_enclosures)."""
-    lo, hi = _component_enclosures(G.adjacency_matrix()[None], alpha, tol)
+    lo, hi = _component_enclosures(G.adjacency[None], alpha, tol)
     return float((lo[0] + hi[0]) / 2.0)
 
 

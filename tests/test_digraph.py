@@ -5,6 +5,7 @@ sets and itertools so the two implementations share nothing but the
 definitions.
 """
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -157,6 +158,27 @@ def test_accessors_on_b53():
     assert A.shape == (5, 5) and A.sum() == 9
     assert sorted(G.out_neighbors(2)) == [0, 3, 4]
     assert sorted(G.in_neighbors(4)) == [1, 2, 3]
+
+
+def test_cached_adjacency_is_read_only_and_copies_are_not():
+    G = b_nd(5, 3)
+    cached = G.adjacency
+    assert G.adjacency is cached and not cached.flags.writeable
+    with pytest.raises(ValueError):
+        cached[0, 0] = 1.0
+    A = G.adjacency_matrix()
+    assert A is not cached and A.flags.writeable and np.array_equal(A, cached)
+    A[0, 0] = 7.0
+    assert G.adjacency_matrix()[0, 0] == 0.0
+    assert [[float(G.has_arc(u, v)) for v in range(5)] for u in range(5)] == cached.tolist()
+    # the strong-connectivity answer is cached beside it; equality and
+    # hashing still see only n and the arcs
+    assert G.strongly_connected is True and "strongly_connected" in G.__dict__
+    assert not cycle(4).add_arcs([(0, 2)]).remove_arcs([(3, 0)]).strongly_connected
+    assert G == b_nd(5, 3) and hash(G) == hash(b_nd(5, 3))
+    back = pickle.loads(pickle.dumps(G))
+    assert back == G and "adjacency" not in back.__dict__
+    assert not back.adjacency.flags.writeable
 
 
 def test_add_remove_relabel_reverse():

@@ -118,6 +118,31 @@ def test_cw_bounds_reject_bad_vectors():
         collatz_wielandt_bounds(m, [1.0, -1.0, 1.0])
 
 
+@pytest.mark.parametrize(
+    "entry, where",
+    [
+        pytest.param(np.inf, "vector", id="inf-vector"),
+        pytest.param(np.nan, "vector", id="nan-vector"),
+        pytest.param(np.nan, "matrix", id="nan-matrix"),
+        pytest.param(np.inf, "matrix", id="inf-matrix"),
+        pytest.param(-1.0, "matrix", id="negative-matrix"),
+    ],
+)
+def test_cw_bounds_refuse_entries_they_cannot_bound(entry, where):
+    # an infinite vector entry or a NaN matrix entry came back as (nan, nan)
+    # and a negative matrix entry as (-0.5, 1.0), no bound on a Perron root
+    m = alpha_matrix(cycle(3), 0.5).entries.copy()
+    x = np.ones(3)
+    if where == "vector":
+        x[1] = entry
+        match = r"test vector must be strictly positive and finite; entry 1 is"
+    else:
+        m[2, 0] = entry
+        match = r"matrix entry \(2, 0\) is"
+    with pytest.raises(ValueError, match=match):
+        collatz_wielandt_bounds(m, x)
+
+
 def test_cw_bounds_accept_plain_arrays():
     a = cycle(4).adjacency_matrix()
     assert collatz_wielandt_bounds(a, np.ones(4)) == (1.0, 1.0)
@@ -191,23 +216,32 @@ def test_tight_tol_still_converges():
 
 @pytest.mark.parametrize("failure", ["singular", "sign"])
 def test_failed_solves_cost_iterations_not_the_certificate(monkeypatch, failure):
-    # every solve fails, so each step falls back to a power step on M + I
+    # every solve fails, so each step falls back to a power step on M + I;
+    # a 1-matrix stack takes the 2-D path, a 2-matrix stack the batched one
     g = k_nkm(6, 2, 1)
     want = spectral_radius(g, 0.3)
 
     def broken(a, b):
         if failure == "singular":
             raise np.linalg.LinAlgError("Singular matrix")
+        # b holds vectors (b.ndim == a.ndim - 1) or columns of right-hand sides
         z = b.copy()
-        z[:, 0] *= -1.0
+        if b.ndim == a.ndim - 1:
+            z[..., 0] *= -1.0
+        else:
+            z[..., 0, :] *= -1.0
         return z
 
     monkeypatch.setattr(np.linalg, "solve", broken)
     res = spectral_radius(g, 0.3)
     assert res.iterations > want.iterations
-    assert res.certificate_lo <= want.radius <= res.certificate_hi
-    assert res.certificate_hi - res.certificate_lo <= TOL
-    assert (res.perron > 0.0).all()
+    for copies in (1, 2):
+        stack = _alpha_stack([g] * copies, 0.3)
+        _mid, lo, hi, perron, its = spectral._certify(stack, TOL)
+        assert (its == res.iterations).all()
+        assert (lo <= want.radius).all() and (want.radius <= hi).all()
+        assert (hi - lo <= TOL).all()
+        assert (perron > 0.0).all()
 
 
 def test_tol_below_rounding_floor_stops_at_once():
@@ -290,6 +324,49 @@ def test_enclosure_contains_exact_interval(g, alpha, tol):
     stack = _alpha_stack([cycle(g.n), g, complete(g.n)], alpha)
     _rad, b_lo, b_hi, _its = batch_cw_radius(stack, tol=tol)
     assert b_lo[1] <= lo <= hi <= b_hi[1]
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 0.9, 0.99])
+def test_one_matrix_path_agrees_with_the_batched_path(alpha):
+    # spectral_radius certifies a block of one matrix on 2-D arrays, a stack
+    # of two copies runs the batch-last loop; both sum the quotients and the
+    # solved iterates in the same order, so with no failed solve they agree
+    # bit for bit
+    rng = np.random.default_rng(2024)
+    for n in range(2, 9):
+        for _ in range(5):
+            g = random_strong(rng, n)
+            one = spectral_radius(g, alpha)
+            _mid, lo, hi, its = batch_cw_radius(_alpha_stack([g, g], alpha))
+            assert (its == one.iterations).all(), (n, alpha)
+            assert (lo == one.certificate_lo).all() and (hi == one.certificate_hi).all()
+            exact_lo, exact_hi = _exact_cw_interval(g, alpha, one.perron)
+            assert one.certificate_lo <= exact_lo <= exact_hi <= one.certificate_hi
+            assert (lo <= exact_lo).all() and (exact_hi <= hi).all()
+
+
+@pytest.mark.parametrize(
+    "g, alpha, tol, cap",
+    [
+        pytest.param(complete(12), 0.5, 1e-15, None, id="floor"),
+        pytest.param(complete(12), 0.5, "stall", None, id="stall-complete-12"),
+        pytest.param(b_nd(12, 3), 0.7, "stall", None, id="stall-b_nd-12-3"),
+        pytest.param(k_nkm(6, 2, 1), 0.0, TOL, 3, id="cap"),
+    ],
+)
+def test_one_matrix_path_fails_as_the_batched_path(monkeypatch, g, alpha, tol, cap):
+    if tol == "stall":
+        f_lo, f_hi = _widening(g.n)
+        tol = 1.1 * spectral_radius(g, alpha).certificate_lo * (f_hi - f_lo) / f_hi
+    if cap is not None:
+        monkeypatch.setattr(spectral, "_MAX_ITERS", cap)
+    with pytest.raises(ConvergenceError) as one:
+        spectral_radius(g, alpha, tol=tol)
+    with pytest.raises(ConvergenceError) as two:
+        batch_cw_radius(_alpha_stack([g, g], alpha), tol=tol)
+    assert one.value.index == two.value.index == 0
+    for field in ("iterations", "floor", "tol", "lo", "hi"):
+        assert getattr(one.value, field) == getattr(two.value, field), field
 
 
 # ---------------------------------------------------------------------------

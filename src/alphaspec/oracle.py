@@ -720,7 +720,10 @@ def explore_problem_4_1(
 ) -> Problem41Report:
     """Gap table: block-construction radius vs. scanned maximum per clique number.
 
-    With d=None every clique number 1..n-1 is tabulated.
+    With d=None every clique number 1..n-1 is tabulated.  A row's status is
+    "agrees", "differs", "empty" (no scanned digraph has that clique number)
+    or "not strong": g0 is not strongly connected, while the scan maximum
+    ranges over strong digraphs only.
     """
     alphas = tuple(float(a) for a in alphas)
     if d is not None and not 1 <= d <= n - 1:
@@ -730,7 +733,8 @@ def explore_problem_4_1(
     for d_val in ([d] if d is not None else range(1, n)):
         for alpha in alphas:
             cand = families.g0(n, d_val, alpha)
-            # a strong g0 is its own one block, so this is its certified radius
+            # g0 need not be strong (at d = 1 and alpha >= 1/2 it is the
+            # transitive tournament), so its radius comes block by block
             row = {
                 "n": n, "d": d_val, "alpha": alpha,
                 "g0_radius": spectral_radius_general(cand, alpha, tol=tol),
@@ -740,10 +744,14 @@ def explore_problem_4_1(
             if ext is not None:
                 gap = ext.value - row["g0_radius"]
                 match = _attainers_fault(n, ext.classes, [cand]) is None
-                row.update(
-                    scan_max=ext.value, gap=gap, classes_match=match,
-                    status="agrees" if abs(gap) <= ATTAIN_TOL and match else "differs",
-                )
+                if not cand.strongly_connected:
+                    # the scan maximum ranges over strong digraphs only
+                    status = "not strong"
+                elif abs(gap) <= ATTAIN_TOL and match:
+                    status = "agrees"
+                else:
+                    status = "differs"
+                row.update(scan_max=ext.value, gap=gap, classes_match=match, status=status)
             rows.append(row)
     return Problem41Report(n=n, rows=tuple(rows))
 

@@ -17,18 +17,18 @@ Perron root.  They are computed in float and widened outward by a bound on
 every rounding involved (see _widening), so the returned interval holds the
 exact root of alpha*D + (1-alpha)*A for the double-valued alpha.
 
-The kernel, _certify, runs a stack of matrices in solve blocks.  A block of
-several matrices is held batch-last, as one (n, n, k) array, so its numpy
-operations run along the long axis k.  Blocks of at least _ELIMINATION_MIN
-matrices solve by Gaussian elimination without pivoting, vectorised over k;
-smaller ones by np.linalg.solve (_inverse_step).  Skipping pivoting is safe
-because mu*I - M is a nonsingular M-matrix, whose elimination needs no row
-exchanges and is stable.  A block of one matrix, such as that of
-spectral_radius, runs on 2-D arrays instead (_certify_one): one
-np.linalg.solve on the (n, n) matrix and Python floats for the bounds, with
-the same checks and its sums in the same order, so until a solve fails it
-certifies as a block below _ELIMINATION_MIN does, bit for bit.  No solver
-can touch the certificate: it is evaluated afresh (_enclosure) on whatever
+The kernel, _certify, runs a stack of matrices in solve blocks, and each
+block takes one of two loops, each with one solver.  A block of at least
+_ELIMINATION_MIN matrices is held batch-last, as one (n, n, k) array, so its
+numpy operations run along the long axis k, and solves by Gaussian
+elimination without pivoting, vectorised over k (_inverse_step).  Skipping
+pivoting is safe because mu*I - M is a nonsingular M-matrix, whose
+elimination needs no row exchanges and is stable.  A smaller block, such as
+the one matrix of spectral_radius, certifies matrix by matrix on 2-D arrays
+(_certify_one): one np.linalg.solve on the (n, n) matrix and Python floats
+for the bounds.  So a matrix certifies bit for bit alike alone and in any
+block below _ELIMINATION_MIN, because the same code runs it.  No solver can
+touch the certificate: it is evaluated afresh (_enclosure) on whatever
 positive vector the step returns.
 """
 from __future__ import annotations
@@ -61,11 +61,12 @@ _MAX_ITERS = 200_000  # checks per matrix; no measured matrix has needed more th
 _SOLVE_BLOCK = 1 << 18  # float64 matrix elements (2 MB) per batched solve
 _X_MIN = 2.0 ** -500  # least iterate entry; keeps each product M_ij x_j from underflow
 _STALL_CHECKS = 8  # checks after which a width that has not narrowed ends the kernel
-# Least block that _inverse_step solves by elimination; below it, np.linalg.solve.
-# Timed per step on random strong stacks (2-core x86-64, numpy 2.4.6 with
-# OpenBLAS 0.3.31), the two cost the same at about 96 matrices for n = 3..5
-# and at 192-256 for n = 6..8.
-_ELIMINATION_MIN = 128
+# Least block that _certify solves by elimination; a smaller one certifies
+# matrix by matrix.  Timed on whole certifications of random strong stacks at
+# alpha 0.5 (2-core x86-64, numpy 2.4.6 with OpenBLAS 0.3.31), one block of k
+# costs less than k one-matrix runs from k = 6 for n = 3..6 and from 7-10 for
+# n = 7..12.
+_ELIMINATION_MIN = 8
 
 
 class ConvergenceError(RuntimeError):
@@ -250,85 +251,77 @@ def _shift(lo, hi, maximum=np.maximum):
     return hi + maximum(1e-6 * (hi - lo), 1e-15 * hi)
 
 
-def _inverse_step(m: np.ndarray, x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+def _inverse_step(
+    m: np.ndarray, x: np.ndarray, mx: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> np.ndarray:
     """Next iterate of every matrix of the batch-last (n, n, k) stack m,
-    as an (n, k) block of unit-sum columns.
+    as an (n, k) block of unit-sum columns; mx is M x, kept from the check
+    of x.
 
     z solves (mu*I - M) z = x with mu just above the certified hi >= rho, so
     mu*I - M is a nonsingular M-matrix with a positive inverse and z > 0 in
     exact arithmetic.  The offset max(1e-6*(hi - lo), 1e-15*hi) keeps every
     tested case within a few solves, up to alpha = 0.9999.
 
-    Two solvers give z.  A block of at least _ELIMINATION_MIN matrices is
-    solved by Gaussian elimination without pivoting, each step one numpy
+    The solve is Gaussian elimination without pivoting, each step one numpy
     operation over all k columns, in place on one (n, n, k) copy.  That is
     safe here: every leading principal submatrix of a nonsingular M-matrix
     is one too, so every pivot is positive in exact arithmetic, and
     elimination without row exchanges is stable on M-matrices (Funderlic,
-    Neumann and Plemmons, Numer. Math. 40, 1982).  A smaller block goes to
-    np.linalg.solve on a transposed view, which costs less per call there.
-    A block of one matrix never comes here: _certify_one takes the same step
-    on 2-D arrays.
+    Neumann and Plemmons, Numer. Math. 40, 1982).  Only blocks of at least
+    _ELIMINATION_MIN matrices come here; _certify_one takes a smaller
+    block's steps matrix by matrix.
 
     An iterate that comes out not finite or not positive is replaced by one
-    power step on M + I, which keeps it positive.  Under elimination a zero
-    or non-finite pivot spoils only its own column; a singular matrix makes
-    np.linalg.solve fail for its whole block.  Either way a bad solve costs
-    an iteration, never the certificate: _certify takes it afresh on
-    whatever vector results, so no solver's rounding can reach it.
+    power step on M + I, x + mx, which keeps it positive.  A zero or
+    non-finite pivot spoils only its own column, and costs an iteration,
+    never the certificate: _certify takes it afresh on whatever vector
+    results, so no solver's rounding can reach it.
     """
     n, _, k = m.shape
     a = np.negative(m)
     # the diagonal, as a view of the contiguous copy
     a.reshape(n * n, k)[:: n + 1] += _shift(lo, hi)
-    if k >= _ELIMINATION_MIN:
-        z = x.copy()
-        for p in range(n - 1):
-            f = a[p + 1 :, p] / a[p, p]
-            a[p + 1 :, p + 1 :] -= f[:, None] * a[p, p + 1 :]
-            z[p + 1 :] -= f * z[p]
-        for p in range(n - 1, -1, -1):
-            z[p] -= np.einsum("jk,jk->k", a[p, p + 1 :], z[p + 1 :])
-            z[p] /= a[p, p]
-    else:
-        try:
-            z = np.linalg.solve(a.transpose(2, 0, 1), x.T[:, :, None])[:, :, 0].T
-        except np.linalg.LinAlgError:  # an exactly singular pivot in the block
-            z = np.full_like(x, np.nan)
+    z = x.copy()
+    for p in range(n - 1):
+        f = a[p + 1 :, p] / a[p, p]
+        a[p + 1 :, p + 1 :] -= f[:, None] * a[p, p + 1 :]
+        z[p + 1 :] -= f * z[p]
+    for p in range(n - 1, -1, -1):
+        z[p] -= np.einsum("jk,jk->k", a[p, p + 1 :], z[p + 1 :])
+        z[p] /= a[p, p]
     z /= z.sum(axis=0)
     # min and max propagate NaN, so two reductions test every entry
     if z.min() > _X_MIN and z.max() < np.inf:
         return z
     bad = ~((z > _X_MIN) & np.isfinite(z)).all(axis=0)
-    p = x[:, bad] + np.einsum("ijk,jk->ik", m[:, :, bad], x[:, bad])
+    p = x[:, bad] + mx[:, bad]
     z[:, bad] = p / p.sum(axis=0)
     return z
 
 
 def _certify(
-    mats: np.ndarray,
-    tol: float,
-    start: np.ndarray | None = None,
+    mats: np.ndarray, tol: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The certified-radius kernel: (radius, lo, hi, perron, iterations) for
     every matrix of a (B, n, n) stack of nonnegative irreducible matrices.
 
     Iteration k checks the widened Collatz-Wielandt certificate of the
-    current vector: the first check takes start (default all equal), each
-    later one follows one inverse iteration step (_inverse_step).  A matrix
-    is done at the first check whose enclosure is at most tol wide; perron is
-    that certifying vector, unit-sum.  Every _STALL_CHECKS checks, a matrix
-    whose width has not narrowed since the last such check ends the kernel.
-    The stack runs in blocks of at most _SOLVE_BLOCK elements, each to
-    completion, and a matrix still uncertified after _MAX_ITERS checks (read
-    at call time) ends it.  A tol that is not > 0 (NaN included) raises
-    ValueError.
+    current vector: the first check takes the all-equal vector, each later
+    one follows one inverse iteration step.  A matrix is done at the first
+    check whose enclosure is at most tol wide; perron is that certifying
+    vector, unit-sum.  Every _STALL_CHECKS checks, a matrix whose width has
+    not narrowed since the last such check ends the kernel.  The stack runs
+    in blocks of at most _SOLVE_BLOCK elements, each to completion, and a
+    matrix still uncertified after _MAX_ITERS checks (read at call time)
+    ends it.  A tol that is not > 0 (NaN included) raises ValueError.
 
-    A block of several matrices is held batch-last: its matrices as one
-    (n, n, k) array and its iterates as one (n, k) array, so the quotients,
-    their min and max, the normalisation, the positivity test and the removal
-    of certified matrices all run along the long axis k.  Only the outputs
-    are batch-first.  A block of one matrix goes to _certify_one.
+    A block of at least _ELIMINATION_MIN matrices is held batch-last: its
+    matrices as one (n, n, k) array and its iterates as one (n, k) array, so
+    the quotients, their min and max, the normalisation, the positivity test
+    and the removal of certified matrices all run along the long axis k, and
+    _inverse_step solves it.  Only the outputs are batch-first.  A smaller
+    block goes to _certify_one one matrix at a time.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -338,7 +331,6 @@ def _certify(
     # width can fall below the floor lo*(f_hi - f_lo)/f_hi (the nextafter
     # steps only add)
     floor_factor = (f_hi - f_lo) / f_hi
-    x0 = np.full((b, n), 1.0 / n) if start is None else start
     out_lo = np.empty(b, dtype=np.float64)
     out_hi = np.empty(b, dtype=np.float64)
     out_x = np.empty((b, n), dtype=np.float64)
@@ -347,17 +339,20 @@ def _certify(
     # a failed solve may divide by zero or overflow; the step replaces its iterate
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for s in range(0, b, step):
-            if min(step, b - s) == 1:
-                out_lo[s], out_hi[s], out_x[s], out_it[s] = _certify_one(
-                    mats[s], x0[s], tol, s, f_lo, f_hi, floor_factor
-                )
+            e = min(s + step, b)
+            if e - s < _ELIMINATION_MIN:
+                for i in range(s, e):
+                    out_lo[i], out_hi[i], out_x[i], out_it[i] = _certify_one(
+                        mats[i], tol, i, f_lo, f_hi, floor_factor
+                    )
                 continue
-            act = np.arange(s, min(s + step, b))
-            m = np.ascontiguousarray(mats[s : s + step].transpose(1, 2, 0))
-            x = np.ascontiguousarray(x0[s : s + step].T)
-            last = np.full(len(act), np.inf)  # widths at the last stall test
+            act = np.arange(s, e)
+            m = np.ascontiguousarray(mats[s:e].transpose(1, 2, 0))
+            x = np.full((n, e - s), 1.0 / n)
+            last = np.full(e - s, np.inf)  # widths at the last stall test
             for it in range(1, _MAX_ITERS + 1):
-                q = np.einsum("ijk,jk->ik", m, x) / x
+                mx = np.einsum("ijk,jk->ik", m, x)
+                q = mx / x
                 lo, hi = _enclosure(q.min(axis=0), q.max(axis=0), f_lo, f_hi)
                 fin = hi - lo <= tol
                 if fin.any():
@@ -368,7 +363,8 @@ def _certify(
                         break
                     act, lo, hi, last = (a[keep] for a in (act, lo, hi, last))
                     # compress, unlike m[:, :, keep], keeps k the contiguous axis
-                    m, x = np.compress(keep, m, axis=2), np.compress(keep, x, axis=1)
+                    m = np.compress(keep, m, axis=2)
+                    x, mx = (np.compress(keep, a, axis=1) for a in (x, mx))
                 stuck = lo * floor_factor > tol
                 if it % _STALL_CHECKS == 0:
                     stuck |= hi - lo >= last
@@ -384,41 +380,40 @@ def _certify(
                     raise ConvergenceError(
                         float(lo[worst]), float(hi[worst]), it, index=int(act[worst])
                     )
-                x = _inverse_step(m, x, lo, hi)
+                x = _inverse_step(m, x, mx, lo, hi)
     return (out_lo + out_hi) / 2.0, out_lo, out_hi, out_x, out_it
 
 
 def _certify_one(
     m: np.ndarray,
-    x: np.ndarray,
     tol: float,
     index: int,
     f_lo: float,
     f_hi: float,
     floor_factor: float,
 ) -> tuple[float, float, np.ndarray, int]:
-    """_certify for a solve block of one (n, n) matrix m, from the start
-    vector x: (lo, hi, perron, iterations).
+    """_certify for one (n, n) matrix m of a block below _ELIMINATION_MIN,
+    from the all-equal vector: (lo, hi, perron, iterations).
 
-    The checks are those of the batched loop: the same certificate
+    The checks are those of the elimination loop: the same certificate
     (_enclosure), floor, stall rule and cap, with ConvergenceError naming m
     by its index in the input stack, and the same shifted solve (_shift)
-    with the power step on M + I when its iterate is not positive and
-    finite.  Only the layout differs: 2-D arrays, one np.linalg.solve on the
-    (n, n) matrix, the bounds as Python floats, and no active set.  At k = 1
-    the batched loop's numpy calls cost their dispatch, not their work.
-    The quotients and the normalisation after a solve are summed in the
-    order the batched loop sums them, so until a solve fails a matrix
-    certifies bit for bit alike alone and in a block below _ELIMINATION_MIN
-    (the power steps of the two loops sum in different orders).
+    with the power step on M + I, x + Mx, when its iterate is not positive
+    and finite.  Only the layout differs: 2-D arrays, one np.linalg.solve on
+    the (n, n) matrix, the bounds as Python floats, and no active set.  For
+    a few matrices the elimination loop's numpy calls cost their dispatch,
+    not their work.
     """
-    n = x.shape[0]
+    n = m.shape[0]
+    x = np.full(n, 1.0 / n)
     last = math.inf  # width at the last stall test
     for it in range(1, _MAX_ITERS + 1):
-        # each row of M x summed in index order, as the batched einsum sums
-        # each column (np.add.accumulate is sequential; BLAS and np.sum pair
-        # or fuse terms); Python's min and max cost less at this size
-        q = (np.add.accumulate(m * x, axis=1)[:, -1] / x).tolist()
+        # each row of M x summed in index order, as the elimination loop's
+        # einsum sums each column, so a first check reads the same in both
+        # loops (np.add.accumulate is sequential; BLAS and np.sum pair or
+        # fuse terms); Python's min and max cost less at this size
+        mx = np.add.accumulate(m * x, axis=1)[:, -1]
+        q = (mx / x).tolist()
         lo, hi = _enclosure(min(q), max(q), f_lo, f_hi, math.nextafter)
         if hi - lo <= tol:
             return lo, hi, x, it
@@ -436,39 +431,26 @@ def _certify_one(
             z = np.linalg.solve(a, x)
         except np.linalg.LinAlgError:  # an exactly singular pivot
             z = np.full_like(x, np.nan)
-        z /= z.sum()  # as the batched loop sums np.linalg.solve's contiguous columns
+        z /= z.sum()
         if not (z.min() > _X_MIN and z.max() < np.inf):
-            z = x + m @ x
+            z = x + mx
             z /= z.sum()
         x = z
 
 
-def spectral_radius(
-    G: Digraph,
-    alpha: float,
-    tol: float = DEFAULT_TOL,
-    start: np.ndarray | None = None,
-) -> SpectralResult:
+def spectral_radius(G: Digraph, alpha: float, tol: float = DEFAULT_TOL) -> SpectralResult:
     """Certified Perron root of A_alpha(G) for strongly connected G.
 
     The result's [certificate_lo, certificate_hi] interval contains the exact
     radius and is at most tol wide; perron is the positive vector that
     certifies it, an approximate eigenvector normalised to unit 1-norm.
-    start, a positive vector, replaces the all-equal first iterate.
     """
     if not G.strongly_connected:
         raise NotStronglyConnected(
             "spectral radius with Perron data needs a strongly connected digraph"
         )
     m = _alpha_entries(G.adjacency, _check_alpha(alpha))
-    if start is not None:
-        start = np.asarray(start, dtype=np.float64)
-        if start.shape != (G.n,):
-            raise ValueError(f"start vector shape {start.shape} does not match order {G.n}")
-        if not ((start > 0.0) & (start < np.inf)).all():
-            raise ValueError("start vector must be strictly positive and finite")
-        start = np.maximum(start / start.sum(), _X_MIN)[None]
-    mid, lo, hi, x, iters = _certify(m[None], tol, start)
+    mid, lo, hi, x, iters = _certify(m[None], tol)
     return SpectralResult(
         radius=float(mid[0]),
         perron=x[0],

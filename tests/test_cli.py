@@ -502,7 +502,7 @@ def test_explore_csv(capsys):
         "n", "d", "alpha", "g0_radius", "scan_max", "gap", "classes_match", "status",
     ]
     assert len(rows) == 1 + 2 * 2  # d in {1, 2}, two alphas
-    assert {row[7] for row in rows[1:]} <= {"agrees", "differs", "empty"}
+    assert {row[7] for row in rows[1:]} <= {"agrees", "differs", "not strong", "empty"}
 
 
 # ---------------------------------------------------------------------------

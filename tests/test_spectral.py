@@ -10,6 +10,7 @@ import pickle
 import re
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -187,14 +188,6 @@ def test_perron_vector_properties():
     assert np.abs(m @ res.perron - res.radius * res.perron).max() <= 1e-8
 
 
-def test_warm_start_converges_faster():
-    g = k_nkm(8, 3, 2)
-    cold = spectral_radius(g, 0.5)
-    warm = spectral_radius(g, 0.5, start=cold.perron)
-    assert warm.iterations <= cold.iterations
-    assert abs(warm.radius - cold.radius) <= 2 * TOL
-
-
 def test_not_strong_rejected():
     with pytest.raises(NotStronglyConnected):
         spectral_radius(path(4), 0.0)
@@ -217,25 +210,21 @@ def test_tight_tol_still_converges():
 @pytest.mark.parametrize("failure", ["singular", "sign"])
 def test_failed_solves_cost_iterations_not_the_certificate(monkeypatch, failure):
     # every solve fails, so each step falls back to a power step on M + I;
-    # a 1-matrix stack takes the 2-D path, a 2-matrix stack the batched one
+    # every stack below the elimination crossover takes np.linalg.solve
     g = k_nkm(6, 2, 1)
     want = spectral_radius(g, 0.3)
 
     def broken(a, b):
         if failure == "singular":
             raise np.linalg.LinAlgError("Singular matrix")
-        # b holds vectors (b.ndim == a.ndim - 1) or columns of right-hand sides
         z = b.copy()
-        if b.ndim == a.ndim - 1:
-            z[..., 0] *= -1.0
-        else:
-            z[..., 0, :] *= -1.0
+        z[0] *= -1.0
         return z
 
     monkeypatch.setattr(np.linalg, "solve", broken)
     res = spectral_radius(g, 0.3)
     assert res.iterations > want.iterations
-    for copies in (1, 2):
+    for copies in (1, spectral._ELIMINATION_MIN - 1):
         stack = _alpha_stack([g] * copies, 0.3)
         _mid, lo, hi, perron, its = spectral._certify(stack, TOL)
         assert (its == res.iterations).all()
@@ -320,7 +309,7 @@ def test_enclosure_contains_exact_interval(g, alpha, tol):
     lo, hi = _exact_cw_interval(g, alpha, res.perron)
     assert res.certificate_lo <= lo <= hi <= res.certificate_hi
     assert res.certificate_hi - res.certificate_lo <= tol
-    # the batched path certifies the same matrix among others the same way
+    # batch_cw_radius certifies the same matrix among others the same way
     stack = _alpha_stack([cycle(g.n), g, complete(g.n)], alpha)
     _rad, b_lo, b_hi, _its = batch_cw_radius(stack, tol=tol)
     assert b_lo[1] <= lo <= hi <= b_hi[1]
@@ -328,10 +317,10 @@ def test_enclosure_contains_exact_interval(g, alpha, tol):
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.9, 0.99])
 def test_one_matrix_path_agrees_with_the_batched_path(alpha):
-    # spectral_radius certifies a block of one matrix on 2-D arrays, a stack
-    # of two copies runs the batch-last loop; both sum the quotients and the
-    # solved iterates in the same order, so with no failed solve they agree
-    # bit for bit
+    # spectral_radius and a stack of two copies both run the one-matrix loop,
+    # so they agree bit for bit; a block of _ELIMINATION_MIN copies runs the
+    # elimination loop, whose solves round differently, so it only encloses
+    # the exact interval of its own Perron vector within tol as well
     rng = np.random.default_rng(2024)
     for n in range(2, 9):
         for _ in range(5):
@@ -343,6 +332,13 @@ def test_one_matrix_path_agrees_with_the_batched_path(alpha):
             exact_lo, exact_hi = _exact_cw_interval(g, alpha, one.perron)
             assert one.certificate_lo <= exact_lo <= exact_hi <= one.certificate_hi
             assert (lo <= exact_lo).all() and (exact_hi <= hi).all()
+            assert one.certificate_hi - one.certificate_lo <= TOL
+            block = _alpha_stack([g] * spectral._ELIMINATION_MIN, alpha)
+            _mid, lo, hi, perron, _its = spectral._certify(block, TOL)
+            assert (hi - lo <= TOL).all(), (n, alpha)
+            for i in range(len(block)):
+                exact_lo, exact_hi = _exact_cw_interval(g, alpha, perron[i])
+                assert lo[i] <= exact_lo <= exact_hi <= hi[i], (n, alpha, i)
 
 
 @pytest.mark.parametrize(
@@ -364,9 +360,21 @@ def test_one_matrix_path_fails_as_the_batched_path(monkeypatch, g, alpha, tol, c
         spectral_radius(g, alpha, tol=tol)
     with pytest.raises(ConvergenceError) as two:
         batch_cw_radius(_alpha_stack([g, g], alpha), tol=tol)
+    fields = ("iterations", "floor", "tol", "lo", "hi")
     assert one.value.index == two.value.index == 0
-    for field in ("iterations", "floor", "tol", "lo", "hi"):
+    for field in fields:
         assert getattr(one.value, field) == getattr(two.value, field), field
+    # the elimination loop fails for the same cause; at the first check it
+    # has solved nothing yet, so it fails identically there
+    with pytest.raises(ConvergenceError) as block:
+        batch_cw_radius(_alpha_stack([g] * spectral._ELIMINATION_MIN, alpha), tol=tol)
+    assert block.value.index == 0
+    assert (block.value.floor is None) == (one.value.floor is None)
+    if cap is not None:
+        assert block.value.iterations == cap
+    if one.value.iterations == 1:
+        for field in fields:
+            assert getattr(one.value, field) == getattr(block.value, field), field
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +537,7 @@ def _solver_stack(alpha):
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.9999])
 def test_both_solvers_enclose_the_exact_root(monkeypatch, alpha):
     # the crossover at 0 sends every solve to elimination, at the stack size
-    # plus one every solve to np.linalg.solve
+    # plus one every matrix to the one-matrix loop and np.linalg.solve
     graphs, stack = _solver_stack(alpha)
     results = []
     for crossover in (0, len(stack) + 1):
@@ -556,12 +564,12 @@ def test_zero_pivot_spoils_only_its_own_matrix(monkeypatch):
     step = spectral._inverse_step
     first = []
 
-    def spoil_first_step(m, x, lo, hi):
+    def spoil_first_step(m, x, mx, lo, hi):
         if first:
-            return step(m, x, lo, hi)
+            return step(m, x, mx, lo, hi)
         lo, hi = lo.copy(), hi.copy()
         lo[0] = hi[0] = 0.0
-        z = step(m, x, lo, hi)
+        z = step(m, x, mx, lo, hi)
         first.append((m[:, :, 0].copy(), x[:, 0].copy(), z[:, 0].copy()))
         return z
 
@@ -581,6 +589,59 @@ def test_zero_pivot_spoils_only_its_own_matrix(monkeypatch):
     others = np.arange(len(stack)) != spoiled
     for got, ref in zip((lo, hi, perron, its), want[1:]):
         assert np.array_equal(got[others], ref[others])
+
+
+def test_np_linalg_solve_sees_only_2d_systems(monkeypatch):
+    # copies of one matrix certify together, so no elimination block loses
+    # a matrix, and shrinks, before it ends
+    g = k_nkm(6, 2, 1)
+    want = spectral_radius(g, 0.3)
+    solve, step = np.linalg.solve, spectral._inverse_step
+    shapes, blocks = [], []
+
+    def recording_solve(a, b):
+        shapes.append((a.shape, b.shape))
+        return solve(a, b)
+
+    def recording_step(m, *args):
+        blocks.append(m.shape[2])
+        return step(m, *args)
+
+    monkeypatch.setattr(np.linalg, "solve", recording_solve)
+    monkeypatch.setattr(spectral, "_inverse_step", recording_step)
+    for size in (1, 5, 8, 200):
+        shapes.clear()
+        blocks.clear()
+        rad, _lo, _hi, its = batch_cw_radius(_alpha_stack([g] * size, 0.3))
+        assert (np.abs(rad - want.radius) <= 2 * TOL).all()
+        steps = size * (want.iterations - 1)
+        if size < spectral._ELIMINATION_MIN:
+            assert shapes == [((6, 6), (6,))] * steps and blocks == []
+            assert (its == want.iterations).all()
+        else:
+            assert shapes == [] and blocks == [size] * (its[0] - 1)
+            assert (its == its[0]).all()
+
+
+def test_a_matrix_certifies_alike_alone_and_below_the_crossover():
+    rng = np.random.default_rng(77)
+    graphs = [random_strong(rng, 7) for _ in range(spectral._ELIMINATION_MIN - 1)]
+    for alpha in (0.0, 0.5, 0.99):
+        _mid, lo, hi, perron, its = spectral._certify(_alpha_stack(graphs, alpha), TOL)
+        for i, g in enumerate(graphs):
+            alone = spectral_radius(g, alpha)
+            assert (lo[i], hi[i], its[i]) == (
+                alone.certificate_lo, alone.certificate_hi, alone.iterations
+            ), (alpha, i)
+            assert np.array_equal(perron[i], alone.perron)
+
+
+def test_readme_quotes_the_kernel_constants():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    quoted = dict(re.findall(r"spectral\.(_[A-Z_]+)`? = `?([0-9][0-9_]*)", readme))
+    assert {"_ELIMINATION_MIN", "_MAX_ITERS"} <= set(quoted)
+    for name, value in quoted.items():
+        assert getattr(spectral, name) == int(value), name
 
 
 def test_batch_empty_stack():
@@ -645,14 +706,6 @@ def test_batch_refuses_entries_it_cannot_certify(entry):
         batch_cw_radius(stack)
     with pytest.raises(ValueError, match="nonnegative finite"):
         batch_cw_radius(np.array([[[0.0, entry], [entry, 0.0]]]))
-    assert time.perf_counter() - started < 1.0
-
-
-@pytest.mark.parametrize("entry", [np.inf, np.nan, -1.0, 0.0])
-def test_start_vector_must_be_positive_and_finite(entry):
-    started = time.perf_counter()
-    with pytest.raises(ValueError, match="start vector must be strictly positive and finite"):
-        spectral_radius(cycle(3), 0.5, start=[1.0, entry, 1.0])
     assert time.perf_counter() - started < 1.0
 
 

@@ -3,8 +3,8 @@
 Subcommands: radius, formula, family, sweep (kinds formula and alpha), verify,
 scan, explore.  Each registers only the flags it reads; a family flag that the
 family's generator does not take, and a repeated grid value, exit 2 too.
-Three settings tune a run: tol, workers (default 1, a serial scan) and
-output; the kernel's iteration cap is a constant, not a setting.
+Two settings tune a run: tol and output.  The kernel's iteration cap is a
+constant and a scan runs in one process, so neither is a setting.
 Exit codes are a stable contract: 0 ok, 2 usage or invalid input, 3 failed
 precondition (non-strong digraph, certification not reached), 4 a verified
 statement was violated.
@@ -48,7 +48,6 @@ VERIFY_OUTPUTS = ("text", "json")
 @dataclass
 class RunConfig:
     tol: float = DEFAULT_TOL
-    workers: int = 1
     output: str = "text"
 
 
@@ -58,8 +57,6 @@ class RunConfig:
 _SETTINGS = {
     "tol": ("--tol", float, lambda v: v > 0, "positive",
             "certificate width target (default 1e-10)"),
-    "workers": ("--workers", int, lambda v: v >= 1, ">= 1",
-                "scan worker processes (default 1)"),
     "output": ("--output", str, OUTPUT_FORMATS.__contains__, f"one of {OUTPUT_FORMATS}",
                "report format"),
 }
@@ -416,7 +413,9 @@ def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
     if cfg.output not in VERIFY_OUTPUTS:
         raise ValueError(f"verify output must be one of {VERIFY_OUTPUTS}, got {cfg.output}")
     alphas = parse_float_grid(args.alpha)
-    verdict = oracle.verify_theorem(args.theorem, args.n, alphas, tol=cfg.tol, workers=cfg.workers)
+    if not os.path.isdir(args.witness_dir):
+        raise ValueError(f"witness directory {args.witness_dir!r} is not an existing directory")
+    verdict = oracle.verify_theorem(args.theorem, args.n, alphas, tol=cfg.tol)
     witness_paths = []
     if verdict.status == "violated":
         stem = args.theorem.replace(".", "_")
@@ -444,9 +443,7 @@ def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_scan(args: argparse.Namespace, cfg: RunConfig) -> int:
-    report = oracle.extremal_scan(
-        args.n, args.alpha, args.parameter, mode=args.mode, tol=cfg.tol, workers=cfg.workers
-    )
+    report = oracle.extremal_scan(args.n, args.alpha, args.parameter, mode=args.mode, tol=cfg.tol)
     if cfg.output == "json":
         payload = {
             "n": report.n,
@@ -500,9 +497,7 @@ def cmd_scan(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 def cmd_explore(args: argparse.Namespace, cfg: RunConfig) -> int:
     alphas = parse_float_grid(args.alpha)
-    report = oracle.explore_problem_4_1(
-        args.n, d=args.d, alphas=alphas, tol=cfg.tol, workers=cfg.workers
-    )
+    report = oracle.explore_problem_4_1(args.n, d=args.d, alphas=alphas, tol=cfg.tol)
     if cfg.output == "json":
         _emit(
             json.dumps({"n": report.n, "note": report.note, "rows": list(report.rows)}, indent=2)
@@ -606,7 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="alpha grid (default 0,0.5)")
     p_verify.add_argument("--witness-dir", dest="witness_dir", default=".",
                           help="directory for violation witness files")
-    _add_settings(p_verify, "tol", "workers", "output", outputs=VERIFY_OUTPUTS)
+    _add_settings(p_verify, "tol", "output", outputs=VERIFY_OUTPUTS)
     p_verify.set_defaults(func=cmd_verify)
 
     p_scan = subs.add_parser("scan", help="extremal radii per parameter value")
@@ -614,7 +609,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--alpha", type=float, required=True)
     p_scan.add_argument("--parameter", choices=oracle.PUBLIC_PARAMETERS, required=True)
     p_scan.add_argument("--mode", choices=("min", "max"), default="max")
-    _add_settings(p_scan, "tol", "workers", "output")
+    _add_settings(p_scan, "tol", "output")
     p_scan.set_defaults(func=cmd_scan)
 
     p_explore = subs.add_parser("explore",
@@ -623,7 +618,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_explore.add_argument("--d", type=int, default=None)
     p_explore.add_argument("--alpha", default="0,0.25,0.5,0.75",
                            help="alpha grid (default 0,0.25,0.5,0.75)")
-    _add_settings(p_explore, "tol", "workers", "output")
+    _add_settings(p_explore, "tol", "output")
     p_explore.set_defaults(func=cmd_explore)
 
     return parser

@@ -97,23 +97,14 @@ PUBLIC_PARAMETERS = ("girth", "clique", "vertex_conn", "arc_conn")
 # ---------------------------------------------------------------------------
 # the strongly connected classes (codes and the growth step are in digraph.py)
 
-def _classes(n: int, workers: int) -> tuple[np.ndarray, np.ndarray]:
+def _classes(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The strongly connected classes on n vertices: their canonical codes,
     ascending, and their weights n!/|Aut|, the number of labelled codes of
-    each.  With workers > 1 the last growth step runs on blocks of the
-    (n-1)-vertex classes in a process pool.  Strong connectivity is read
-    from the batched reachability closure."""
+    each.  The classes are grown one vertex at a time, in this process;
+    strong connectivity is read from the batched reachability closure."""
     classes = np.zeros(1, dtype=np.int64)  # the one digraph on one vertex
-    for m in range(2, n):
+    for m in range(2, n + 1):
         classes = _grow(m, classes)
-    if workers <= 1:
-        classes = _grow(n, classes)
-    else:
-        import multiprocessing as mp
-
-        with mp.Pool(processes=workers) as pool:
-            blocks = pool.starmap(_grow, [(n, b) for b in np.array_split(classes, workers)])
-        classes = np.unique(np.concatenate(blocks))
     reps = classes[_reachability(_decode(n, classes)).all(axis=(1, 2))]
     automorphisms = (_relabellings(n, reps) == reps[:, None]).sum(axis=1)
     return reps, math.factorial(n) // automorphisms
@@ -336,8 +327,11 @@ class ScanStats:
 
 
 def _distinct_alphas(alphas: Sequence[float]) -> tuple[float, ...]:
-    """alphas as a tuple, once every alpha is checked and none repeats."""
+    """alphas as a tuple, once every alpha is checked, none repeats and
+    there is at least one: a check over no alpha would confirm nothing."""
     alphas = tuple(_check_alpha(a) for a in alphas)
+    if not alphas:
+        raise ValueError("empty alpha grid")
     if len(set(alphas)) != len(alphas):
         raise ValueError("duplicate alpha values")
     return alphas
@@ -369,15 +363,18 @@ def run_scan(
     The isomorphism classes are generated (_classes), and invariants and
     radii are computed once per class; counts are weight sums, and listed
     labelled codes are expanded from the orbits of the classes they belong
-    to.  With workers > 1 the last generation step runs in a process pool;
-    the result is identical to the serial one.
+    to.  The scan runs in this process.  workers is kept only because
+    perfbench/workloads.py passes workers=1 by name; any other value
+    raises ValueError.
     """
+    if workers != 1:
+        raise ValueError(f"scans run in one process; workers must be 1, got {workers}")
     alphas = _scan_alphas(n, alphas)
     parameters = tuple(parameters)
     unknown = set(parameters) - set(SCAN_PARAMETERS)
     if unknown:
         raise ValueError(f"unknown scan parameters {sorted(unknown)}")
-    codes, weights = _classes(n, workers)
+    codes, weights = _classes(n)
     table, width, iterations = _scan_table(n, codes, weights, alphas, parameters, tol)
     radius = table["radius"]
     return ScanStats(
@@ -428,7 +425,6 @@ def extremal_scan(
     mode: str = "max",
     scan: ScanStats | None = None,
     tol: float = DEFAULT_TOL,
-    workers: int = 1,
 ) -> ExtremalReport:
     """Extremal radii per parameter value, with one representative per
     attaining isomorphism class, in its canonical labelling."""
@@ -436,7 +432,7 @@ def extremal_scan(
         raise ValueError(f"parameter must be one of {PUBLIC_PARAMETERS}, got {parameter!r}")
     if mode not in ("min", "max"):
         raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
-    scan = _scan_for(n, (alpha,), (parameter,), scan, tol, workers)
+    scan = _scan_for(n, (alpha,), (parameter,), scan, tol)
     entries = []
     for value in scan.group_values(parameter):
         ext = scan.group(parameter, value, alpha, mode)
@@ -583,7 +579,6 @@ def _scan_for(
     needed: tuple[str, ...],
     scan: ScanStats | None,
     tol: float,
-    workers: int,
 ) -> ScanStats:
     alphas = _distinct_alphas(alphas)
     if scan is not None:
@@ -595,7 +590,7 @@ def _scan_for(
         if missing:
             raise ValueError(f"scan lacks parameters {sorted(missing)}")
         return scan
-    return run_scan(n, alphas, needed, tol=tol, workers=workers)
+    return run_scan(n, alphas, needed, tol=tol)
 
 
 def _verify_primed(
@@ -645,7 +640,6 @@ def verify_theorem(
     alphas: Sequence[float] = (0.0, 0.5),
     scan: ScanStats | None = None,
     tol: float = DEFAULT_TOL,
-    workers: int = 1,
 ) -> VerificationVerdict:
     """Check one extremal statement exhaustively (or by formula for L-ids).
 
@@ -654,12 +648,14 @@ def verify_theorem(
     """
     alphas = tuple(float(a) for a in alphas)
     if theorem in FORMULA_THEOREMS:
+        if scan is not None:
+            raise ValueError(f"{theorem} compares family members and reads no scan")
         return _verify_primed(theorem, n, alphas, tol)
     if theorem not in _STATEMENTS:
         raise ValueError(f"unknown theorem id {theorem!r}; expected one of {THEOREM_IDS}")
     st = _STATEMENTS[theorem]
     needed = tuple(read for read in st.reads if read != _LEVEL)
-    stats = _scan_for(n, alphas, needed, scan, tol, workers)
+    stats = _scan_for(n, alphas, needed, scan, tol)
 
     def certify(G: Digraph, alpha: float) -> float:
         return spectral_radius(G, alpha, tol=tol).radius
@@ -716,7 +712,6 @@ def explore_problem_4_1(
     alphas: Sequence[float] = (0.0, 0.25, 0.5, 0.75),
     scan: ScanStats | None = None,
     tol: float = DEFAULT_TOL,
-    workers: int = 1,
 ) -> Problem41Report:
     """Gap table: block-construction radius vs. scanned maximum per clique number.
 
@@ -728,7 +723,7 @@ def explore_problem_4_1(
     alphas = tuple(float(a) for a in alphas)
     if d is not None and not 1 <= d <= n - 1:
         raise ValueError(f"need 1 <= d <= n-1, got d={d} at n={n}")
-    stats = _scan_for(n, alphas, ("clique",), scan, tol, workers)
+    stats = _scan_for(n, alphas, ("clique",), scan, tol)
     rows = []
     for d_val in ([d] if d is not None else range(1, n)):
         for alpha in alphas:
@@ -772,7 +767,7 @@ def subdivision_sweep(
     representative's code.  At most VIOLATION_CAP violations are listed per
     alpha."""
     alphas = _scan_alphas(n, alphas)
-    table, _, _ = _scan_table(n, *_classes(n, workers=1), alphas, (), tol)
+    table, _, _ = _scan_table(n, *_classes(n), alphas, (), tol)
     table = table[table["max_out"] > 1]
     codes, weights, base = table["code"], table["weight"], table["radius"]
     # one subdivided matrix per (representative, arc)

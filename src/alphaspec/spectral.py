@@ -116,7 +116,7 @@ class ConvergenceError(RuntimeError):
         super().__init__(message if witness is None else f"{witness}: {message}")
 
     def __reduce__(self):
-        # rebuilt from its fields, so it survives a process pool
+        # rebuilt from its fields, so pickle and copy keep all of them
         return type(self), (
             self.lo, self.hi, self.iterations, self.index, self.witness, self.floor, self.tol
         )

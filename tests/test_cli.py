@@ -8,8 +8,10 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -439,6 +441,16 @@ def test_verify_violation_exit_and_witness(tmp_path, capsys, monkeypatch):
     assert "witness written" in out
 
 
+def test_verify_refuses_a_witness_dir_that_is_not_a_directory(tmp_path, capsys):
+    # refused before verifying, so a run that would be confirmed exits 2 too
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    for bad in (tmp_path / "missing", a_file):
+        rc, out, err = run_cli(capsys, "verify", "T3.1", "--n", "3", "--witness-dir", str(bad))
+        assert rc == EXIT_USAGE and out == "", bad
+        assert "is not an existing directory" in err, bad
+
+
 def test_scan_text_output(capsys):
     rc, out, _ = run_cli(
         capsys, "scan", "--n", "3", "--alpha", "0", "--parameter", "girth",
@@ -590,31 +602,22 @@ def test_config_long_runs_key_is_unknown(tmp_path, capsys):
 
 
 def test_config_max_iters_key_is_unknown(tmp_path, capsys):
-    # the kernel's iteration cap is a constant, not a setting
+    # the kernel's iteration cap is a constant, not a setting, and a scan
+    # runs in one process
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("max_iters = 5\n")
-    rc, out, err = run_cli(
-        capsys, "radius", "--family", "cycle", "--n", "4", "--alpha", "0",
-        "--config", str(cfg),
-    )
-    assert rc == EXIT_USAGE and out == "" and "unknown key 'max_iters'" in err
-
-
-def test_negative_workers_is_usage_error(tmp_path, capsys):
-    scan = ("scan", "--n", "3", "--alpha", "0", "--parameter", "girth")
-    for value in ("-2", "0"):
-        rc, out, err = run_cli(capsys, *scan, "--workers", value)
-        assert rc == EXIT_USAGE and out == "" and "workers must be >= 1" in err, value
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("workers = -1\n")
-    rc, out, err = run_cli(capsys, *scan, "--config", str(cfg))
-    assert rc == EXIT_USAGE and out == "" and "workers must be >= 1" in err
+    for key, value in (("max_iters", 5), ("workers", 2)):
+        cfg.write_text(f"{key} = {value}\n")
+        rc, out, err = run_cli(
+            capsys, "radius", "--family", "cycle", "--n", "4", "--alpha", "0",
+            "--config", str(cfg),
+        )
+        assert rc == EXIT_USAGE and out == "" and f"unknown key '{key}'" in err, key
 
 
 # ---------------------------------------------------------------------------
 # which settings each subcommand takes
 
-SETTING_FLAGS = {"--config", "--tol", "--workers", "--output", "--out"}
+SETTING_FLAGS = {"--config", "--tol", "--output", "--out"}
 
 
 def _subparsers(parser=None):
@@ -646,6 +649,14 @@ def test_subcommands_register_only_the_settings_they_read():
     assert outputs["verify"] == ("text", "json")
     assert all(outputs[name] == ("text", "json", "csv")
                for name in ("radius", "formula", "scan", "explore"))
+    # README's settings table lists the same flags, one row per subcommand
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Settings and config file", 1)[1].split("\n#", 1)[0]
+    table = {}
+    for row in re.findall(r"^\| (`.+`) \| `([^`]+)`", section, flags=re.MULTILINE):
+        for name in re.findall(r"`([^`]+)`", row[0]):
+            table[name] = set(row[1].split())
+    assert table == want
 
 
 @pytest.mark.parametrize(
@@ -670,6 +681,10 @@ def test_subcommands_register_only_the_settings_they_read():
         ("verify", "T3.1", "--n", "3", "--max-iters", "5"),
         ("scan", "--n", "3", "--alpha", "0", "--parameter", "girth", "--max-iters", "5"),
         ("explore", "--n", "3", "--max-iters", "5"),
+        # a scan runs in one process: no subcommand takes a worker count
+        ("verify", "T3.1", "--n", "3", "--workers", "2"),
+        ("scan", "--n", "3", "--alpha", "0", "--parameter", "girth", "--workers", "2"),
+        ("explore", "--n", "3", "--workers", "2"),
     ],
 )
 def test_flags_a_subcommand_does_not_read_are_usage_errors(capsys, argv):

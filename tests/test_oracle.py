@@ -295,14 +295,29 @@ def test_scan_deterministic_rerun(stats3):
             assert x.value == y.value and x.codes == y.codes
 
 
-def test_scan_parallel_matches_serial(scan4, scan5):
-    # the pool grows the last vertex on two blocks of the (n-1)-vertex classes
-    for serial in (scan4, scan5):
-        assert serial.parameters == SCAN_PARAMETERS
-        assert {p for p, _v in serial.groups} == set(SCAN_PARAMETERS)
-        # every ScanStats field: groups with their codes, classes, counts and
-        # runner-ups, top levels, bound reports, counts, widths, iterations
-        assert run_scan(serial.n, serial.alphas, workers=2) == serial
+def test_scan_runs_in_one_process():
+    # workers is kept for callers that pass workers=1; there is no pool
+    assert run_scan(3, (0.0,), workers=1) == run_scan(3, (0.0,))
+    for workers in (0, 2):
+        with pytest.raises(ValueError, match="workers must be 1"):
+            run_scan(3, (0.0,), workers=workers)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: verify_theorem("L3.1", 5, ()),
+        lambda: verify_theorem("T3.1", 5, ()),
+        lambda: run_scan(4, ()),
+        lambda: explore_problem_4_1(4, alphas=()),
+        lambda: subdivision_sweep(4, ()),
+    ],
+    ids=["L3.1", "T3.1", "run_scan", "explore", "subdivision_sweep"],
+)
+def test_empty_alpha_grid_is_refused(call):
+    # a check over no alpha would confirm nothing
+    with pytest.raises(ValueError, match="empty alpha grid"):
+        call()
 
 
 def test_scan_reports_bound_violations(monkeypatch):
@@ -581,6 +596,12 @@ def test_formula_theorem_certifies_tiny_gaps():
     assert any("smallest separation" in line for line in verdict.details)
 
 
+def test_formula_theorem_refuses_a_scan(scan4):
+    for theorem in FORMULA_THEOREMS:
+        with pytest.raises(ValueError, match="compares family members and reads no scan"):
+            verify_theorem(theorem, 4, scan=scan4)
+
+
 def test_verify_scan_compatibility_checks(stats3, scan4):
     with pytest.raises(ValueError):
         verify_theorem("T3.1", 4, scan=stats3)  # wrong order
@@ -734,7 +755,7 @@ def test_class_enumeration_counts():
     # classes of strongly connected digraphs (OEIS A035512) and their weight
     # sums, the strongly connected labelled digraphs (OEIS A003030)
     for n, want, labelled in ((2, 1, 1), (3, 5, 18), (4, 83, 1606), (5, 5048, 565080)):
-        reps, weights = oracle._classes(n, workers=1)
+        reps, weights = oracle._classes(n)
         assert reps.size == weights.size == want
         assert int(weights.sum()) == labelled
         assert np.all(np.diff(reps) > 0)
@@ -750,7 +771,7 @@ def test_class_weights_are_orbit_sizes():
         ])
         canon = canonical_codes(n, strong)
         want_reps, want_weights = np.unique(canon, return_counts=True)
-        reps, weights = oracle._classes(n, workers=1)
+        reps, weights = oracle._classes(n)
         assert np.array_equal(reps, want_reps)
         assert np.array_equal(weights, want_weights)
         # each class's labelled codes are the distinct relabellings of its
@@ -778,7 +799,7 @@ def test_scan_runs_the_kernel_once_per_class(monkeypatch):
 def test_scan_invariant_columns_match_the_public_functions(n):
     # the table's four columns come from one pass over vertex subsets; the
     # public functions (BFS, Bron-Kerbosch, unit max-flow) are the reference
-    reps, weights = oracle._classes(n, workers=1)
+    reps, weights = oracle._classes(n)
     table, _, _ = oracle._scan_table(n, reps, weights, (), PUBLIC_PARAMETERS, DEFAULT_TOL)
     want = []
     for code in reps.tolist():
@@ -881,7 +902,7 @@ def test_sweep_reads_base_radii_from_the_scan_table(monkeypatch):
     # one kernel call per alpha over all 83 strong classes at n = 4, the
     # cycle included, then one per alpha over the subdivided stack: one
     # matrix per (non-cycle class, arc)
-    reps, _ = oracle._classes(4, workers=1)
+    reps, _ = oracle._classes(4)
     arcs = [bin(rep).count("1") for rep in reps.tolist()]
     pairs = sum(a for a in arcs if a > 4)  # a strong digraph with 4 arcs is the 4-cycle
     sizes = []

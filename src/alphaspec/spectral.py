@@ -9,9 +9,9 @@ gives the adjacency matrix and alpha = 1/2 gives half the signless Laplacian;
 alpha = 1 is rejected because it degenerates to the degree diagonal.
 
 The spectral radius of a strongly connected digraph is computed by shifted
-inverse iteration: each step solves (mu*I - M) z = x with mu just above the
-current certified upper bound, so after a few steps z is close to the Perron
-vector whatever the period of the digraph.  Every positive iterate x yields
+inverse iteration: each step solves (mu*I - M) z = x with mu just above a
+certified upper bound, so after a few steps z is close to the Perron vector
+whatever the period of the digraph.  Every positive iterate x yields
 Collatz-Wielandt quotients r_i = (Mx)_i / x_i whose extremes enclose the
 Perron root.  They are computed in float and widened outward by a bound on
 every rounding involved (see _widening), so the returned interval holds the
@@ -23,16 +23,19 @@ _ELIMINATION_MIN matrices is held batch-last, as one (n, n, k) array, so its
 numpy operations run along the long axis k, and solves by Gaussian
 elimination without pivoting, vectorised over k (_inverse_step).  Skipping
 pivoting is safe because mu*I - M is a nonsingular M-matrix, whose
-elimination needs no row exchanges and is stable.  A smaller block, such as
-the one matrix of spectral_radius, certifies matrix by matrix on 2-D arrays
-(_certify_one): one np.linalg.solve on the (n, n) matrix and Python floats
-for the bounds.  So a matrix certifies bit for bit alike alone and in any
-block below _ELIMINATION_MIN, because the same code runs it.  No solver can
-touch the certificate: it is evaluated afresh (_enclosure) on whatever
-positive vector the step returns.
+elimination needs no row exchanges and is stable.  A smaller block
+certifies matrix by matrix on 2-D arrays (_certify_one), and
+spectral_radius calls that loop directly, with no stack: its second
+iterate is LAPACK's eigenvector for the eigenvalue of largest real part
+(np.linalg.eig), and each later step one np.linalg.solve on the (n, n)
+matrix, with Python floats for the bounds.  So a matrix certifies bit for
+bit alike alone and in any block below _ELIMINATION_MIN, because the same
+code runs it.  No solver or eigensolver can touch the certificate: it is
+evaluated afresh (_enclosure) on whatever positive vector the step returns.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -64,9 +67,9 @@ _STALL_CHECKS = 8  # checks after which a width that has not narrowed ends the k
 # Least block that _certify solves by elimination; a smaller one certifies
 # matrix by matrix.  Timed on whole certifications of random strong stacks at
 # alpha 0.5 (2-core x86-64, numpy 2.4.6 with OpenBLAS 0.3.31), one block of k
-# costs less than k one-matrix runs from k = 6 for n = 3..6 and from 7-10 for
-# n = 7..12.
-_ELIMINATION_MIN = 8
+# costs less than k one-matrix runs from k = 10-16 for n = 3..5 and from
+# 16-24 for n = 6..12 (BENCH_eig_start.json).
+_ELIMINATION_MIN = 16
 
 
 class ConvergenceError(RuntimeError):
@@ -161,9 +164,10 @@ def _alpha_entries(adj: np.ndarray, alpha: float) -> np.ndarray:
     """alpha * D + (1 - alpha) * A in float64 for an adjacency matrix or a
     (..., n, n) stack of them; D holds the out-degrees (row sums of A).
     alpha is one that _check_alpha has passed."""
-    m = (1.0 - alpha) * adj
-    idx = np.arange(m.shape[-1])
-    m[..., idx, idx] += alpha * adj.sum(axis=-1)
+    m = np.multiply(1.0 - alpha, adj, order="C")
+    n = m.shape[-1]
+    # the diagonal, as a strided view of the C-contiguous result
+    m.reshape(*m.shape[:-2], n * n)[..., :: n + 1] += alpha * adj.sum(axis=-1)
     return m
 
 
@@ -251,6 +255,24 @@ def _shift(lo, hi, maximum=np.maximum):
     return hi + maximum(1e-6 * (hi - lo), 1e-15 * hi)
 
 
+@contextlib.contextmanager
+def _kernel(n: int, tol: float):
+    """What both kernel loops share for order n: a tol that is not > 0 (NaN
+    included) raises ValueError, and otherwise (f_lo, f_hi, floor_factor)
+    are yielded under an errstate in which a failed solve may divide by
+    zero or overflow, since the step replaces its iterate.
+
+    At best all quotients agree, q_max*f_hi >= rho and rho >= lo, so no
+    width can fall below the floor lo*floor_factor, floor_factor =
+    (f_hi - f_lo)/f_hi (the nextafter steps only add).
+    """
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    f_lo, f_hi = _widening(n)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        yield f_lo, f_hi, (f_hi - f_lo) / f_hi
+
+
 def _inverse_step(
     m: np.ndarray, x: np.ndarray, mx: np.ndarray, lo: np.ndarray, hi: np.ndarray
 ) -> np.ndarray:
@@ -308,36 +330,31 @@ def _certify(
 
     Iteration k checks the widened Collatz-Wielandt certificate of the
     current vector: the first check takes the all-equal vector, each later
-    one follows one inverse iteration step.  A matrix is done at the first
+    one follows one inverse iteration step (in the one-matrix loop, the
+    second follows np.linalg.eig instead).  A matrix is done at the first
     check whose enclosure is at most tol wide; perron is that certifying
     vector, unit-sum.  Every _STALL_CHECKS checks, a matrix whose width has
     not narrowed since the last such check ends the kernel.  The stack runs
     in blocks of at most _SOLVE_BLOCK elements, each to completion, and a
     matrix still uncertified after _MAX_ITERS checks (read at call time)
-    ends it.  A tol that is not > 0 (NaN included) raises ValueError.
+    ends it.  A tol that is not > 0 (NaN included) raises ValueError
+    (_kernel).
 
     A block of at least _ELIMINATION_MIN matrices is held batch-last: its
     matrices as one (n, n, k) array and its iterates as one (n, k) array, so
     the quotients, their min and max, the normalisation, the positivity test
     and the removal of certified matrices all run along the long axis k, and
     _inverse_step solves it.  Only the outputs are batch-first.  A smaller
-    block goes to _certify_one one matrix at a time.
+    block goes to _certify_one one matrix at a time, as spectral_radius's
+    one matrix does.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
     b, n, _ = mats.shape
-    f_lo, f_hi = _widening(n)
-    # at best all quotients agree, q_max*f_hi >= rho and rho >= lo, so no
-    # width can fall below the floor lo*(f_hi - f_lo)/f_hi (the nextafter
-    # steps only add)
-    floor_factor = (f_hi - f_lo) / f_hi
     out_lo = np.empty(b, dtype=np.float64)
     out_hi = np.empty(b, dtype=np.float64)
     out_x = np.empty((b, n), dtype=np.float64)
     out_it = np.zeros(b, dtype=np.int64)
     step = max(1, _SOLVE_BLOCK // max(1, n * n))
-    # a failed solve may divide by zero or overflow; the step replaces its iterate
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    with _kernel(n, tol) as (f_lo, f_hi, floor_factor):
         for s in range(0, b, step):
             e = min(s + step, b)
             if e - s < _ELIMINATION_MIN:
@@ -392,21 +409,34 @@ def _certify_one(
     f_hi: float,
     floor_factor: float,
 ) -> tuple[float, float, np.ndarray, int]:
-    """_certify for one (n, n) matrix m of a block below _ELIMINATION_MIN,
-    from the all-equal vector: (lo, hi, perron, iterations).
+    """_certify for one (n, n) matrix m, alone or of a block below
+    _ELIMINATION_MIN: (lo, hi, perron, iterations).  Runs inside _kernel,
+    which gives f_lo, f_hi and floor_factor.
 
     The checks are those of the elimination loop: the same certificate
     (_enclosure), floor, stall rule and cap, with ConvergenceError naming m
-    by its index in the input stack, and the same shifted solve (_shift)
-    with the power step on M + I, x + Mx, when its iterate is not positive
-    and finite.  Only the layout differs: 2-D arrays, one np.linalg.solve on
-    the (n, n) matrix, the bounds as Python floats, and no active set.  For
-    a few matrices the elimination loop's numpy calls cost their dispatch,
-    not their work.
+    by its index in the input stack.  The first check takes the all-equal
+    vector, as there.  The second takes LAPACK's eigenvector of m for its
+    eigenvalue of largest real part (_lapack_perron), which for an
+    irreducible nonnegative m is the Perron root, since every other
+    eigenvalue of modulus rho has a smaller real part; most family matrices
+    certify on it.  Every later step, and the second when eig fails or its
+    vector is not above _X_MIN and finite, is the elimination loop's
+    shifted solve, with the power step on M + I, x + Mx, when its iterate
+    is not positive and finite.  Its shift (_shift) is taken from the
+    tightest enclosure so far, not the current one: every enclosure is
+    certified, and eig loses the tiny entries of a Perron vector that
+    spans many orders of magnitude, whose enclosure can then reach far
+    above rho (1e48 for c_ng(12, 3)' at alpha 0.99), where a shift makes
+    each solve no better than a power step.  The layout differs: 2-D arrays,
+    one np.linalg.solve on the (n, n) matrix, the bounds as Python floats,
+    and no active set.  For a few matrices the elimination loop's numpy
+    calls cost their dispatch, not their work.
     """
     n = m.shape[0]
     x = np.full(n, 1.0 / n)
     last = math.inf  # width at the last stall test
+    best_lo, best_hi = -math.inf, math.inf  # the tightest enclosure so far
     for it in range(1, _MAX_ITERS + 1):
         # each row of M x summed in index order, as the elimination loop's
         # einsum sums each column, so a first check reads the same in both
@@ -425,17 +455,34 @@ def _certify_one(
             raise ConvergenceError(lo, hi, it, index=index, floor=lo * floor_factor, tol=tol)
         if it == _MAX_ITERS:
             raise ConvergenceError(lo, hi, it, index=index)
-        a = np.negative(m)
-        a.flat[:: n + 1] += _shift(lo, hi, max)
-        try:
-            z = np.linalg.solve(a, x)
-        except np.linalg.LinAlgError:  # an exactly singular pivot
-            z = np.full_like(x, np.nan)
-        z /= z.sum()
-        if not (z.min() > _X_MIN and z.max() < np.inf):
-            z = x + mx
+        best_lo, best_hi = max(best_lo, lo), min(best_hi, hi)
+        z = _lapack_perron(m) if it == 1 else None
+        if z is None:
+            a = np.negative(m)
+            a.flat[:: n + 1] += _shift(best_lo, best_hi, max)
+            try:
+                z = np.linalg.solve(a, x)
+            except np.linalg.LinAlgError:  # an exactly singular pivot
+                z = np.full_like(x, np.nan)
             z /= z.sum()
+            if not (z.min() > _X_MIN and z.max() < np.inf):
+                z = x + mx
+                z /= z.sum()
         x = z
+
+
+def _lapack_perron(m: np.ndarray) -> np.ndarray | None:
+    """The eigenvector np.linalg.eig gives for the eigenvalue of m of largest
+    real part, as abs(real(.)) with unit sum; None if eig raises LinAlgError
+    or the vector is not above _X_MIN and finite.  Only a start: the
+    certificate is taken afresh on it, so eig's rounding cannot reach it."""
+    try:
+        w, v = np.linalg.eig(m)
+    except np.linalg.LinAlgError:
+        return None
+    z = np.abs(v[:, np.argmax(w.real)].real)
+    z /= z.sum()
+    return z if z.min() > _X_MIN and z.max() < np.inf else None
 
 
 def spectral_radius(G: Digraph, alpha: float, tol: float = DEFAULT_TOL) -> SpectralResult:
@@ -444,19 +491,23 @@ def spectral_radius(G: Digraph, alpha: float, tol: float = DEFAULT_TOL) -> Spect
     The result's [certificate_lo, certificate_hi] interval contains the exact
     radius and is at most tol wide; perron is the positive vector that
     certifies it, an approximate eigenvector normalised to unit 1-norm.
+    It runs the one-matrix loop (_certify_one) directly, with no stack, so
+    the result is bit for bit that of G's matrix in any block of
+    batch_cw_radius below _ELIMINATION_MIN.
     """
     if not G.strongly_connected:
         raise NotStronglyConnected(
             "spectral radius with Perron data needs a strongly connected digraph"
         )
     m = _alpha_entries(G.adjacency, _check_alpha(alpha))
-    mid, lo, hi, x, iters = _certify(m[None], tol)
+    with _kernel(G.n, tol) as bounds:
+        lo, hi, x, iterations = _certify_one(m, tol, 0, *bounds)
     return SpectralResult(
-        radius=float(mid[0]),
-        perron=x[0],
-        certificate_lo=float(lo[0]),
-        certificate_hi=float(hi[0]),
-        iterations=int(iters[0]),
+        radius=(lo + hi) / 2.0,
+        perron=x,
+        certificate_lo=lo,
+        certificate_hi=hi,
+        iterations=iterations,
     )
 
 
@@ -507,7 +558,9 @@ def quotient_matrix(
 
     Every block-to-block row sum must be constant within 1e-12, otherwise the
     partition is rejected with the worst offending block pair reported (the
-    first in row-major order among equally bad pairs).
+    first in row-major order among equally bad pairs).  A partition that
+    misses or repeats a vertex or has an empty block, or a matrix entry that
+    is not finite, raises ValueError naming it.
     """
     entries = M.entries if isinstance(M, AlphaMatrix) else np.asarray(M, dtype=np.float64)
     n = entries.shape[0]
@@ -515,25 +568,31 @@ def quotient_matrix(
     flat = [v for blk in blocks for v in blk]
     if sorted(flat) != list(range(n)):
         raise ValueError("partition must cover every vertex exactly once")
+    sizes = [len(blk) for blk in blocks]
+    if 0 in sizes:
+        # reduceat would read an empty block as the row at its start
+        raise ValueError(f"block {sizes.index(0)} of the partition is empty")
     t = len(blocks)
-    indicator = np.zeros((n, t), dtype=np.float64)
-    for j, blk in enumerate(blocks):
-        indicator[list(blk), j] = 1.0
-    # sums[v, j]: the row sum of vertex v into block j
-    sums = entries @ indicator
-    q = np.empty((t, t), dtype=np.float64)
-    dev = np.empty((t, t), dtype=np.float64)
-    for i, blk in enumerate(blocks):
-        rows = sums[list(blk)]
-        q[i] = rows.mean(axis=0)
-        dev[i] = rows.max(axis=0) - rows.min(axis=0)
-    if t and dev.max() > 1e-12:
+    if not t:
+        return QuotientMatrix(entries=np.empty((0, 0)), partition=())
+    # min and max propagate NaN, so two reductions test every entry
+    if not (entries.min() > -np.inf and entries.max() < np.inf):
+        i, j = np.argwhere(~np.isfinite(entries))[0]
+        raise ValueError(f"matrix entry ({i}, {j}) is {float(entries[i, j])!r}, not finite")
+    # rows and columns in block order, so every block is a run of them
+    starts = np.cumsum([0] + sizes[:-1])
+    grouped = entries[np.ix_(flat, flat)]
+    # sums[v, j]: the row sum of vertex v (in block order) into block j
+    sums = np.add.reduceat(grouped, starts, axis=1)
+    q = np.add.reduceat(sums, starts, axis=0) / np.array(sizes)[:, None]
+    dev = np.maximum.reduceat(sums, starts, axis=0) - np.minimum.reduceat(sums, starts, axis=0)
+    if dev.max() > 1e-12:
         i, j = divmod(int(np.argmax(dev)), t)
         raise ValueError(
             f"partition is not equitable: block pair ({i}, {j}) has row sums "
             f"varying by {dev[i, j]:.3e} (> 1e-12)"
         )
-    return QuotientMatrix(entries=q, partition=tuple(tuple(b) for b in blocks))
+    return QuotientMatrix(entries=q, partition=tuple(blocks))
 
 
 def batch_cw_radius(

@@ -12,6 +12,11 @@ by repr, so a JSON round trip keeps them bit for bit.
 
 rewrites golden_outputs.json beside this file with the numpy version that
 made it.  test_golden_outputs.py compares against that file under ==.
+Before it writes, it prints one line per entry that differs from the file
+it replaces (report): how many floats moved, the largest |delta|, and
+every other field that moved (a status, class, count, code hash or
+iteration count) with its path and old and new value, or that the entry
+is new or gone.
 """
 from __future__ import annotations
 
@@ -105,11 +110,57 @@ def encode(value):
     return json.loads(json.dumps(value))
 
 
+def _compare(old, new, where: str, moved: list[float], other: list[str]) -> None:
+    """Walk two JSON values side by side: append |new - old| to moved for
+    every float that differs, and to other a note for every other
+    difference (a value that is not a float, a type, a length or a key)."""
+    if type(old) is float and type(new) is float:
+        if old != new:
+            moved.append(abs(new - old))
+    elif type(old) is list and type(new) is list and len(old) == len(new):
+        for i, (a, b) in enumerate(zip(old, new)):
+            _compare(a, b, f"{where}[{i}]", moved, other)
+    elif type(old) is dict and type(new) is dict and old.keys() == new.keys():
+        for key in old:
+            _compare(old[key], new[key], f"{where}.{key}" if where else key, moved, other)
+    elif type(old) is not type(new) or old != new:
+        other.append(f"{where} {json.dumps(old)[:40]} -> {json.dumps(new)[:40]}")
+
+
+def report(old: dict, new: dict) -> list[str]:
+    """One line per entry of the outputs old and new ({name: JSON value})
+    that differs: the floats that moved, the largest |delta|, and every
+    other field that moved."""
+    lines = []
+    for name in sorted(old.keys() | new.keys()):
+        if name not in new:
+            lines.append(f"{name}: gone")
+        elif name not in old:
+            lines.append(f"{name}: new")
+        else:
+            moved: list[float] = []
+            other: list[str] = []
+            _compare(old[name], new[name], "", moved, other)
+            if moved or other:
+                largest = f"{max(moved):.2g}" if moved else "-"
+                lines.append(
+                    f"{name}: {len(moved)} floats moved, largest |delta| {largest}; "
+                    f"other fields moved: {'; '.join(other) if other else 'none'}"
+                )
+    return lines
+
+
 def main() -> None:
     golden = {
         "numpy": np.__version__,
         "outputs": {name: encode(thunk()) for name, thunk in outputs().items()},
     }
+    if GOLDEN.exists():
+        old = json.loads(GOLDEN.read_text())
+        lines = report(old["outputs"], golden["outputs"])
+        for line in lines:
+            print(line)
+        print(f"{len(lines)} entries differ from the file made with numpy {old['numpy']}")
     GOLDEN.write_text(json.dumps(golden, indent=1) + "\n")
     print(f"wrote {len(golden['outputs'])} outputs to {GOLDEN}")
 

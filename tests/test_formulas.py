@@ -73,8 +73,11 @@ def test_quadratic_root_is_the_larger_one():
 
 
 def test_quotient_entries_match_equitable_quotient():
-    for n, k, m in ((6, 2, 1), (7, 2, 3), (8, 3, 2), (5, 1, 2)):
-        for alpha in (0.0, 0.35, 0.75):
+    # every k_nkm of the family sweeps, n = 3..10, over their alphas and two more
+    for n, k, m in [
+        (n, k, m) for n in range(3, 11) for k in range(1, n) for m in range(1, n - k)
+    ]:
+        for alpha in (0.0, 0.3, 0.35, 0.5, 0.7, 0.75, 0.9):
             mat = alpha_matrix(k_nkm(n, k, m), alpha)
             blocks = [
                 tuple(range(0, m)),

@@ -40,6 +40,10 @@ from alphaspec.oracle import digraph_from_code
 from alphaspec.spectral import _widening
 
 TOL = 1e-10
+GRID5 = (0.0, 0.3, 0.5, 0.7, 0.9)
+# a matrix that needs more than three checks alone: at alpha 0.99 LAPACK's
+# eigenvector loses the tiny entries of its Perron vector
+SLOW = (c_ng(8, 3), 0.99)
 
 
 def eig_radius(entries):
@@ -71,6 +75,25 @@ def test_alpha_matrix_entries():
 def test_alpha_matrix_alpha_zero_is_adjacency():
     g = b_nd(5, 3)
     assert np.array_equal(alpha_matrix(g, 0.0).entries, g.adjacency_matrix())
+
+
+@pytest.mark.parametrize(
+    "shape, dtype",
+    [((7, 7), np.float64), ((40, 6, 6), np.float64), ((40, 6, 6), np.uint8)],
+    ids=["matrix", "float-stack", "uint8-stack"],
+)
+def test_alpha_entries_match_the_fancy_index_form(shape, dtype):
+    # the degrees go onto a strided view of the diagonal; the subdivision
+    # sweep builds its stacks in uint8
+    rng = np.random.default_rng(8)
+    adj = (rng.random(shape) < 0.4).astype(dtype)
+    for alpha in (0.0, 0.3, 1 / 3, 0.5, 0.9999):
+        want = (1.0 - alpha) * adj
+        idx = np.arange(shape[-1])
+        want[..., idx, idx] += alpha * adj.sum(axis=-1)
+        got = spectral._alpha_entries(adj, alpha)
+        assert got.dtype == np.float64 and got.shape == shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), alpha
 
 
 def test_alpha_validation():
@@ -194,10 +217,11 @@ def test_not_strong_rejected():
 
 
 def test_convergence_error_carries_state(monkeypatch):
-    g = k_nkm(6, 2, 1)
+    # SLOW certifies at check 5; most matrices certify at check 2
+    g, alpha = SLOW
     monkeypatch.setattr(spectral, "_MAX_ITERS", 3)
     with pytest.raises(ConvergenceError) as err:
-        spectral_radius(g, 0.0)
+        spectral_radius(g, alpha)
     assert err.value.iterations == 3
     assert err.value.lo < err.value.hi
 
@@ -209,8 +233,9 @@ def test_tight_tol_still_converges():
 
 @pytest.mark.parametrize("failure", ["singular", "sign"])
 def test_failed_solves_cost_iterations_not_the_certificate(monkeypatch, failure):
-    # every solve fails, so each step falls back to a power step on M + I;
-    # every stack below the elimination crossover takes np.linalg.solve
+    # every eig and every solve fails, so each step falls back to a power
+    # step on M + I; every stack below the elimination crossover takes
+    # np.linalg.eig and np.linalg.solve
     g = k_nkm(6, 2, 1)
     want = spectral_radius(g, 0.3)
 
@@ -221,7 +246,16 @@ def test_failed_solves_cost_iterations_not_the_certificate(monkeypatch, failure)
         z[0] *= -1.0
         return z
 
+    def broken_eig(a):
+        if failure == "singular":
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        # a zero entry: abs(real(.)) is not positive
+        v = np.ones_like(a)
+        v[0] = 0.0
+        return np.ones(len(a)), v
+
     monkeypatch.setattr(np.linalg, "solve", broken)
+    monkeypatch.setattr(np.linalg, "eig", broken_eig)
     res = spectral_radius(g, 0.3)
     assert res.iterations > want.iterations
     for copies in (1, spectral._ELIMINATION_MIN - 1):
@@ -341,13 +375,77 @@ def test_one_matrix_path_agrees_with_the_batched_path(alpha):
                 assert lo[i] <= exact_lo <= exact_hi <= hi[i], (n, alpha, i)
 
 
+def _family_grid():
+    """The family sweeps' digraphs: c_ng and b_nd, base and primed, at
+    n = 3..12, and every k_nkm at n <= 10."""
+    graphs = [
+        fam(n, p, primed=primed)
+        for fam in (c_ng, b_nd)
+        for n in range(3, 13)
+        for p in range(2, n)
+        for primed in (False, True)
+    ]
+    graphs += [
+        k_nkm(n, k, m) for n in range(3, 11) for k in range(1, n) for m in range(1, n - k)
+    ]
+    return graphs
+
+
+@pytest.mark.parametrize(
+    "alphas, tol, budget",
+    [
+        pytest.param(GRID5, TOL, 4, id="grid5-1e-10"),
+        pytest.param(GRID5, 1e-13, 5, id="grid5-1e-13"),
+        pytest.param((0.95, 0.99, 0.995, 0.999, 0.9999), TOL, 12, id="near-one"),
+    ],
+)
+def test_one_matrix_iteration_budget(alphas, tol, budget):
+    # eig's Perron vector as the second iterate certifies most of the family
+    # grid at check 2; the all-equal start with shifted solves alone took 5-8
+    # on GRID5 and up to 11 near alpha 1.  There eig loses the tiny entries
+    # of some Perron vectors, and a shift from that check's enclosure, not
+    # the tightest so far, took up to 211 checks
+    its = [spectral_radius(g, a, tol=tol).iterations for g in _family_grid() for a in alphas]
+    assert len(its) == 1700
+    assert max(its) <= budget
+    assert np.median(its) <= 3
+
+
+@pytest.mark.parametrize("mock", ["raises", "sign-mixed"])
+def test_a_failed_eig_start_falls_back_to_the_shifted_solve(monkeypatch, mock):
+    cases = [(k_nkm(6, 2, 1), 0.3), (c_ng(9, 2), 0.5), (b_nd(7, 3, primed=True), 0.7)]
+    want = [spectral_radius(g, a) for g, a in cases]
+
+    def broken_eig(a):
+        if mock == "raises":
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        # the largest eigenvalue's column alternates in sign; abs(real(.))
+        # of it is positive but no Perron vector
+        n = len(a)
+        v = np.eye(n)
+        v[:, 0] = (-1.0) ** np.arange(n) * np.arange(1, n + 1)
+        return np.arange(n, 0, -1, dtype=np.float64), v
+
+    monkeypatch.setattr(np.linalg, "eig", broken_eig)
+    for (g, a), ref in zip(cases, want):
+        res = spectral_radius(g, a)
+        assert res.iterations > ref.iterations
+        assert res.certificate_hi - res.certificate_lo <= TOL
+        exact_lo, exact_hi = _exact_cw_interval(g, a, res.perron)
+        assert res.certificate_lo <= exact_lo <= exact_hi <= res.certificate_hi
+        # both enclose the same root, so they overlap
+        assert max(res.certificate_lo, ref.certificate_lo) <= min(
+            res.certificate_hi, ref.certificate_hi
+        )
+
+
 @pytest.mark.parametrize(
     "g, alpha, tol, cap",
     [
         pytest.param(complete(12), 0.5, 1e-15, None, id="floor"),
         pytest.param(complete(12), 0.5, "stall", None, id="stall-complete-12"),
         pytest.param(b_nd(12, 3), 0.7, "stall", None, id="stall-b_nd-12-3"),
-        pytest.param(k_nkm(6, 2, 1), 0.0, TOL, 3, id="cap"),
+        pytest.param(*SLOW, TOL, 3, id="cap"),
     ],
 )
 def test_one_matrix_path_fails_as_the_batched_path(monkeypatch, g, alpha, tol, cap):
@@ -479,6 +577,25 @@ def test_quotient_rejects_bad_partition():
         quotient_matrix(m, [(0, 1), (2,)])
 
 
+@pytest.mark.parametrize("empty", [0, 1, 2])
+def test_quotient_refuses_an_empty_block(empty):
+    # an empty block failed in numpy's reduction after a RuntimeWarning
+    m = alpha_matrix(complete(4), 0.3)
+    blocks = [(0, 1), (2, 3)]
+    blocks.insert(empty, ())
+    with pytest.raises(ValueError, match=f"block {empty} of the partition is empty"):
+        quotient_matrix(m, blocks)
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+def test_quotient_refuses_entries_that_are_not_finite(entry):
+    # a NaN entry passed as equitable, with a quotient full of NaN
+    m = alpha_matrix(complete(4), 0.3).entries.copy()
+    m[2, 1] = entry
+    with pytest.raises(ValueError, match=r"matrix entry \(2, 1\) is .*not finite"):
+        quotient_matrix(m, [(0, 1), (2, 3)])
+
+
 # ---------------------------------------------------------------------------
 # batched iteration
 
@@ -593,33 +710,42 @@ def test_zero_pivot_spoils_only_its_own_matrix(monkeypatch):
 
 def test_np_linalg_solve_sees_only_2d_systems(monkeypatch):
     # copies of one matrix certify together, so no elimination block loses
-    # a matrix, and shrinks, before it ends
-    g = k_nkm(6, 2, 1)
-    want = spectral_radius(g, 0.3)
-    solve, step = np.linalg.solve, spectral._inverse_step
-    shapes, blocks = [], []
+    # a matrix, and shrinks, before it ends; SLOW takes eig's vector at its
+    # second check and solves after that
+    g, alpha = SLOW
+    want = spectral_radius(g, alpha)
+    solve, eig, step = np.linalg.solve, np.linalg.eig, spectral._inverse_step
+    shapes, eig_shapes, blocks = [], [], []
 
     def recording_solve(a, b):
         shapes.append((a.shape, b.shape))
         return solve(a, b)
+
+    def recording_eig(a):
+        eig_shapes.append(a.shape)
+        return eig(a)
 
     def recording_step(m, *args):
         blocks.append(m.shape[2])
         return step(m, *args)
 
     monkeypatch.setattr(np.linalg, "solve", recording_solve)
+    monkeypatch.setattr(np.linalg, "eig", recording_eig)
     monkeypatch.setattr(spectral, "_inverse_step", recording_step)
-    for size in (1, 5, 8, 200):
+    assert want.iterations > 2
+    for size in (1, spectral._ELIMINATION_MIN - 1, spectral._ELIMINATION_MIN, 200):
         shapes.clear()
+        eig_shapes.clear()
         blocks.clear()
-        rad, _lo, _hi, its = batch_cw_radius(_alpha_stack([g] * size, 0.3))
+        rad, _lo, _hi, its = batch_cw_radius(_alpha_stack([g] * size, alpha))
         assert (np.abs(rad - want.radius) <= 2 * TOL).all()
-        steps = size * (want.iterations - 1)
+        solves = size * (want.iterations - 2)
         if size < spectral._ELIMINATION_MIN:
-            assert shapes == [((6, 6), (6,))] * steps and blocks == []
+            assert shapes == [((8, 8), (8,))] * solves and blocks == []
+            assert eig_shapes == [(8, 8)] * size
             assert (its == want.iterations).all()
         else:
-            assert shapes == [] and blocks == [size] * (its[0] - 1)
+            assert shapes == [] and eig_shapes == [] and blocks == [size] * (its[0] - 1)
             assert (its == its[0]).all()
 
 
@@ -651,8 +777,9 @@ def test_batch_empty_stack():
 
 def test_batch_iteration_cap(monkeypatch):
     monkeypatch.setattr(spectral, "_MAX_ITERS", 3)
+    g, alpha = SLOW
     with pytest.raises(ConvergenceError):
-        batch_cw_radius(_alpha_stack([k_nkm(6, 2, 1)], 0.0))
+        batch_cw_radius(_alpha_stack([g], alpha))
 
 
 @pytest.mark.parametrize(

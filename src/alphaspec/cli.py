@@ -3,8 +3,9 @@
 Subcommands: radius, formula, family, sweep (kinds formula and alpha), verify,
 scan, explore.  Each registers only the flags it reads; a family flag that the
 family's generator does not take, and a repeated grid value, exit 2 too.
-Two settings tune a run: tol and output.  The kernel's iteration cap is a
-constant and a scan runs in one process, so neither is a setting.
+Two settings tune a run, tol and output, each a flag of the subcommands that
+read it; there is no config file.  The kernel's iteration cap is a constant and
+a scan runs in one process, so neither is a setting.
 Exit codes are a stable contract: 0 ok, 2 usage or invalid input, 3 failed
 precondition (non-strong digraph, certification not reached), 4 a verified
 statement was violated.
@@ -19,7 +20,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -40,66 +40,6 @@ EXIT_VIOLATION = 4
 
 OUTPUT_FORMATS = ("text", "json", "csv")
 VERIFY_OUTPUTS = ("text", "json")
-
-
-# ---------------------------------------------------------------------------
-# configuration
-
-@dataclass
-class RunConfig:
-    tol: float = DEFAULT_TOL
-    output: str = "text"
-
-
-# setting -> (flag, value parser, validity test, what the test asks, help).
-# A subcommand registers the flags of the settings it reads; a config file may
-# set any setting, and every value it sets is checked, read or not.
-_SETTINGS = {
-    "tol": ("--tol", float, lambda v: v > 0, "positive",
-            "certificate width target (default 1e-10)"),
-    "output": ("--output", str, OUTPUT_FORMATS.__contains__, f"one of {OUTPUT_FORMATS}",
-               "report format"),
-}
-
-
-def _checked(key: str, value):
-    _flag, _parse, valid, rule, _help = _SETTINGS[key]
-    if not valid(value):
-        raise ValueError(f"{key} must be {rule}, got {value}")
-    return value
-
-
-def _read_config_file(path: str) -> dict:
-    values: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key = key.strip()
-            if key not in _SETTINGS:
-                raise ValueError(
-                    f"{path}:{lineno}: unknown key {key!r}; expected one of {tuple(_SETTINGS)}"
-                )
-            _flag, parse, *_ = _SETTINGS[key]
-            try:
-                values[key] = _checked(key, parse(value.strip()))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-    return values
-
-
-def _load_config(args: argparse.Namespace) -> RunConfig:
-    """Defaults, then the config file, then the flags the subcommand registers."""
-    values = _read_config_file(args.config) if getattr(args, "config", None) else {}
-    for key in _SETTINGS:
-        value = getattr(args, key, None)
-        if value is not None:
-            values[key] = _checked(key, value)
-    return RunConfig(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -276,35 +216,34 @@ def _add_family_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--steps", help="comma separated circulant steps, e.g. 1,2")
 
 
-def _add_settings(
-    sub: argparse.ArgumentParser, *keys: str, outputs: tuple[str, ...] = OUTPUT_FORMATS
-) -> None:
-    """--config and the flags of the settings the subcommand reads, if any, and --out."""
-    if keys:
-        sub.add_argument("--config", help="key=value config file; flags override it")
-    for key in keys:
-        flag, parse, _valid, _rule, help_text = _SETTINGS[key]
-        sub.add_argument(flag, dest=key, type=parse, help=help_text,
-                         choices=outputs if key == "output" else None)
+def _add_settings(sub: argparse.ArgumentParser, *, tol: bool = False,
+                  outputs: tuple[str, ...] = ()) -> None:
+    """The flags of the settings the subcommand reads, if any, and --out."""
+    if tol:
+        sub.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                         help="certificate width target (default 1e-10)")
+    if outputs:
+        sub.add_argument("--output", choices=outputs, default="text", help="report format")
     sub.add_argument("--out", help="write the report to this file instead of stdout")
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_radius(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_radius(args: argparse.Namespace) -> int:
     G = _input_digraph(args, args.alpha)
-    result = spectral_radius(G, args.alpha, tol=cfg.tol)
+    result = spectral_radius(G, args.alpha, tol=args.tol)
     prof = degree_profile(G)
     lam = result.radius
     checks = [
-        ("alpha_maxdeg_strict_lower", bool(args.alpha * prof.max_out < lam)),
+        # strict for n >= 2 only: at n = 1, rho = alpha * maxdeg = 0
+        ("alpha_maxdeg_strict_lower", bool(G.n < 2 or args.alpha * prof.max_out < lam)),
         ("at_most_n_minus_one", bool(lam <= G.n - 1 + 1e-9)),
         ("at_least_min_outdeg", bool(lam >= prof.min_out - 1e-9)),
         ("at_most_max_outdeg", bool(lam <= prof.max_out + 1e-9)),
     ]
     perron = [float(x) for x in result.perron]
-    if cfg.output == "json":
+    if args.output == "json":
         payload = {
             "radius": lam,
             "lo": result.certificate_lo,
@@ -315,7 +254,7 @@ def cmd_radius(args: argparse.Namespace, cfg: RunConfig) -> int:
             "checks": [{"name": name, "pass": ok} for name, ok in checks],
         }
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    elif cfg.output == "csv":
+    elif args.output == "csv":
         header = ["radius", "lo", "hi"]
         row = [_fmt(lam), _fmt(result.certificate_lo), _fmt(result.certificate_hi)]
         for i, x in enumerate(perron):
@@ -340,16 +279,16 @@ def cmd_radius(args: argparse.Namespace, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_formula(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_formula(args: argparse.Namespace) -> int:
     value = formulas.lambda_knkm(args.n, args.k, args.m, args.alpha)
     b, c = formulas.knkm_quadratic(args.n, args.k, args.m, args.alpha)
-    if cfg.output == "json":
+    if args.output == "json":
         payload = {
             "n": args.n, "k": args.k, "m": args.m, "alpha": args.alpha,
             "value": value, "quadratic": {"b": b, "c": c},
         }
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    elif cfg.output == "csv":
+    elif args.output == "csv":
         _emit(
             _csv_text(
                 ["n", "k", "m", "alpha", "value", "b", "c"],
@@ -365,13 +304,13 @@ def cmd_formula(args: argparse.Namespace, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_family(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_family(args: argparse.Namespace) -> int:
     G = _input_digraph(args, args.alpha, "--alpha")
     _emit(to_text(G), args.out)
     return EXIT_OK
 
 
-def cmd_sweep_formula(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_sweep_formula(args: argparse.Namespace) -> int:
     alphas = parse_float_grid(args.alpha)
     if args.n is None:
         raise ValueError("sweep formula requires --n (a value or a range like 4..10)")
@@ -384,7 +323,7 @@ def cmd_sweep_formula(args: argparse.Namespace, cfg: RunConfig) -> int:
                 G = families.k_nkm(n, k, m)
                 for alpha in alphas:
                     formula = formulas.lambda_knkm(n, k, m, alpha)
-                    numeric = spectral_radius(G, alpha, tol=cfg.tol).radius
+                    numeric = spectral_radius(G, alpha, tol=args.tol).radius
                     rows.append(
                         [
                             n, k, m, _fmt(alpha), _fmt(formula), _fmt(numeric),
@@ -395,13 +334,13 @@ def cmd_sweep_formula(args: argparse.Namespace, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_sweep_alpha(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_sweep_alpha(args: argparse.Namespace) -> int:
     """One fixed digraph, its radius tabulated over the grid."""
     alphas = parse_float_grid(args.alpha)
     G = _input_digraph(args, args.family_alpha, "--family-alpha")
     rows = []
     for alpha in alphas:
-        res = spectral_radius(G, alpha, tol=cfg.tol)
+        res = spectral_radius(G, alpha, tol=args.tol)
         rows.append(
             [_fmt(alpha), _fmt(res.radius), _fmt(res.certificate_lo), _fmt(res.certificate_hi)]
         )
@@ -409,13 +348,11 @@ def cmd_sweep_alpha(args: argparse.Namespace, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
-    if cfg.output not in VERIFY_OUTPUTS:
-        raise ValueError(f"verify output must be one of {VERIFY_OUTPUTS}, got {cfg.output}")
+def cmd_verify(args: argparse.Namespace) -> int:
     alphas = parse_float_grid(args.alpha)
     if not os.path.isdir(args.witness_dir):
         raise ValueError(f"witness directory {args.witness_dir!r} is not an existing directory")
-    verdict = oracle.verify_theorem(args.theorem, args.n, alphas, tol=cfg.tol)
+    verdict = oracle.verify_theorem(args.theorem, args.n, alphas, tol=args.tol)
     witness_paths = []
     if verdict.status == "violated":
         stem = args.theorem.replace(".", "_")
@@ -424,7 +361,7 @@ def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(to_text(G))
             witness_paths.append(path)
-    if cfg.output == "json":
+    if args.output == "json":
         payload = {
             "theorem": verdict.theorem,
             "n": verdict.n,
@@ -442,9 +379,9 @@ def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
     return EXIT_VIOLATION if verdict.status == "violated" else EXIT_OK
 
 
-def cmd_scan(args: argparse.Namespace, cfg: RunConfig) -> int:
-    report = oracle.extremal_scan(args.n, args.alpha, args.parameter, mode=args.mode, tol=cfg.tol)
-    if cfg.output == "json":
+def cmd_scan(args: argparse.Namespace) -> int:
+    report = oracle.extremal_scan(args.n, args.alpha, args.parameter, mode=args.mode, tol=args.tol)
+    if args.output == "json":
         payload = {
             "n": report.n,
             "alpha": report.alpha,
@@ -463,7 +400,7 @@ def cmd_scan(args: argparse.Namespace, cfg: RunConfig) -> int:
             ],
         }
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    elif cfg.output == "csv":
+    elif args.output == "csv":
         rows = [
             [
                 e.parameter_value, _fmt(e.radius), e.attaining_count, e.class_count,
@@ -495,16 +432,16 @@ def cmd_scan(args: argparse.Namespace, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_explore(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_explore(args: argparse.Namespace) -> int:
     alphas = parse_float_grid(args.alpha)
-    report = oracle.explore_problem_4_1(args.n, d=args.d, alphas=alphas, tol=cfg.tol)
-    if cfg.output == "json":
+    report = oracle.explore_problem_4_1(args.n, d=args.d, alphas=alphas, tol=args.tol)
+    if args.output == "json":
         _emit(
             json.dumps({"n": report.n, "note": report.note, "rows": list(report.rows)}, indent=2)
             + "\n",
             args.out,
         )
-    elif cfg.output == "csv":
+    elif args.output == "csv":
         rows = [
             [
                 r["n"], r["d"], _fmt(r["alpha"]), _fmt(r["g0_radius"]),
@@ -558,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_radius.add_argument("--file", help="digraph text file")
     _add_family_flags(p_radius)
     p_radius.add_argument("--alpha", type=float, required=True)
-    _add_settings(p_radius, "tol", "output")
+    _add_settings(p_radius, tol=True, outputs=OUTPUT_FORMATS)
     p_radius.set_defaults(func=cmd_radius)
 
     p_formula = subs.add_parser("formula", help="closed-form radius of the k-cut family")
@@ -566,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_formula.add_argument("--k", type=int, required=True)
     p_formula.add_argument("--m", type=int, required=True)
     p_formula.add_argument("--alpha", type=float, required=True)
-    _add_settings(p_formula, "output")
+    _add_settings(p_formula, outputs=OUTPUT_FORMATS)
     p_formula.set_defaults(func=cmd_formula)
 
     p_family = subs.add_parser("family", help="emit a family digraph in text format")
@@ -582,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep_formula = kinds.add_parser("formula", help="formula vs certified radius of K(n,k,m)")
     p_sweep_formula.add_argument("--n", help="order, or a range like 4..10")
     p_sweep_formula.add_argument("--alpha", required=True, help=grid_help)
-    _add_settings(p_sweep_formula, "tol")
+    _add_settings(p_sweep_formula, tol=True)
     p_sweep_formula.set_defaults(func=cmd_sweep_formula)
     p_sweep_alpha = kinds.add_parser("alpha", help="radius of one digraph over an alpha grid")
     p_sweep_alpha.add_argument("--file", help="digraph text file")
@@ -590,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep_alpha.add_argument("--alpha", required=True, help=grid_help)
     p_sweep_alpha.add_argument("--family-alpha", dest="family_alpha", type=float,
                                help="construction alpha for searched families")
-    _add_settings(p_sweep_alpha, "tol")
+    _add_settings(p_sweep_alpha, tol=True)
     p_sweep_alpha.set_defaults(func=cmd_sweep_alpha)
 
     p_verify = subs.add_parser("verify", help="verify one extremal statement exhaustively")
@@ -601,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="alpha grid (default 0,0.5)")
     p_verify.add_argument("--witness-dir", dest="witness_dir", default=".",
                           help="directory for violation witness files")
-    _add_settings(p_verify, "tol", "output", outputs=VERIFY_OUTPUTS)
+    _add_settings(p_verify, tol=True, outputs=VERIFY_OUTPUTS)
     p_verify.set_defaults(func=cmd_verify)
 
     p_scan = subs.add_parser("scan", help="extremal radii per parameter value")
@@ -609,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--alpha", type=float, required=True)
     p_scan.add_argument("--parameter", choices=oracle.PUBLIC_PARAMETERS, required=True)
     p_scan.add_argument("--mode", choices=("min", "max"), default="max")
-    _add_settings(p_scan, "tol", "output")
+    _add_settings(p_scan, tol=True, outputs=OUTPUT_FORMATS)
     p_scan.set_defaults(func=cmd_scan)
 
     p_explore = subs.add_parser("explore",
@@ -618,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_explore.add_argument("--d", type=int, default=None)
     p_explore.add_argument("--alpha", default="0,0.25,0.5,0.75",
                            help="alpha grid (default 0,0.25,0.5,0.75)")
-    _add_settings(p_explore, "tol", "output")
+    _add_settings(p_explore, tol=True, outputs=OUTPUT_FORMATS)
     p_explore.set_defaults(func=cmd_explore)
 
     return parser
@@ -628,8 +565,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _load_config(args)
-        return args.func(args, cfg)
+        # tol is outside input: refuse it before any work (NaN is not > 0 either)
+        if not getattr(args, "tol", DEFAULT_TOL) > 0:
+            raise ValueError(f"tol must be positive, got {args.tol}")
+        return args.func(args)
     except NotStronglyConnected as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

@@ -177,6 +177,14 @@ def alpha_matrix(G: Digraph, alpha: float) -> AlphaMatrix:
     return AlphaMatrix(n=G.n, alpha=alpha, entries=_alpha_entries(G.adjacency, alpha))
 
 
+def _square_entries(M: AlphaMatrix | np.ndarray) -> np.ndarray:
+    """The float entries of M; a shape other than (n, n) raises ValueError."""
+    entries = M.entries if isinstance(M, AlphaMatrix) else np.asarray(M, dtype=np.float64)
+    if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
+        raise ValueError(f"expected a square 2-D matrix, got shape {entries.shape}")
+    return entries
+
+
 def collatz_wielandt_bounds(
     M: AlphaMatrix | np.ndarray, x: Sequence[float]
 ) -> tuple[float, float]:
@@ -185,9 +193,10 @@ def collatz_wielandt_bounds(
     In exact arithmetic they enclose the Perron root; these are the plain
     rounded quotients, not widened outward (see _widening), so they are not
     a certificate.  spectral_radius returns a certified enclosure.  A matrix
-    entry that is negative or not finite, or a vector entry that is not
-    positive and finite, raises ValueError naming it."""
-    entries = M.entries if isinstance(M, AlphaMatrix) else np.asarray(M, dtype=np.float64)
+    that is not square 2-D, a matrix entry that is negative or not finite, or
+    a vector entry that is not positive and finite, raises ValueError naming
+    it."""
+    entries = _square_entries(M)
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (entries.shape[0],):
         raise ValueError(f"vector shape {x.shape} does not match matrix order {entries.shape[0]}")
@@ -558,11 +567,11 @@ def quotient_matrix(
 
     Every block-to-block row sum must be constant within 1e-12, otherwise the
     partition is rejected with the worst offending block pair reported (the
-    first in row-major order among equally bad pairs).  A partition that
-    misses or repeats a vertex or has an empty block, or a matrix entry that
-    is not finite, raises ValueError naming it.
+    first in row-major order among equally bad pairs).  A matrix that is not
+    square 2-D, a partition that misses or repeats a vertex or has an empty
+    block, or a matrix entry that is not finite, raises ValueError naming it.
     """
-    entries = M.entries if isinstance(M, AlphaMatrix) else np.asarray(M, dtype=np.float64)
+    entries = _square_entries(M)
     n = entries.shape[0]
     blocks = [tuple(int(v) for v in blk) for blk in partition]
     flat = [v for blk in blocks for v in blk]
@@ -602,10 +611,13 @@ def batch_cw_radius(
 
     Runs the kernel of spectral_radius on every matrix of the (B, n, n)
     stack; each matrix leaves the batch at the first check whose enclosure
-    is within tol.  Returns arrays (radius, lo, hi, iterations).  A negative
-    or non-finite entry, which no certificate covers, raises ValueError.
+    is within tol.  Returns arrays (radius, lo, hi, iterations), empty for an
+    empty stack.  A shape other than (B, n, n) with n >= 1, or a negative or
+    non-finite entry, which no certificate covers, raises ValueError.
     """
     mats = np.asarray(mats, dtype=np.float64)
+    if mats.ndim != 3 or mats.shape[1] != mats.shape[2] or mats.shape[1] < 1:
+        raise ValueError(f"expected a (B, n, n) stack with n >= 1, got shape {mats.shape}")
     # min and max propagate NaN, so two reductions test every entry
     if mats.size and not (mats.min() >= 0.0 and mats.max() < np.inf):
         b, i, j = np.argwhere(~((mats >= 0.0) & (mats < np.inf)))[0]

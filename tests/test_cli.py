@@ -1,4 +1,4 @@
-"""CLI surface: parsing, output formats, exit codes, config precedence.
+"""CLI surface: parsing, output formats, exit codes, the settings flags.
 
 main(argv) is called in-process so stdout/stderr and exit codes are easy to
 assert; one subprocess test checks the installed console script end to end.
@@ -207,6 +207,29 @@ def test_radius_from_file(tmp_path, capsys):
     rc, out, _ = run_cli(capsys, "radius", "--file", str(p), "--alpha", "0", "--output", "json")
     assert rc == EXIT_OK
     assert abs(json.loads(out)["radius"] - lambda_knkm(6, 2, 1, 0.0)) <= 1e-8
+
+
+def test_radius_one_vertex_passes_every_check(tmp_path, capsys):
+    # alpha * maxdeg < rho holds for n >= 2 only; at n = 1 both are 0, and
+    # the strict check printed FAIL for a true statement
+    p = tmp_path / "one.dg"
+    p.write_text("n 1\n")
+    argv = ("radius", "--file", str(p), "--alpha", "0.5")
+    rc, out, _ = run_cli(capsys, *argv)
+    assert rc == EXIT_OK and out.startswith("radius 0\n")
+    checks = [line for line in out.splitlines() if line.startswith("check ")]
+    assert checks == [
+        "check alpha_maxdeg_strict_lower: pass",
+        "check at_most_n_minus_one: pass",
+        "check at_least_min_outdeg: pass",
+        "check at_most_max_outdeg: pass",
+    ]
+    rc, out, _ = run_cli(capsys, *argv, "--output", "json")
+    payload = json.loads(out)
+    assert rc == EXIT_OK and payload["radius"] == 0.0
+    assert payload["checks"] == [{"name": name, "pass": True} for name in (
+        "alpha_maxdeg_strict_lower", "at_most_n_minus_one", "at_least_min_outdeg",
+        "at_most_max_outdeg")]
 
 
 def test_radius_requires_one_input(capsys):
@@ -518,51 +541,9 @@ def test_explore_csv(capsys):
 
 
 # ---------------------------------------------------------------------------
-# config file
+# the tol setting
 
-def test_config_file_applies(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("# comment\noutput = json\ntol = 1e-8\n")
-    rc, out, _ = run_cli(
-        capsys, "radius", "--family", "cycle", "--n", "4", "--alpha", "0",
-        "--config", str(cfg),
-    )
-    assert rc == EXIT_OK
-    json.loads(out)  # json because the file said so
-
-
-def test_flags_override_config(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("output = json\n")
-    rc, out, _ = run_cli(
-        capsys, "radius", "--family", "cycle", "--n", "4", "--alpha", "0",
-        "--config", str(cfg), "--output", "text",
-    )
-    assert rc == EXIT_OK
-    assert out.startswith("radius ")
-
-
-def test_config_unknown_key(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("speed = 11\n")
-    rc, _, err = run_cli(
-        capsys, "radius", "--family", "cycle", "--n", "4", "--alpha", "0",
-        "--config", str(cfg),
-    )
-    assert rc == EXIT_USAGE and "unknown key" in err
-
-
-def test_config_malformed_line(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("tol 1e-8\n")
-    rc, _, err = run_cli(
-        capsys, "radius", "--family", "cycle", "--n", "4", "--alpha", "0",
-        "--config", str(cfg),
-    )
-    assert rc == EXIT_USAGE and "key=value" in err
-
-
-def test_config_validation_bounds(tmp_path, capsys):
+def test_config_validation_bounds(capsys):
     rc, _, err = run_cli(
         capsys, "radius", "--family", "cycle", "--n", "4", "--alpha", "0", "--tol", "-1"
     )
@@ -573,51 +554,35 @@ def test_config_validation_bounds(tmp_path, capsys):
             capsys, "radius", "--family", "cycle", "--n", "4", "--alpha", "0.5", "--tol", value
         )
         assert rc == EXIT_USAGE and "tol must be positive" in err, value
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("tol = nan\n")
-    rc, _, err = run_cli(
-        capsys, "radius", "--family", "cycle", "--n", "4", "--alpha", "0.5",
-        "--config", str(cfg),
-    )
-    assert rc == EXIT_USAGE and "tol must be positive" in err
 
 
-def test_config_output_is_checked_where_it_is_not_read(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("output = xml\n")
-    for argv in (("radius", "--family", "cycle", "--n", "4", "--alpha", "0"),
-                 ("sweep", "alpha", "--family", "cycle", "--n", "4", "--alpha", "0")):
-        rc, out, err = run_cli(capsys, *argv, "--config", str(cfg))
-        assert rc == EXIT_USAGE and out == "" and "output must be one of" in err
+@pytest.mark.parametrize("value", ["0", "nan", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("radius", "--family", "cycle", "--n", "4", "--alpha", "0.5"),
+        ("sweep", "formula", "--n", "4", "--alpha", "0"),
+        ("sweep", "alpha", "--family", "cycle", "--n", "4", "--alpha", "0"),
+        ("verify", "T3.1", "--n", "3"),
+        ("scan", "--n", "3", "--alpha", "0", "--parameter", "girth"),
+        ("explore", "--n", "3"),
+    ],
+)
+def test_tol_is_checked_before_any_work(capsys, monkeypatch, argv, value):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before tol was checked")
 
-
-def test_config_long_runs_key_is_unknown(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("long_runs_enabled = true\n")
-    rc, _, err = run_cli(
-        capsys, "radius", "--family", "cycle", "--n", "4", "--alpha", "0",
-        "--config", str(cfg),
-    )
-    assert rc == EXIT_USAGE and "unknown key 'long_runs_enabled'" in err
-
-
-def test_config_max_iters_key_is_unknown(tmp_path, capsys):
-    # the kernel's iteration cap is a constant, not a setting, and a scan
-    # runs in one process
-    cfg = tmp_path / "run.cfg"
-    for key, value in (("max_iters", 5), ("workers", 2)):
-        cfg.write_text(f"{key} = {value}\n")
-        rc, out, err = run_cli(
-            capsys, "radius", "--family", "cycle", "--n", "4", "--alpha", "0",
-            "--config", str(cfg),
-        )
-        assert rc == EXIT_USAGE and out == "" and f"unknown key '{key}'" in err, key
+    monkeypatch.setattr(cli.oracle, "run_scan", no_work)
+    monkeypatch.setattr(cli, "spectral_radius", no_work)
+    rc, out, err = run_cli(capsys, *argv, "--tol", value)
+    assert rc == EXIT_USAGE and out == ""
+    assert "tol must be positive" in err
 
 
 # ---------------------------------------------------------------------------
 # which settings each subcommand takes
 
-SETTING_FLAGS = {"--config", "--tol", "--output", "--out"}
+SETTING_FLAGS = {"--tol", "--output", "--out"}
 
 
 def _subparsers(parser=None):
@@ -628,11 +593,11 @@ def _subparsers(parser=None):
 
 def test_subcommands_register_only_the_settings_they_read():
     want = {
-        "radius": {"--config", "--tol", "--output", "--out"},
-        "formula": {"--config", "--output", "--out"},
+        "radius": {"--tol", "--output", "--out"},
+        "formula": {"--output", "--out"},
         "family": {"--out"},
-        "sweep formula": {"--config", "--tol", "--out"},
-        "sweep alpha": {"--config", "--tol", "--out"},
+        "sweep formula": {"--tol", "--out"},
+        "sweep alpha": {"--tol", "--out"},
         "verify": SETTING_FLAGS,
         "scan": SETTING_FLAGS,
         "explore": SETTING_FLAGS,
@@ -651,7 +616,7 @@ def test_subcommands_register_only_the_settings_they_read():
                for name in ("radius", "formula", "scan", "explore"))
     # README's settings table lists the same flags, one row per subcommand
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    section = readme.split("### Settings and config file", 1)[1].split("\n#", 1)[0]
+    section = readme.split("### Settings", 1)[1].split("\n#", 1)[0]
     table = {}
     for row in re.findall(r"^\| (`.+`) \| `([^`]+)`", section, flags=re.MULTILINE):
         for name in re.findall(r"`([^`]+)`", row[0]):
@@ -685,6 +650,14 @@ def test_subcommands_register_only_the_settings_they_read():
         ("verify", "T3.1", "--n", "3", "--workers", "2"),
         ("scan", "--n", "3", "--alpha", "0", "--parameter", "girth", "--workers", "2"),
         ("explore", "--n", "3", "--workers", "2"),
+        # settings are flags only: no subcommand reads a config file
+        ("radius", "--family", "cycle", "--n", "4", "--alpha", "0", "--config", "run.cfg"),
+        ("formula", "--n", "4", "--k", "1", "--m", "1", "--alpha", "0", "--config", "run.cfg"),
+        ("sweep", "formula", "--n", "4", "--alpha", "0", "--config", "run.cfg"),
+        ("sweep", "alpha", "--family", "cycle", "--n", "4", "--alpha", "0", "--config", "run.cfg"),
+        ("verify", "T3.1", "--n", "3", "--config", "run.cfg"),
+        ("scan", "--n", "3", "--alpha", "0", "--parameter", "girth", "--config", "run.cfg"),
+        ("explore", "--n", "3", "--config", "run.cfg"),
     ],
 )
 def test_flags_a_subcommand_does_not_read_are_usage_errors(capsys, argv):
@@ -697,7 +670,7 @@ def test_sweep_kinds_register_their_own_input_flags():
     kinds = _subparsers(_subparsers()["sweep"])
     flags = {name: {f for a in sub._actions for f in a.option_strings} - {"-h", "--help"}
              for name, sub in kinds.items()}
-    assert flags["formula"] == {"--n", "--alpha", "--config", "--tol", "--out"}
+    assert flags["formula"] == {"--n", "--alpha", "--tol", "--out"}
     assert {"--file", "--family", "--n", "--kind", "--family-alpha"} <= flags["alpha"]
     args = cli.build_parser().parse_args(
         ["sweep", "alpha", "--family", "tournament", "--kind", "rotational", "--alpha", "0"]
@@ -769,14 +742,6 @@ def test_family_flags_the_generator_takes_are_accepted(capsys, argv):
 def test_sweep_refuses_a_repeated_grid_value(capsys, argv, repeated):
     rc, out, err = run_cli(capsys, *argv)
     assert rc == EXIT_USAGE and out == "" and repeated in err
-
-
-def test_verify_config_csv_output_is_usage_error(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("output = csv\n")
-    rc, out, err = run_cli(capsys, "verify", "T3.1", "--n", "3", "--config", str(cfg))
-    assert rc == EXIT_USAGE and out == ""
-    assert "verify output must be one of ('text', 'json'), got csv" in err
 
 
 # ---------------------------------------------------------------------------

@@ -51,3 +51,21 @@ def test_sweep_keys_perfbench_reads():
     assert out["checked"] == 72
     assert out["max_excess"] < 0.0
     assert out["violations"] == []
+
+
+def test_cli_calls_perfbench_makes_parse(monkeypatch, tmp_path):
+    # perfbench/workloads.py drives the CLI through cli.main: warm_up's
+    # formula call and the family-sweeps sweeps, each with --out; a flag the
+    # parser no longer takes would first show as a failed benchmark run
+    from alphaspec import cli
+
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    workloads.warm_up(tmp_path)
+    sweeps = workloads.FamilySweeps(1, tmp_path)
+    sweeps.prepare()
+    assert sweeps.cli_runs
+    parser = cli.build_parser()
+    for run in sweeps.cli_runs:
+        args = parser.parse_args(run + ["--out", str(tmp_path / "sweep.csv")])
+        assert args.command == "sweep", run

@@ -167,6 +167,13 @@ def test_cw_bounds_refuse_entries_they_cannot_bound(entry, where):
         collatz_wielandt_bounds(m, x)
 
 
+@pytest.mark.parametrize("shape", [(2, 3), (3,), (2, 2, 2)])
+def test_cw_bounds_refuse_a_matrix_that_is_not_square_2d(shape):
+    # a (2, 3) matrix failed inside matmul
+    with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+        collatz_wielandt_bounds(np.ones(shape), [1.0, 1.0])
+
+
 def test_cw_bounds_accept_plain_arrays():
     a = cycle(4).adjacency_matrix()
     assert collatz_wielandt_bounds(a, np.ones(4)) == (1.0, 1.0)
@@ -596,6 +603,14 @@ def test_quotient_refuses_entries_that_are_not_finite(entry):
         quotient_matrix(m, [(0, 1), (2, 3)])
 
 
+@pytest.mark.parametrize("shape", [(2, 3), (2,), (2, 2, 2)])
+def test_quotient_refuses_a_matrix_that_is_not_square_2d(shape):
+    # a (2, 3) matrix came back as the quotient [[2.]], a (2, 2, 2) one as a
+    # 3-D "quotient"
+    with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+        quotient_matrix(np.ones(shape), [(0, 1)])
+
+
 # ---------------------------------------------------------------------------
 # batched iteration
 
@@ -773,6 +788,14 @@ def test_readme_quotes_the_kernel_constants():
 def test_batch_empty_stack():
     rad, lo, hi, its = batch_cw_radius(np.zeros((0, 4, 4)))
     assert rad.size == lo.size == hi.size == its.size == 0
+
+
+@pytest.mark.parametrize("shape", [(2, 0, 0), (0, 0, 0), (3,), (2, 3), (1, 2, 2, 2), (2, 3, 4)])
+def test_batch_refuses_a_stack_that_is_not_b_n_n(shape):
+    # (2, 0, 0) raised ZeroDivisionError, 1-D and 4-D arrays failed to unpack
+    # and (2, 3, 4) failed to broadcast
+    with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+        batch_cw_radius(np.ones(shape))
 
 
 def test_batch_iteration_cap(monkeypatch):

@@ -458,8 +458,8 @@ def code_of_digraph(G: Digraph) -> int:
 
 
 CANON_CAP = 8  # n(n-1) cell bits fit in an int64 code up to n = 8
-_CANON_BLOCK = 1 << 20  # int64 elements (8 MB) per temporary of canonical_codes
-_PIECE_BITS = 7  # code bits per table lookup in canonical_codes
+_CANON_BLOCK = 1 << 20  # int64 elements (8 MB) per temporary of _canonical
+_PIECE_BITS = 7  # code bits per table lookup in _relabel
 
 
 @cache
@@ -473,9 +473,9 @@ def _cell_perms(n: int) -> np.ndarray:
 
 
 def _piece_tables(dest: np.ndarray) -> list[np.ndarray]:
-    """Per-permutation lookup tables for canonical_codes, one per 7-bit piece
-    of a code: row v of the (2^b, perms) int64 table of a piece is the image
-    of piece value v under each permutation (b = 7, or fewer for the last
+    """Per-permutation lookup tables for _relabel, one per 7-bit piece of a
+    code: row v of the (2^b, perms) int64 table of a piece is the image of
+    piece value v under each permutation (b = 7, or fewer for the last
     piece).  The images of distinct cells are distinct bits, so a relabelled
     code is the OR of its pieces' rows."""
     weights = np.left_shift(1, dest.T.astype(np.int64))  # (cells, perms)
@@ -488,45 +488,66 @@ def _piece_tables(dest: np.ndarray) -> list[np.ndarray]:
     return tables
 
 
-def canonical_codes(n: int, codes) -> np.ndarray:
-    """The smallest code over all n! vertex relabelings of each code, which
-    is the smallest labelled code of its isomorphism class.  Relabelled codes
-    are looked up piece by piece (_piece_tables), in blocks of codes and
-    permutations so that no table or temporary exceeds about 8 MB."""
-    if n > CANON_CAP:
-        raise ValueError(f"canonical codes need n <= {CANON_CAP}, got n={n}")
-    codes = np.asarray(codes, dtype=np.int64)
-    nbits = n * (n - 1)
-    if codes.size and not (codes.min() >= 0 and codes.max() < 1 << nbits):
-        raise ValueError(f"codes out of range for n={n}")
-    if nbits == 0:
-        return np.zeros(codes.size, dtype=np.int64)
+def _relabel(tables: list[np.ndarray], codes: np.ndarray) -> np.ndarray:
+    """(codes, perms) int64: each of a 1-d int64 array of codes under every
+    permutation of the piece tables, the OR of its pieces' rows."""
+    mask = (1 << _PIECE_BITS) - 1
+    first, *rest = tables
+    out = first[codes & mask]
+    for k, table in enumerate(rest, 1):
+        out |= table[(codes >> (k * _PIECE_BITS)) & mask]
+    return out
+
+
+def _canonical(n: int, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The smallest of the n! relabellings of each of a 1-d int64 array of
+    codes (n >= 2), and how many attain it: |Aut|, as they are one coset of
+    the automorphism group.  Codes and permutations go in blocks of at most
+    about 8 MB; a block counts only on the codes whose block minimum is at
+    most the minimum so far, a smaller one restarting the count."""
     dest = _cell_perms(n)
     best = np.full(codes.size, np.iinfo(np.int64).max)
-    mask = (1 << _PIECE_BITS) - 1
-    pieces = [(codes >> s) & mask for s in range(0, nbits, _PIECE_BITS)]
-    perm_step = max(1, _CANON_BLOCK // (len(pieces) << _PIECE_BITS))
+    count = np.zeros(codes.size, dtype=np.int64)
+    pieces = -(-n * (n - 1) // _PIECE_BITS)
+    perm_step = max(1, _CANON_BLOCK // (pieces << _PIECE_BITS))
     for p0 in range(0, len(dest), perm_step):
-        (table, piece), *rest = zip(_piece_tables(dest[p0:p0 + perm_step]), pieces)
-        code_step = max(1, _CANON_BLOCK // table.shape[1])
+        tables = _piece_tables(dest[p0:p0 + perm_step])
+        code_step = max(1, _CANON_BLOCK // tables[0].shape[1])
         for c0 in range(0, codes.size, code_step):
-            block = slice(c0, c0 + code_step)
-            relabelled = table[piece[block]]
-            for table_k, piece_k in rest:
-                relabelled |= table_k[piece_k[block]]
-            np.minimum(best[block], relabelled.min(axis=1), out=best[block])
-    return best
+            relabelled = _relabel(tables, codes[c0:c0 + code_step])
+            low = relabelled.min(axis=1)
+            rows = np.flatnonzero(low <= best[c0:c0 + code_step])
+            low, at = low[rows], c0 + rows
+            ties = (relabelled[rows] == low[:, None]).sum(axis=1)
+            count[at] = np.where(low < best[at], 0, count[at]) + ties
+            best[at] = low
+    return best, count
 
 
-def _relabellings(n: int, codes) -> np.ndarray:
-    """(codes, n!) int64: each code under every vertex permutation of
-    _cell_perms(n), looked up as in canonical_codes but unblocked."""
-    codes = np.asarray(codes, dtype=np.int64)
-    dest = _cell_perms(n)
-    out = np.zeros((codes.size, len(dest)), dtype=np.int64)
-    for k, table in enumerate(_piece_tables(dest)):
-        out |= table[(codes >> (k * _PIECE_BITS)) & ((1 << _PIECE_BITS) - 1)]
-    return out
+def canonical_codes(n: int, codes) -> np.ndarray:
+    """The smallest code over all n! vertex relabelings of each code, which
+    is the smallest labelled code of its isomorphism class (_canonical).
+    n must be in 1..CANON_CAP, and codes a 1-d integer array of codes on n
+    vertices."""
+    if not 1 <= n <= CANON_CAP:
+        raise ValueError(f"canonical codes need 1 <= n <= {CANON_CAP}, got n={n}")
+    codes = np.asarray(codes)
+    if codes.ndim != 1 or codes.size and not np.issubdtype(codes.dtype, np.integer):
+        raise ValueError(f"codes must be a 1-d integer array, got {codes.dtype} {codes.shape}")
+    codes = codes.astype(np.int64)
+    if codes.size and not (codes.min() >= 0 and codes.max() < 1 << n * (n - 1)):
+        raise ValueError(f"codes out of range for n={n}")
+    return codes if n == 1 else _canonical(n, codes)[0]
+
+
+def _orbits(n: int, classes) -> tuple[np.ndarray, np.ndarray]:
+    """The labelled codes of the given classes on n >= 2 vertices, ascending,
+    and for each the index in classes of the class it belongs to: every
+    relabelling of each class, unblocked."""
+    classes = np.asarray(classes, dtype=np.int64)
+    relabelled = _relabel(_piece_tables(_cell_perms(n)), classes)
+    codes, first = np.unique(relabelled, return_index=True)
+    return codes, first // relabelled.shape[1]
 
 
 # ---------------------------------------------------------------------------
@@ -597,9 +618,12 @@ def _bit_rows(k: int) -> np.ndarray:
     return (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
 
 
-def _grow(m: int, classes: np.ndarray, sets: np.ndarray | None = None) -> np.ndarray:
+def _grow(
+    m: int, classes: np.ndarray, sets: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """The classes on m vertices, by canonical code, ascending, that extend
-    one of the given (m-1)-vertex classes by a vertex m-1 whose arcs are a
+    one of the given (m-1)-vertex classes, and the |Aut| of each, counted
+    where _canonical takes the code.  The new vertex m-1 has as its arcs a
     row of sets: m-1 columns of out-arcs to vertices 0..m-2, then m-1 of
     in-arcs from them (default: all 2^(2m-2) rows, which grows all
     digraphs).  A candidate is kept only if its new vertex is least in
@@ -622,7 +646,9 @@ def _grow(m: int, classes: np.ndarray, sets: np.ndarray | None = None) -> np.nda
     adj = adj[key[:, -1] == key.min(axis=1)]
     ci, cj = np.array(_cells(m)).T
     codes = (adj[:, ci, cj].astype(np.int64) << np.arange(ci.size)).sum(axis=1)
-    return np.unique(canonical_codes(m, codes))
+    canon, automorphisms = _canonical(m, codes)
+    classes, first = np.unique(canon, return_index=True)
+    return classes, automorphisms[first]
 
 
 # ---------------------------------------------------------------------------

@@ -176,7 +176,7 @@ def _tournament_classes(n: int) -> np.ndarray:
     classes = np.zeros(1, dtype=np.int64)  # the one tournament on one vertex
     for m in range(2, n + 1):
         beats = _bit_rows(m - 1)
-        classes = _grow(m, classes, np.hstack([beats, 1 - beats]))
+        classes, _ = _grow(m, classes, np.hstack([beats, 1 - beats]))
     return classes
 
 

@@ -3,13 +3,14 @@
 Every labeled digraph on n vertices is an integer code (digraph.code_of_digraph),
 and an isomorphism class is named by its canonical code, the smallest code of
 its members (digraph.canonical_codes).  The classes are generated one vertex
-at a time (_grow), and each strongly connected one becomes a row of a
-columnar table: canonical code, weight (n!/|Aut|, the number of its labelled
-codes), girth, clique number, vertex and arc connectivity, minimum degree and
-out-degree range, and certified radius per alpha.  Isomorphic digraphs share
+at a time (_grow), which counts |Aut| where it takes each canonical code,
+and each strongly connected one becomes a row of a columnar table:
+canonical code, weight (n!/|Aut|, the number of its labelled codes), girth,
+clique number, vertex and arc connectivity, minimum degree and out-degree
+range, and certified radius per alpha.  Isomorphic digraphs share
 all of these, so they are computed once per class.  All statistics are numpy
 queries on that table, counted by weight; the labelled codes they list are
-the orbits of their classes:
+the orbits of their classes (digraph._orbits):
 
 * for each parameter value (girth, clique number, vertex or arc connectivity)
   the minimum and maximum radius per alpha, the classes within 1e-8 of the
@@ -46,8 +47,8 @@ from .digraph import (
     Digraph,
     _decode,
     _grow,
+    _orbits,
     _reachability,
-    _relabellings,
     _subset_invariants,
     canonical_codes,
     code_of_digraph,
@@ -98,16 +99,17 @@ PUBLIC_PARAMETERS = ("girth", "clique", "vertex_conn", "arc_conn")
 # the strongly connected classes (codes and the growth step are in digraph.py)
 
 def _classes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The strongly connected classes on n vertices: their canonical codes,
-    ascending, and their weights n!/|Aut|, the number of labelled codes of
-    each.  The classes are grown one vertex at a time, in this process;
-    strong connectivity is read from the batched reachability closure."""
+    """The strongly connected classes on n >= 2 vertices: their canonical
+    codes, ascending, and their weights n!/|Aut|, the number of labelled
+    codes of each.  The classes are grown one vertex at a time, in this
+    process, and the last step counts |Aut| where it takes each canonical
+    code, so nothing is relabelled here; strong connectivity is read from
+    the batched reachability closure."""
     classes = np.zeros(1, dtype=np.int64)  # the one digraph on one vertex
     for m in range(2, n + 1):
-        classes = _grow(m, classes)
-    reps = classes[_reachability(_decode(n, classes)).all(axis=(1, 2))]
-    automorphisms = (_relabellings(n, reps) == reps[:, None]).sum(axis=1)
-    return reps, math.factorial(n) // automorphisms
+        classes, automorphisms = _grow(m, classes)
+    strong = _reachability(_decode(n, classes)).all(axis=(1, 2))
+    return classes[strong], math.factorial(n) // automorphisms[strong]
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +128,7 @@ class GroupExtreme:
     def codes(self) -> tuple[int, ...]:
         """The labelled codes of the attaining classes, ascending: the union
         of their orbits, expanded when first read."""
-        return tuple(np.unique(_relabellings(self.n, self.classes)).tolist())
+        return tuple(_orbits(self.n, self.classes)[0].tolist())
 
     @property
     def gap(self) -> float | None:
@@ -280,11 +282,9 @@ def _bound_report(n: int, alpha: float, table: np.ndarray, lam: np.ndarray) -> d
         bad_rows = np.flatnonzero(bad)
         if len(violations) == VIOLATION_CAP or not bad_rows.size:
             continue
-        relabelled = _relabellings(n, table["code"][bad_rows])
-        codes, first = np.unique(relabelled, return_index=True)
+        codes, classes = _orbits(n, table["code"][bad_rows])
         keep = slice(VIOLATION_CAP - len(violations))
-        # a listed code's class is the table row its relabelling came from
-        rows = bad_rows[first[keep] // relabelled.shape[1]]
+        rows = bad_rows[classes[keep]]  # a listed code's radius is its class's
         violations += [
             {"check": name, "code": code, "radius": float(lam[row])}
             for code, row in zip(codes[keep].tolist(), rows)
@@ -341,9 +341,8 @@ def _scan_alphas(n: int, alphas: Sequence[float]) -> tuple[float, ...]:
     """alphas as a tuple, once n and every alpha are checked for a scan or sweep."""
     if n == ENUM_CAP + 1:
         raise ValueError(
-            f"n = {n} cannot be scanned: the class generation runs unblocked, and "
-            "weighing the 1,047,008 strong classes takes all 720 relabellings of "
-            "each, 6 GB of codes"
+            f"n = {n} cannot be scanned: the last growth step runs unblocked over "
+            "9,838,592 candidates, over 1 GB"
         )
     if not 2 <= n <= ENUM_CAP:
         raise ValueError(f"enumeration supports 2 <= n <= {ENUM_CAP}, got {n}")

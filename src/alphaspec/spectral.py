@@ -253,9 +253,11 @@ def _widening(n: int) -> tuple[float, float]:
 
 def _enclosure(q_min, q_max, f_lo: float, f_hi: float, nextafter=np.nextafter):
     """The certified [lo, hi] from the least and greatest float quotients:
-    each times its _widening factor, then one step outward.  Takes arrays,
-    or floats with nextafter=math.nextafter."""
-    return nextafter(q_min * f_lo, -math.inf), nextafter(q_max * f_hi, math.inf)
+    each times its _widening factor, then one step outward.  lo steps toward
+    0, downward for the quotients of a nonnegative matrix on a positive
+    vector, so a quotient 0 (n = 1) leaves lo at 0 <= rho, not below it.
+    Takes arrays, or floats with nextafter=math.nextafter."""
+    return nextafter(q_min * f_lo, 0.0), nextafter(q_max * f_hi, math.inf)
 
 
 def _shift(lo, hi, maximum=np.maximum):

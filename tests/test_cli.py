@@ -226,7 +226,7 @@ def test_radius_one_vertex_passes_every_check(tmp_path, capsys):
     ]
     rc, out, _ = run_cli(capsys, *argv, "--output", "json")
     payload = json.loads(out)
-    assert rc == EXIT_OK and payload["radius"] == 0.0
+    assert rc == EXIT_OK and payload["radius"] == payload["lo"] == 0.0
     assert payload["checks"] == [{"name": name, "pass": True} for name in (
         "alpha_maxdeg_strict_lower", "at_most_n_minus_one", "at_least_min_outdeg",
         "at_most_max_outdeg")]

@@ -5,6 +5,7 @@ sets and itertools so the two implementations share nothing but the
 definitions.
 """
 import itertools
+import math
 import pickle
 
 import numpy as np
@@ -37,7 +38,13 @@ from alphaspec import (
     vertex_connectivity,
 )
 from alphaspec.digraph import (
+    _bit_rows,
+    _canonical,
+    _cell_perms,
     _decode,
+    _grow,
+    _piece_tables,
+    _relabel,
     _subset_invariants,
     canonical_codes,
     code_of_digraph,
@@ -446,6 +453,55 @@ def test_canonical_code_order_cap():
         is_isomorphic(cycle(9), cycle(9))
     with pytest.raises(ValueError, match="out of range"):
         canonical_codes(3, [1 << 6])
+    empty = canonical_codes(3, [])
+    assert empty.shape == (0,) and empty.dtype == np.int64
+
+
+@pytest.mark.parametrize("n, codes, match", [
+    (3, [1.7], "float64"),
+    (3, [[1, 2], [3, 4]], r"\(2, 2\)"),
+    (3, 5, r"\(\)"),
+    (0, [0], "n=0"),
+    (9, [0], "n=9"),
+])
+def test_canonical_codes_refuse_malformed_input(n, codes, match):
+    with pytest.raises(ValueError, match=match):
+        canonical_codes(n, codes)
+
+
+def test_tournament_growth_weights_sum_to_the_labelled_tournaments():
+    # at n = 7 the 5040 relabellings take four blocks of _canonical, so each
+    # |Aut| adds up across blocks; n!/|Aut| over the tournament classes is
+    # the number of labelled tournaments, 2^(n(n-1)/2)
+    classes = np.zeros(1, dtype=np.int64)
+    for m in range(2, 8):
+        beats = _bit_rows(m - 1)
+        classes, automorphisms = _grow(m, classes, np.hstack([beats, 1 - beats]))
+        if m >= 6:
+            assert int((math.factorial(m) // automorphisms).sum()) == 2 ** (m * (m - 1) // 2)
+
+
+@pytest.mark.parametrize("n, want", [(7, [5040, 7, 1]), (8, [40320, 8, 1])])
+def test_automorphism_counts_add_across_permutation_blocks(n, want):
+    # the complete digraph, the directed cycle and the transitive tournament
+    transitive = from_arcs(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    codes = np.array([code_of_digraph(g) for g in (complete(n), cycle(n), transitive)])
+    canon, count = _canonical(n, codes)
+    assert np.array_equal(canon, canonical_codes(n, codes))
+    assert count.tolist() == want
+
+
+def test_automorphism_count_matches_the_unblocked_lookup():
+    # ten dense codes and ten sparse ones (a cell in 8), which have
+    # isolated vertices and so automorphisms
+    rng = np.random.default_rng(31)
+    bits = rng.integers(0, 1 << 42, size=(3, 20), dtype=np.int64)
+    codes = np.concatenate([bits[0, :10], (bits[0] & bits[1] & bits[2])[10:]])
+    canon, count = _canonical(7, codes)
+    relabelled = _relabel(_piece_tables(_cell_perms(7)), codes)  # 31 MB of tables
+    assert np.array_equal(canon, relabelled.min(axis=1))
+    assert np.array_equal(count, (relabelled == canon[:, None]).sum(axis=1))
+    assert count.max() > 1
 
 
 def test_isomorphism_invariance_of_parameters():

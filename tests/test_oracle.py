@@ -44,7 +44,7 @@ from alphaspec.oracle import (
     verify_theorem,
 )
 from alphaspec import oracle, spectral
-from alphaspec.digraph import _relabellings, canonical_codes
+from alphaspec.digraph import _orbits, canonical_codes
 from alphaspec.spectral import DEFAULT_TOL, ConvergenceError
 
 
@@ -275,8 +275,8 @@ def test_scan_validation():
         run_scan(7, (0.0,))
     with pytest.raises(ValueError):
         run_scan(6, (0.0,))  # gated
-    # refused outright: the n = 6 generation and relabelling table take GBs
-    with pytest.raises(ValueError, match=r"all 720 relabellings"):
+    # refused outright: the last n = 6 growth step takes over 1 GB
+    with pytest.raises(ValueError, match=r"9,838,592 candidates"):
         run_scan(6, (0.0, 0.5))
 
 
@@ -747,7 +747,7 @@ def test_class_enumeration_counts():
     classes = np.zeros(1, dtype=np.int64)
     counts = [classes.size]
     for m in range(2, 6):
-        classes = oracle._grow(m, classes)
+        classes, _ = oracle._grow(m, classes)
         assert np.all(np.diff(classes) > 0)
         assert np.array_equal(canonical_codes(m, classes), classes)
         counts.append(classes.size)
@@ -777,7 +777,18 @@ def test_class_weights_are_orbit_sizes():
         # each class's labelled codes are the distinct relabellings of its
         # representative
         for rep in reps.tolist():
-            assert np.array_equal(np.unique(_relabellings(n, [rep])), strong[canon == rep])
+            assert np.array_equal(_orbits(n, [rep])[0], strong[canon == rep])
+
+
+def test_weighing_relabels_nothing(monkeypatch):
+    # the weights come from the |Aut| counted while the last growth step
+    # takes its canonical codes, not from relabelling the classes again
+    def refuse(*args):
+        raise AssertionError("_classes relabelled its classes")
+
+    monkeypatch.setattr(oracle, "_orbits", refuse)
+    _, weights = oracle._classes(5)
+    assert int(weights.sum()) == 565080
 
 
 def test_scan_runs_the_kernel_once_per_class(monkeypatch):

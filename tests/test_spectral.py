@@ -798,6 +798,15 @@ def test_batch_refuses_a_stack_that_is_not_b_n_n(shape):
         batch_cw_radius(np.ones(shape))
 
 
+def test_one_vertex_enclosure_is_not_below_zero():
+    # the radius of a nonnegative matrix is at least 0, in both kernel loops
+    res = spectral_radius(from_arcs(1, []), 0.5)
+    assert (res.radius, res.certificate_lo) == (0.0, 0.0) and res.certificate_hi >= 0.0
+    for k in (2, spectral._ELIMINATION_MIN):
+        rad, lo, hi, _ = batch_cw_radius(np.zeros((k, 1, 1)))
+        assert rad.tolist() == lo.tolist() == [0.0] * k and np.all(hi >= 0.0)
+
+
 def test_batch_iteration_cap(monkeypatch):
     monkeypatch.setattr(spectral, "_MAX_ITERS", 3)
     g, alpha = SLOW

@@ -5,7 +5,9 @@ scan, explore.  Each registers only the flags it reads; a family flag that the
 family's generator does not take, and a repeated grid value, exit 2 too.
 Two settings tune a run, tol and output, each a flag of the subcommands that
 read it; there is no config file.  The kernel's iteration cap is a constant and
-a scan runs in one process, so neither is a setting.
+a scan runs in one process, so neither is a setting.  Each report subcommand
+states its report once and writes it through _report, which --output and --out
+steer.
 Exit codes are a stable contract: 0 ok, 2 usage or invalid input, 3 failed
 precondition (non-strong digraph, certification not reached), 4 a verified
 statement was violated.
@@ -31,7 +33,7 @@ from .digraph import (
     from_text,
     to_text,
 )
-from .spectral import DEFAULT_TOL, ConvergenceError, spectral_radius
+from .spectral import DEFAULT_TOL, ConvergenceError, _witnessed, spectral_radius
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -138,6 +140,19 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
+def _report(args: argparse.Namespace, payload: dict, lines: list[str],
+            header: list[str] | None = None, rows: list[list] | None = None) -> None:
+    """Write one report in the form --output picks: payload as indented JSON,
+    header and rows as CSV, or lines as text; to --out, or to stdout."""
+    if args.output == "json":
+        text = json.dumps(payload, indent=2) + "\n"
+    elif args.output == "csv":
+        text = _csv_text(header, rows)
+    else:
+        text = "\n".join(lines) + "\n"
+    _emit(text, args.out)
+
+
 # ---------------------------------------------------------------------------
 # family construction from flags
 
@@ -234,7 +249,7 @@ def cmd_radius(args: argparse.Namespace) -> int:
     G = _input_digraph(args, args.alpha)
     result = spectral_radius(G, args.alpha, tol=args.tol)
     prof = degree_profile(G)
-    lam = result.radius
+    lam, lo, hi = result.radius, result.certificate_lo, result.certificate_hi
     checks = [
         # strict for n >= 2 only: at n = 1, rho = alpha * maxdeg = 0
         ("alpha_maxdeg_strict_lower", bool(G.n < 2 or args.alpha * prof.max_out < lam)),
@@ -243,64 +258,40 @@ def cmd_radius(args: argparse.Namespace) -> int:
         ("at_most_max_outdeg", bool(lam <= prof.max_out + 1e-9)),
     ]
     perron = [float(x) for x in result.perron]
-    if args.output == "json":
-        payload = {
-            "radius": lam,
-            "lo": result.certificate_lo,
-            "hi": result.certificate_hi,
-            "width": result.certificate_hi - result.certificate_lo,
-            "iterations": result.iterations,
-            "perron": perron,
-            "checks": [{"name": name, "pass": ok} for name, ok in checks],
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    elif args.output == "csv":
-        header = ["radius", "lo", "hi"]
-        row = [_fmt(lam), _fmt(result.certificate_lo), _fmt(result.certificate_hi)]
-        for i, x in enumerate(perron):
-            header.append(f"perron_{i}")
-            row.append(_fmt(x))
-        for name, ok in checks:
-            header.append(name)
-            row.append(str(ok).lower())
-        _emit(_csv_text(header, [row]), args.out)
-    else:
-        lines = [
-            f"radius {_fmt(lam)}",
-            f"certificate [{_fmt(result.certificate_lo)}, {_fmt(result.certificate_hi)}]"
-            f" width {_fmt(result.certificate_hi - result.certificate_lo)}",
-            f"iterations {result.iterations}",
-            "perron " + " ".join(_fmt(x) for x in perron),
-        ]
-        lines.extend(
-            f"check {name}: {'pass' if ok else 'FAIL'}" for name, ok in checks
-        )
-        _emit("\n".join(lines) + "\n", args.out)
+    payload = {
+        "radius": lam,
+        "lo": lo,
+        "hi": hi,
+        "width": hi - lo,
+        "iterations": result.iterations,
+        "perron": perron,
+        "checks": [{"name": name, "pass": ok} for name, ok in checks],
+    }
+    lines = [
+        f"radius {_fmt(lam)}",
+        f"certificate [{_fmt(lo)}, {_fmt(hi)}] width {_fmt(hi - lo)}",
+        f"iterations {result.iterations}",
+        "perron " + " ".join(_fmt(x) for x in perron),
+        *(f"check {name}: {'pass' if ok else 'FAIL'}" for name, ok in checks),
+    ]
+    header = ["radius", "lo", "hi", *(f"perron_{i}" for i in range(len(perron))),
+              *(name for name, _ in checks)]
+    row = [_fmt(lam), _fmt(lo), _fmt(hi), *map(_fmt, perron),
+           *(str(ok).lower() for _, ok in checks)]
+    _report(args, payload, lines, header, [row])
     return EXIT_OK
 
 
 def cmd_formula(args: argparse.Namespace) -> int:
     value = formulas.lambda_knkm(args.n, args.k, args.m, args.alpha)
     b, c = formulas.knkm_quadratic(args.n, args.k, args.m, args.alpha)
-    if args.output == "json":
-        payload = {
-            "n": args.n, "k": args.k, "m": args.m, "alpha": args.alpha,
-            "value": value, "quadratic": {"b": b, "c": c},
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    elif args.output == "csv":
-        _emit(
-            _csv_text(
-                ["n", "k", "m", "alpha", "value", "b", "c"],
-                [[args.n, args.k, args.m, _fmt(args.alpha), _fmt(value), _fmt(b), _fmt(c)]],
-            ),
-            args.out,
-        )
-    else:
-        _emit(
-            f"value {_fmt(value)}\nlargest root of x^2 - {_fmt(b)} x + {_fmt(c)}\n",
-            args.out,
-        )
+    payload = {
+        "n": args.n, "k": args.k, "m": args.m, "alpha": args.alpha,
+        "value": value, "quadratic": {"b": b, "c": c},
+    }
+    lines = [f"value {_fmt(value)}", f"largest root of x^2 - {_fmt(b)} x + {_fmt(c)}"]
+    row = [args.n, args.k, args.m, _fmt(args.alpha), _fmt(value), _fmt(b), _fmt(c)]
+    _report(args, payload, lines, ["n", "k", "m", "alpha", "value", "b", "c"], [row])
     return EXIT_OK
 
 
@@ -323,7 +314,8 @@ def cmd_sweep_formula(args: argparse.Namespace) -> int:
                 G = families.k_nkm(n, k, m)
                 for alpha in alphas:
                     formula = formulas.lambda_knkm(n, k, m, alpha)
-                    numeric = spectral_radius(G, alpha, tol=args.tol).radius
+                    with _witnessed(f"k_nkm({n}, {k}, {m})", alpha):
+                        numeric = spectral_radius(G, alpha, tol=args.tol).radius
                     rows.append(
                         [
                             n, k, m, _fmt(alpha), _fmt(formula), _fmt(numeric),
@@ -338,9 +330,12 @@ def cmd_sweep_alpha(args: argparse.Namespace) -> int:
     """One fixed digraph, its radius tabulated over the grid."""
     alphas = parse_float_grid(args.alpha)
     G = _input_digraph(args, args.family_alpha, "--family-alpha")
+    given = [p for p in _FAMILY_PARAMS if getattr(args, p, None) is not None]
+    name = args.file or f"{args.family}({', '.join(f'{p}={getattr(args, p)}' for p in given)})"
     rows = []
     for alpha in alphas:
-        res = spectral_radius(G, alpha, tol=args.tol)
+        with _witnessed(name, alpha):
+            res = spectral_radius(G, alpha, tol=args.tol)
         rows.append(
             [_fmt(alpha), _fmt(res.radius), _fmt(res.certificate_lo), _fmt(res.certificate_hi)]
         )
@@ -361,119 +356,86 @@ def cmd_verify(args: argparse.Namespace) -> int:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(to_text(G))
             witness_paths.append(path)
-    if args.output == "json":
-        payload = {
-            "theorem": verdict.theorem,
-            "n": verdict.n,
-            "alphas": list(verdict.alphas),
-            "status": verdict.status,
-            "details": list(verdict.details),
-            "witness_files": witness_paths,
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    else:
-        lines = [f"{verdict.theorem} at n={verdict.n}, alphas={list(verdict.alphas)}: {verdict.status}"]
-        lines.extend(f"  {d}" for d in verdict.details)
-        lines.extend(f"  witness written to {p}" for p in witness_paths)
-        _emit("\n".join(lines) + "\n", args.out)
+    payload = {
+        "theorem": verdict.theorem,
+        "n": verdict.n,
+        "alphas": list(verdict.alphas),
+        "status": verdict.status,
+        "details": list(verdict.details),
+        "witness_files": witness_paths,
+    }
+    lines = [
+        f"{verdict.theorem} at n={verdict.n}, alphas={list(verdict.alphas)}: {verdict.status}",
+        *(f"  {d}" for d in verdict.details),
+        *(f"  witness written to {p}" for p in witness_paths),
+    ]
+    _report(args, payload, lines)
     return EXIT_VIOLATION if verdict.status == "violated" else EXIT_OK
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
     report = oracle.extremal_scan(args.n, args.alpha, args.parameter, mode=args.mode, tol=args.tol)
-    if args.output == "json":
-        payload = {
-            "n": report.n,
-            "alpha": report.alpha,
-            "parameter": report.parameter,
-            "mode": report.mode,
-            "groups": [
-                {
-                    "value": e.parameter_value,
-                    "radius": e.radius,
-                    "attaining_count": e.attaining_count,
-                    "class_count": e.class_count,
-                    "representatives": [to_text(g) for g in e.representatives],
-                    "runner_up": e.runner_up,
-                }
-                for e in report.entries
-            ],
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    elif args.output == "csv":
-        rows = [
-            [
-                e.parameter_value, _fmt(e.radius), e.attaining_count, e.class_count,
-                _fmt(e.runner_up) if e.runner_up is not None else "",
-            ]
+    payload = {
+        "n": report.n,
+        "alpha": report.alpha,
+        "parameter": report.parameter,
+        "mode": report.mode,
+        "groups": [
+            {
+                "value": e.parameter_value,
+                "radius": e.radius,
+                "attaining_count": e.attaining_count,
+                "class_count": e.class_count,
+                "representatives": [to_text(g) for g in e.representatives],
+                "runner_up": e.runner_up,
+            }
             for e in report.entries
-        ]
-        _emit(
-            _csv_text(["value", "radius", "attaining", "classes", "runner_up"], rows),
-            args.out,
+        ],
+    }
+    lines = [
+        f"{report.mode} radius per {report.parameter} value, "
+        f"n={report.n}, alpha={_fmt(report.alpha)}"
+    ]
+    rows = []
+    for e in report.entries:
+        runner_up = "" if e.runner_up is None else _fmt(e.runner_up)
+        rows.append(
+            [e.parameter_value, _fmt(e.radius), e.attaining_count, e.class_count, runner_up]
         )
-    else:
-        lines = [
-            f"{report.mode} radius per {report.parameter} value, "
-            f"n={report.n}, alpha={_fmt(report.alpha)}"
-        ]
-        for e in report.entries:
-            gap = (
-                f", runner-up {_fmt(e.runner_up)}" if e.runner_up is not None else ""
-            )
-            lines.append(
-                f"  {report.parameter}={e.parameter_value}: radius {_fmt(e.radius)}, "
-                f"{e.attaining_count} attaining in {e.class_count} class(es){gap}"
-            )
-            for g in e.representatives:
-                arcs = " ".join(f"{u}->{v}" for u, v in g.sorted_arcs)
-                lines.append(f"    representative: {arcs}")
-        _emit("\n".join(lines) + "\n", args.out)
+        lines.append(
+            f"  {report.parameter}={e.parameter_value}: radius {_fmt(e.radius)}, "
+            f"{e.attaining_count} attaining in {e.class_count} class(es)"
+            + (f", runner-up {runner_up}" if runner_up else "")
+        )
+        lines.extend(
+            "    representative: " + " ".join(f"{u}->{v}" for u, v in g.sorted_arcs)
+            for g in e.representatives
+        )
+    _report(args, payload, lines, ["value", "radius", "attaining", "classes", "runner_up"], rows)
     return EXIT_OK
 
 
 def cmd_explore(args: argparse.Namespace) -> int:
     alphas = parse_float_grid(args.alpha)
     report = oracle.explore_problem_4_1(args.n, d=args.d, alphas=alphas, tol=args.tol)
-    if args.output == "json":
-        _emit(
-            json.dumps({"n": report.n, "note": report.note, "rows": list(report.rows)}, indent=2)
-            + "\n",
-            args.out,
+    payload = {"n": report.n, "note": report.note, "rows": list(report.rows)}
+    lines = [f"block construction vs scanned maximum, n={report.n} ({report.note})"]
+    rows = []
+    for r in report.rows:
+        where = f"  d={r['d']} alpha={_fmt(r['alpha'])}: "
+        row = [r["n"], r["d"], _fmt(r["alpha"]), _fmt(r["g0_radius"])]
+        if r["scan_max"] is None:
+            lines.append(f"{where}class empty, construction radius {_fmt(r['g0_radius'])}")
+            rows.append(row + ["", "", "", r["status"]])
+            continue
+        lines.append(
+            f"{where}construction {_fmt(r['g0_radius'])}, scan max {_fmt(r['scan_max'])}, "
+            f"gap {_fmt(r['gap'])}, {r['status']}"
         )
-    elif args.output == "csv":
-        rows = [
-            [
-                r["n"], r["d"], _fmt(r["alpha"]), _fmt(r["g0_radius"]),
-                _fmt(r["scan_max"]) if r["scan_max"] is not None else "",
-                _fmt(r["gap"]) if r["gap"] is not None else "",
-                "" if r["classes_match"] is None else str(r["classes_match"]).lower(),
-                r["status"],
-            ]
-            for r in report.rows
-        ]
-        _emit(
-            _csv_text(
-                ["n", "d", "alpha", "g0_radius", "scan_max", "gap", "classes_match", "status"],
-                rows,
-            ),
-            args.out,
-        )
-    else:
-        lines = [f"block construction vs scanned maximum, n={report.n} ({report.note})"]
-        for r in report.rows:
-            if r["scan_max"] is None:
-                lines.append(
-                    f"  d={r['d']} alpha={_fmt(r['alpha'])}: class empty, "
-                    f"construction radius {_fmt(r['g0_radius'])}"
-                )
-            else:
-                lines.append(
-                    f"  d={r['d']} alpha={_fmt(r['alpha'])}: construction "
-                    f"{_fmt(r['g0_radius'])}, scan max {_fmt(r['scan_max'])}, "
-                    f"gap {_fmt(r['gap'])}, {r['status']}"
-                )
-        _emit("\n".join(lines) + "\n", args.out)
+        match = str(r["classes_match"]).lower()
+        rows.append(row + [_fmt(r["scan_max"]), _fmt(r["gap"]), match, r["status"]])
+    header = ["n", "d", "alpha", "g0_radius", "scan_max", "gap", "classes_match", "status"]
+    _report(args, payload, lines, header, rows)
     return EXIT_OK
 
 

@@ -10,6 +10,7 @@ canonical code (n <= 8) is the identity of its isomorphism class.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Iterable, Sequence
@@ -116,6 +117,7 @@ class Digraph:
 
     def relabel(self, perm: Sequence[int]) -> "Digraph":
         """Image under vertex map i -> perm[i]; perm must be a permutation of range(n)."""
+        perm = [_integer(p, "perm entry") for p in perm]
         if sorted(perm) != list(range(self.n)):
             raise ValueError("perm is not a permutation of the vertex set")
         return Digraph(self.n, frozenset((perm[u], perm[v]) for u, v in self.arcs))
@@ -142,13 +144,31 @@ class DegreeProfile:
     min_over_both: int
 
 
-def from_arcs(n: int, arcs: Iterable[tuple[int, int]]) -> Digraph:
-    """Validating constructor: vertices in range, no loops, duplicates collapsed."""
+def _integer(value, what: str) -> int:
+    """value by operator.index (numpy integers pass), else a ValueError naming it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _order(n) -> int:
+    n = _integer(n, "n")
     if n < 1:
         raise ValueError(f"need at least one vertex, got n={n}")
+    return n
+
+
+def from_arcs(n: int, arcs: Iterable[tuple[int, int]]) -> Digraph:
+    """Validating constructor: integer vertices in range, no loops, duplicates collapsed."""
+    n = _order(n)
     arc_set = set()
     for arc in arcs:
         u, v = arc
+        try:
+            u, v = operator.index(u), operator.index(v)
+        except TypeError:
+            raise ValueError(f"arc {arc!r} is not a pair of integer vertices") from None
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"arc {(u, v)} out of range for n={n}")
         if u == v:
@@ -441,7 +461,8 @@ def _cells(n: int) -> list[tuple[int, int]]:
 
 
 def digraph_from_code(n: int, code: int) -> Digraph:
-    cells = _cells(n)
+    cells = _cells(_order(n))
+    code = _integer(code, "code")
     if not 0 <= code < (1 << len(cells)):
         raise ValueError(f"code {code} out of range for n={n}")
     return Digraph(

@@ -27,6 +27,7 @@ from .digraph import (
     _bit_rows,
     _decode,
     _grow,
+    _integer,
     digraph_from_code,
     from_arcs,
     join,
@@ -256,7 +257,7 @@ def h4(n: int, k: int, a: int) -> Digraph:
 
 def circulant(n: int, steps: Iterable[int]) -> Digraph:
     """Arcs i -> i+s (mod n) for every step s; step 1 must be present."""
-    steps = sorted(set(int(s) for s in steps))
+    steps = sorted({_integer(s, "circulant step") for s in steps})
     if n < 2:
         raise ValueError(f"circulant needs n >= 2, got {n}")
     if not steps:

@@ -59,9 +59,9 @@ from .digraph import (
 )
 from .spectral import (
     DEFAULT_TOL,
-    ConvergenceError,
     _alpha_entries,
     _check_alpha,
+    _witnessed,
     batch_cw_radius,
     spectral_radius,
     spectral_radius_general,
@@ -152,17 +152,6 @@ def _row_dtype(nalphas: int) -> np.dtype:
     )
 
 
-def _certified_radii(mats: np.ndarray, tol: float, alpha: float, witness):
-    """batch_cw_radius, naming the matrix that did not converge by witness(index)."""
-    try:
-        return batch_cw_radius(mats, tol=tol)
-    except ConvergenceError as err:
-        raise ConvergenceError(
-            err.lo, err.hi, err.iterations, err.index,
-            witness=f"{witness(err.index)} at alpha {alpha}", floor=err.floor, tol=err.tol,
-        ) from err
-
-
 def _scan_table(
     n: int, codes: np.ndarray, weights: np.ndarray, alphas: tuple[float, ...],
     parameters: tuple[str, ...], tol: float,
@@ -186,12 +175,11 @@ def _scan_table(
             _subset_invariants(adj)
         )
 
-    # certified radii, batched per alpha
+    # certified radii, batched per alpha; a failure names its code
     width, iterations = 0.0, 0
     for ai, alpha in enumerate(alphas):
-        lam, lo_c, hi_c, iters = _certified_radii(
-            _alpha_entries(adj, alpha), tol, alpha, lambda i: f"code {codes[i]}"
-        )
+        with _witnessed(lambda i: f"code {codes[i]}", alpha):
+            lam, lo_c, hi_c, iters = batch_cw_radius(_alpha_entries(adj, alpha), tol=tol)
         rows["radius"][:, ai] = lam
         width = max(width, float((hi_c - lo_c).max()))
         iterations = max(iterations, int(iters.max()))
@@ -472,7 +460,8 @@ class _Statement:
     """An enumeration statement.  For every alpha, every column in reads and
     every value v in values(n), the mode ("min" or "max") radius of the
     digraphs with that value is radius(n, v, alpha, certify) within tol,
-    where certify(G, alpha) is G's certified radius; every digraph in
+    where certify(family, n, v, alpha) is the certified radius of family(n, v),
+    a failure named by that member and alpha; every digraph in
     stated(n, v, alpha) attains it; and every attaining digraph is
     isomorphic to one of them or, when allowed is set, passes
     allowed(G, v)."""
@@ -480,7 +469,7 @@ class _Statement:
     reads: tuple[str, ...]
     mode: str
     values: Callable[[int], range]
-    radius: Callable[[int, int, float, Callable[[Digraph, float], float]], float]
+    radius: Callable[[int, int, float, Callable[..., float]], float]
     stated: Callable[[int, int, float], list[Digraph]]
     allowed: Callable[[Digraph, int], bool] | None = None
     tol: float = ATTAIN_TOL
@@ -501,12 +490,12 @@ def _cut_statement(read: str) -> _Statement:
 _STATEMENTS = {
     "T3.1": _Statement(
         reads=("girth",), mode="min", values=lambda n: range(2, n),
-        radius=lambda n, g, alpha, certify: certify(families.c_ng(n, g), alpha),
+        radius=lambda n, g, alpha, certify: certify(families.c_ng, n, g, alpha),
         stated=lambda n, g, alpha: [families.c_ng(n, g)],
     ),
     "T4.1": _Statement(
         reads=("clique",), mode="min", values=lambda n: range(2, n),
-        radius=lambda n, d, alpha, certify: certify(families.b_nd(n, d), alpha),
+        radius=lambda n, d, alpha, certify: certify(families.b_nd, n, d, alpha),
         stated=lambda n, d, alpha: [families.b_nd(n, d)],
     ),
     "T5.3": _cut_statement("vertex_conn"),
@@ -611,8 +600,10 @@ def _verify_primed(
         min_sep = None
         arg = None
         for p in range(2, n):
-            base = spectral_radius(family(n, p), alpha, tol=strict_tol)
-            primed = spectral_radius(family(n, p, primed=True), alpha, tol=strict_tol)
+            with _witnessed(f"{family.__name__}({n}, {p})", alpha):
+                base = spectral_radius(family(n, p), alpha, tol=strict_tol)
+            with _witnessed(f"{family.__name__}({n}, {p}, primed=True)", alpha):
+                primed = spectral_radius(family(n, p, primed=True), alpha, tol=strict_tol)
             sep = primed.certificate_lo - base.certificate_hi
             if min_sep is None or sep < min_sep:
                 min_sep, arg = sep, p
@@ -656,8 +647,9 @@ def verify_theorem(
     needed = tuple(read for read in st.reads if read != _LEVEL)
     stats = _scan_for(n, alphas, needed, scan, tol)
 
-    def certify(G: Digraph, alpha: float) -> float:
-        return spectral_radius(G, alpha, tol=tol).radius
+    def certify(family: Callable[[int, int], Digraph], n: int, v: int, alpha: float) -> float:
+        with _witnessed(f"{family.__name__}({n}, {v})", alpha):
+            return spectral_radius(family(n, v), alpha, tol=tol).radius
 
     points = [(a, read, v) for a in alphas for read in st.reads for v in st.values(n)]
     details: list[str] = []
@@ -729,9 +721,10 @@ def explore_problem_4_1(
             cand = families.g0(n, d_val, alpha)
             # g0 need not be strong (at d = 1 and alpha >= 1/2 it is the
             # transitive tournament), so its radius comes block by block
+            with _witnessed(f"g0({n}, {d_val})", alpha):
+                g0_radius = spectral_radius_general(cand, alpha, tol=tol)
             row = {
-                "n": n, "d": d_val, "alpha": alpha,
-                "g0_radius": spectral_radius_general(cand, alpha, tol=tol),
+                "n": n, "d": d_val, "alpha": alpha, "g0_radius": g0_radius,
                 "scan_max": None, "gap": None, "classes_match": None, "status": "empty",
             }
             ext = stats.group("clique", d_val, alpha, "max")
@@ -782,10 +775,10 @@ def subdivision_sweep(
     violations: list[dict] = []
     max_excess = -math.inf
     for ai, alpha in enumerate(alphas):
-        lam_sub, _, _, _ = _certified_radii(
-            _alpha_entries(big, alpha), tol, alpha,
-            lambda i: f"code {codes[srcrow[i]]} subdivided at arc ({uarr[i]}, {varr[i]})",
-        )
+        with _witnessed(
+            lambda i: f"code {codes[srcrow[i]]} subdivided at arc ({uarr[i]}, {varr[i]})", alpha
+        ):
+            lam_sub = batch_cw_radius(_alpha_entries(big, alpha), tol=tol)[0]
         lam_base = base[srcrow, ai]
         excess = lam_sub - lam_base
         checked += int(weights[srcrow].sum())

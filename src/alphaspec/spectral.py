@@ -125,6 +125,20 @@ class ConvergenceError(RuntimeError):
         )
 
 
+@contextlib.contextmanager
+def _witnessed(witness, alpha: float):
+    """Re-raise a ConvergenceError of the block led by "<witness> at alpha <alpha>";
+    witness is a string, or a function of the failing matrix's index in its stack."""
+    try:
+        yield
+    except ConvergenceError as err:
+        name = witness(err.index) if callable(witness) else witness
+        raise ConvergenceError(
+            err.lo, err.hi, err.iterations, err.index,
+            witness=f"{name} at alpha {alpha}", floor=err.floor, tol=err.tol,
+        ) from err
+
+
 @dataclass(frozen=True)
 class AlphaMatrix:
     n: int

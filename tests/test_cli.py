@@ -24,6 +24,8 @@ from alphaspec.cli import (
     EXIT_PRECONDITION,
     EXIT_USAGE,
     EXIT_VIOLATION,
+    OUTPUT_FORMATS,
+    VERIFY_OUTPUTS,
     main,
     parse_float_grid,
     parse_int_range,
@@ -278,6 +280,29 @@ def test_radius_out_file(tmp_path, capsys):
     assert json.loads(target.read_text())["radius"] == pytest.approx(1.0, abs=1e-10)
 
 
+# every report subcommand in each form it offers, written by the one writer
+_REPORTS = [
+    (argv, output)
+    for argv in (
+        ["radius", "--family", "knkm", "--n", "5", "--k", "2", "--m", "1", "--alpha", "0.5"],
+        ["formula", "--n", "6", "--k", "2", "--m", "1", "--alpha", "0.4"],
+        ["scan", "--n", "4", "--alpha", "0.5", "--parameter", "girth"],
+        ["explore", "--n", "4", "--alpha", "0,0.5"],
+    )
+    for output in OUTPUT_FORMATS
+] + [(["verify", "T3.1", "--n", "4"], output) for output in VERIFY_OUTPUTS]
+
+
+@pytest.mark.parametrize("argv, output", _REPORTS,
+                         ids=[f"{argv[0]}-{output}" for argv, output in _REPORTS])
+def test_report_out_file_equals_stdout(tmp_path, capsys, argv, output):
+    target = tmp_path / "report"
+    rc, out, err = run_cli(capsys, *argv, "--output", output)
+    rc_file, out_file, err_file = run_cli(capsys, *argv, "--output", output, "--out", str(target))
+    assert (rc, err, rc_file, out_file, err_file) == (EXIT_OK, "", EXIT_OK, "", "")
+    assert out and target.read_bytes() == out.encode("utf-8")
+
+
 # ---------------------------------------------------------------------------
 # formula and family
 
@@ -409,6 +434,19 @@ def test_sweep_bad_grid(capsys):
         capsys, "sweep", "alpha", "--family", "cycle", "--n", "4", "--alpha", "0..0.9"
     )
     assert rc == EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv, witness", [
+    (["formula", "--n", "3..8", "--alpha", "0.5", "--tol", "3e-15"],
+     r"k_nkm\(\d+, \d+, \d+\) at alpha 0\.5: tol 3e-15 is below the rounding floor"),
+    (["alpha", "--family", "cycle", "--n", "4", "--alpha", "0.5", "--tol", "1e-17"],
+     r"cycle\(n=4\) at alpha 0\.5: tol 1e-17 is below the rounding floor"),
+], ids=["formula", "alpha"])
+def test_sweep_certification_failure_names_the_member_and_alpha(capsys, argv, witness):
+    rc, out, err = run_cli(capsys, "sweep", *argv)
+    assert rc == EXIT_PRECONDITION
+    assert out == ""
+    assert re.match("error: certification not reached: " + witness, err), err
 
 
 # ---------------------------------------------------------------------------

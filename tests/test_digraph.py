@@ -19,6 +19,7 @@ from alphaspec import (
     arc_connectivity,
     b_nd,
     c_ng,
+    circulant,
     clique_number,
     complete,
     cycle,
@@ -151,6 +152,30 @@ def test_from_arcs_validates():
         from_arcs(3, [(1, 1)])
     with pytest.raises(ValueError):
         from_arcs(0, [])
+
+
+@pytest.mark.parametrize("build, args, match", [
+    (from_arcs, (2.5, [(0, 1)]), "n must be an integer, got 2.5"),
+    (from_arcs, (3, [(0, 1.5)]), r"arc \(0, 1\.5\) is not a pair of integer vertices"),
+    (from_arcs, (3, [(0, 1.0), (1, 2), (2, 0)]), r"arc \(0, 1\.0\)"),
+    (cycle(3).relabel, ([0, 1.0, 2],), "perm entry must be an integer, got 1.0"),
+    (circulant, (5, [1, 2.7]), "circulant step must be an integer, got 2.7"),
+    (digraph_from_code, (0, 0), "need at least one vertex, got n=0"),
+    (digraph_from_code, (-1, 0), "need at least one vertex, got n=-1"),
+    (digraph_from_code, (3, 2.5), "code must be an integer, got 2.5"),
+], ids=["from_arcs-n", "from_arcs-arc", "from_arcs-float-equal-to-int", "relabel",
+        "circulant-step", "code-n-0", "code-n-negative", "code-float"])
+def test_constructors_refuse_non_integer_or_empty_vertex_data(build, args, match):
+    with pytest.raises(ValueError, match=match):
+        build(*args)
+
+
+def test_constructors_take_numpy_integers():
+    three, one = np.int64(3), np.int32(1)
+    assert from_arcs(three, [(np.int64(0), one), (one, 2), (2, 0)]) == cycle(3)
+    assert cycle(3).relabel(np.array([1, 2, 0])) == cycle(3)
+    assert circulant(np.int64(4), np.array([1, 3])) == circulant(4, [1, 3])
+    assert digraph_from_code(three, np.int64(5)) == digraph_from_code(3, 5)
 
 
 def test_accessors_on_b53():

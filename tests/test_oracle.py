@@ -954,6 +954,31 @@ def test_subdivision_sweep_convergence_failure_names_its_witness(monkeypatch):
         subdivision_sweep(3, (0.5,))
 
 
+def _stalls(*args, **kwargs):
+    raise ConvergenceError(0.0, 1.0, 1)
+
+
+def test_primed_comparison_failure_names_the_member_and_alpha():
+    # below the rounding floor the kernel stops at once; the message names
+    # the b_nd member it was certifying, as a scan names its code
+    want = r"^b_nd\(12, \d+(, primed=True)?\) at alpha 0\.5: tol 3e-15 is below the rounding floor"
+    with pytest.raises(ConvergenceError, match=want):
+        verify_theorem("L4.1", 12, (0.5,), tol=3e-15)
+
+
+def test_stated_radius_failure_names_the_member_and_alpha(monkeypatch, scan4):
+    # T3.1 states the minimum as the certified radius of c_ng(n, g)
+    monkeypatch.setattr(oracle, "spectral_radius", _stalls)
+    with pytest.raises(ConvergenceError, match=r"^c_ng\(4, 2\) at alpha 0\.5: no certificate"):
+        verify_theorem("T3.1", 4, (0.5,), scan=scan4)
+
+
+def test_explore_failure_names_the_construction_and_alpha(monkeypatch, scan4):
+    monkeypatch.setattr(oracle, "spectral_radius_general", _stalls)
+    with pytest.raises(ConvergenceError, match=r"^g0\(4, 2\) at alpha 0\.25: no certificate"):
+        explore_problem_4_1(4, d=2, alphas=(0.25,), scan=scan4)
+
+
 # ---------------------------------------------------------------------------
 # open-problem exploration
 

@@ -481,6 +481,10 @@ def code_of_digraph(G: Digraph) -> int:
 CANON_CAP = 8  # n(n-1) cell bits fit in an int64 code up to n = 8
 _CANON_BLOCK = 1 << 20  # int64 elements (8 MB) per temporary of _canonical
 _PIECE_BITS = 7  # code bits per table lookup in _relabel
+# parent classes per block of _grow: at most 1,000 x 2^10 (parent, row)
+# pairs at m = 6 (9,608 parents, 10 blocks); every order up to 5 (218
+# parents) and every tournament order up to CANON_CAP (456) is one block
+_GROW_BLOCK = 1000
 
 
 @cache
@@ -576,12 +580,38 @@ def _orbits(n: int, classes) -> tuple[np.ndarray, np.ndarray]:
 # growing classes by a vertex
 
 def _decode(n: int, codes: np.ndarray) -> np.ndarray:
-    """(codes, n, n) uint8 adjacency stack of a 1-d array of codes: bit p of
-    a code is entry _cells(n)[p]."""
-    ci, cj = np.array(_cells(n), dtype=np.int64).reshape(-1, 2).T
-    adj = np.zeros((codes.size, n, n), dtype=np.uint8)
-    adj[:, ci, cj] = (codes[:, None] >> np.arange(ci.size)) & 1
-    return adj
+    """(codes, n, n) uint8 adjacency stack of a 1-d integer array of codes:
+    bit p of a code is entry _cells(n)[p].  The bits are unpacked from the
+    codes' little-endian bytes into uint8 planes, and the n(n - 1) cells
+    of each row-major matrix are its entries after the first with every
+    (n + 1)-th, a diagonal one, left out."""
+    k = len(codes)
+    bits = np.unpackbits(
+        np.ascontiguousarray(codes, dtype="<i8").view(np.uint8).reshape(k, 8),
+        axis=1, count=n * (n - 1), bitorder="little",
+    )
+    adj = np.zeros((k, n * n), dtype=np.uint8)
+    adj[:, 1:].reshape(k, n - 1, n + 1)[:, :, :n] = bits.reshape(k, n - 1, n)
+    return adj.reshape(k, n, n)
+
+
+def _strong(n: int, codes: np.ndarray) -> np.ndarray:
+    """Whether the digraph of each of a 1-d int64 array of codes is strongly
+    connected (n <= CANON_CAP).  Each vertex's out-neighbours are a uint8
+    mask, read off the code's row of n - 1 cells with a 0 put in at the
+    diagonal; Warshall's closure adds to every mask the masks of the
+    vertices it holds, one vertex v at a time, and then every vertex must
+    reach every other."""
+    width = n - 1
+    masks = []
+    for i in range(n):
+        row = ((codes >> (i * width)) & ((1 << width) - 1)).astype(np.uint8)
+        masks.append((row & ((1 << i) - 1)) | ((row >> i) << (i + 1)))
+    for v in range(n):
+        for mask in masks:
+            mask |= (mask >> v & 1) * masks[v]
+    full = (1 << n) - 1
+    return np.logical_and.reduce([(mask | (1 << i)) == full for i, mask in enumerate(masks)])
 
 
 def _reachability(adj: np.ndarray) -> np.ndarray:
@@ -640,7 +670,7 @@ def _bit_rows(k: int) -> np.ndarray:
 
 
 def _grow(
-    m: int, classes: np.ndarray, sets: np.ndarray | None = None
+    m: int, classes: np.ndarray, sets: np.ndarray | None = None, strong: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
     """The classes on m vertices, by canonical code, ascending, that extend
     one of the given (m-1)-vertex classes, and the |Aut| of each, counted
@@ -651,25 +681,48 @@ def _grow(
     (total degree, out-degree).  Every m-vertex digraph is reached if its
     vertex-deleted subdigraphs are among the classes and sets holds the
     arcs of every vertex: deleting a least vertex leaves one of the classes,
-    and adding it back is a kept candidate."""
+    and adding it back is a kept candidate.  With strong, only the strongly
+    connected candidates are labelled, which keeps exactly the strongly
+    connected classes, as strong connectivity is an isomorphism invariant.
+
+    A candidate is a (parent, row) pair, never a matrix: its degree key
+    comes from the parent's degrees and the row's bits, and its code is the
+    parent's code moved to the m-vertex cells, ORed with the row's code.
+    The pairs come parent-major, as (parent, row) rows of a stack would.
+    The parents go in blocks of _GROW_BLOCK; the blocks' classes are merged
+    with np.unique, |Aut| taken at the first index, as every member of a
+    class has the same |Aut|."""
     if sets is None:
         sets = _bit_rows(2 * m - 2)
-    old = _decode(m - 1, classes)
-    adj = np.zeros((classes.size, len(sets), m, m), dtype=np.uint8)
-    adj[:, :, :-1, :-1] = old[:, None]
-    adj[:, :, -1, :-1] = sets[:, : m - 1]
-    adj[:, :, :-1, -1] = sets[:, m - 1 :]
-    adj = adj.reshape(-1, m, m)
+    k = m - 1
+    outs, ins = sets[:, :k].astype(np.uint8), sets[:, k:].astype(np.uint8)
     # total degree * m + out-degree orders (total, out) since out-degree < m;
-    # it stays below 2m^2 <= 128 for m <= CANON_CAP, so bytes hold it
-    out = adj.sum(axis=2, dtype=np.uint8)
-    key = (out + adj.sum(axis=1, dtype=np.uint8)) * m + out
-    adj = adj[key[:, -1] == key.min(axis=1)]
-    ci, cj = np.array(_cells(m)).T
-    codes = (adj[:, ci, cj].astype(np.int64) << np.arange(ci.size)).sum(axis=1)
-    canon, automorphisms = _canonical(m, codes)
-    classes, first = np.unique(canon, return_index=True)
-    return classes, automorphisms[first]
+    # it stays below 2m^2 <= 128 for m <= CANON_CAP, so bytes hold it.  An
+    # old vertex j gains an out-arc from in-bit j and an in-arc from out-bit j.
+    new_key = outs.sum(axis=1, dtype=np.uint8) * (m + 1) + ins.sum(axis=1, dtype=np.uint8) * m
+    row_key = ins * (m + 1) + outs * m
+    # out-arcs of the new vertex are cells (k, j), in-arcs cells (j, k)
+    cells = np.concatenate([k * k + np.arange(k), np.arange(k) * k + k - 1])
+    row_codes = sets.astype(np.int64) @ (1 << cells)
+    merged, counts = [], []
+    for p0 in range(0, classes.size, _GROW_BLOCK):
+        parents = classes[p0:p0 + _GROW_BLOCK]
+        old = _decode(k, parents)
+        key = old.sum(axis=2, dtype=np.uint8) * (m + 1) + old.sum(axis=1, dtype=np.uint8) * m
+        least = new_key <= (key[:, None, :] + row_key).min(axis=2)
+        moved = np.zeros_like(parents)
+        for i in range(k):  # row i of the parent's cells is k - 1 bits wide, k in the child
+            moved |= ((parents >> (i * (k - 1))) & ((1 << (k - 1)) - 1)) << (i * k)
+        p, r = np.nonzero(least)
+        codes = moved[p] | row_codes[r]
+        if strong:
+            codes = codes[_strong(m, codes)]
+        canon, automorphisms = _canonical(m, codes)
+        canon, first = np.unique(canon, return_index=True)
+        merged.append(canon)
+        counts.append(automorphisms[first])
+    classes, first = np.unique(np.concatenate(merged), return_index=True)
+    return classes, np.concatenate(counts)[first]
 
 
 # ---------------------------------------------------------------------------

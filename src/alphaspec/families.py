@@ -32,7 +32,7 @@ from .digraph import (
     from_arcs,
     join,
 )
-from .spectral import DEFAULT_TOL, _check_alpha, _component_enclosures
+from .spectral import DEFAULT_TOL, _check_alpha, _component_enclosures, _witnessed
 
 __all__ = [
     "path",
@@ -57,18 +57,21 @@ BRUTEFORCE_CAP = CANON_CAP  # n = 8: 6,880 classes, about 5 s and 100 MB
 
 def path(n: int) -> Digraph:
     """Directed path 0 -> 1 -> ... -> n-1 (not strongly connected for n >= 2)."""
+    n = _integer(n, "n")
     if n < 1:
         raise ValueError(f"path needs n >= 1, got {n}")
     return Digraph(n, frozenset((i, i + 1) for i in range(n - 1)))
 
 
 def cycle(n: int) -> Digraph:
+    n = _integer(n, "n")
     if n < 2:
         raise ValueError(f"directed cycle needs n >= 2, got {n}")
     return Digraph(n, frozenset((i, (i + 1) % n) for i in range(n)))
 
 
 def complete(n: int) -> Digraph:
+    n = _integer(n, "n")
     if n < 1:
         raise ValueError(f"complete digraph needs n >= 1, got {n}")
     return Digraph(n, frozenset((u, v) for u in range(n) for v in range(n) if u != v))
@@ -81,6 +84,7 @@ def c_ng(n: int, g: int, primed: bool = False) -> Digraph:
     through g, g+1, ..., n-1 and re-enters at 0.  The primed variant re-enters
     at g-1 instead, closing a second short cycle.
     """
+    n, g = _integer(n, "n"), _integer(g, "g")
     if not 2 <= g <= n - 1:
         raise ValueError(f"need 2 <= g <= n-1, got g={g}, n={n}")
     arcs = [(i, i + 1) for i in range(g - 1)]
@@ -97,6 +101,7 @@ def b_nd(n: int, d: int, primed: bool = False) -> Digraph:
     0..n-d-1 in order, and ends at clique vertex n-1.  The primed variant
     sends the last path arc back to the start vertex n-d instead.
     """
+    n, d = _integer(n, "n"), _integer(d, "d")
     if not 2 <= d <= n - 1:
         raise ValueError(f"need 2 <= d <= n-1, got d={d}, n={n}")
     start = n - d
@@ -121,6 +126,7 @@ def k_nkm(n: int, k: int, m: int) -> Digraph:
     V1 (m vertices), S (k vertices) and V2 (n-k-m vertices) are each complete;
     S is joined by digons to everything; V1 sends one-way arcs to V2.
     """
+    n, k, m = _integer(n, "n"), _integer(k, "k"), _integer(m, "m")
     if k < 1 or m < 1 or n - k - m < 1:
         raise ValueError(f"need k >= 1, m >= 1 and n-k-m >= 1, got n={n}, k={k}, m={m}")
     v1 = range(0, m)
@@ -195,12 +201,14 @@ def _extremal_tournament(n: int, alpha: float) -> Digraph:
         )
     classes = _tournament_classes(n)
     adj = _decode(n, classes)
-    lo, hi = _component_enclosures(adj, alpha, DEFAULT_TOL)
+    with _witnessed(lambda i: f"tournament class {classes[i]}", alpha):
+        lo, hi = _component_enclosures(adj, alpha, DEFAULT_TOL)
     return digraph_from_code(n, int(classes[np.argmax(hi >= lo.max())]))
 
 
 def tournament(kind: str, n: int, alpha: float | None = None) -> Digraph:
     """Named tournament generators plus the exhaustive extremal search."""
+    n = _integer(n, "n")
     if n < 1:
         raise ValueError(f"tournament needs n >= 1, got {n}")
     if kind == "transitive":
@@ -226,6 +234,7 @@ def g0(n: int, d: int, alpha: float) -> Digraph:
     classes (part size <= 8; a part of 8 takes about 5 s), certified at
     the default tolerance and iteration cap.
     """
+    n, d = _integer(n, "n"), _integer(d, "d")
     if not 1 <= d <= n:
         raise ValueError(f"need 1 <= d <= n, got d={d}, n={n}")
     l, r = divmod(n, d)
@@ -243,6 +252,7 @@ def h4(n: int, k: int, a: int) -> Digraph:
     """Two complete blocks of sizes a and n-a; every arc from the second block
     back to the first; all k*k arcs from the first k vertices of block one to
     the first k vertices of block two."""
+    n, k, a = _integer(n, "n"), _integer(k, "k"), _integer(a, "a")
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     if not k + 2 <= a <= n - k - 2:
@@ -257,6 +267,7 @@ def h4(n: int, k: int, a: int) -> Digraph:
 
 def circulant(n: int, steps: Iterable[int]) -> Digraph:
     """Arcs i -> i+s (mod n) for every step s; step 1 must be present."""
+    n = _integer(n, "n")
     steps = sorted({_integer(s, "circulant step") for s in steps})
     if n < 2:
         raise ValueError(f"circulant needs n >= 2, got {n}")

@@ -3,8 +3,9 @@
 Every labeled digraph on n vertices is an integer code (digraph.code_of_digraph),
 and an isomorphism class is named by its canonical code, the smallest code of
 its members (digraph.canonical_codes).  The classes are generated one vertex
-at a time (_grow), which counts |Aut| where it takes each canonical code,
-and each strongly connected one becomes a row of a columnar table:
+at a time (_grow), whose last step labels only the strongly connected
+candidates and counts |Aut| where it takes each canonical code, and each
+class becomes a row of a columnar table, filled in blocks up to n = 6:
 canonical code, weight (n!/|Aut|, the number of its labelled codes), girth,
 clique number, vertex and arc connectivity, minimum degree and out-degree
 range, and certified radius per alpha.  Isomorphic digraphs share
@@ -48,7 +49,6 @@ from .digraph import (
     _decode,
     _grow,
     _orbits,
-    _reachability,
     _subset_invariants,
     canonical_codes,
     code_of_digraph,
@@ -61,6 +61,7 @@ from .spectral import (
     DEFAULT_TOL,
     _alpha_entries,
     _check_alpha,
+    _solve_block,
     _witnessed,
     batch_cw_radius,
     spectral_radius,
@@ -87,7 +88,11 @@ __all__ = [
     "subdivision_sweep",
 ]
 
-ENUM_CAP = 5
+ENUM_CAP = 6
+SWEEP_CAP = 5
+# classes per block of _scan_table, rounded down to whole solve blocks of
+# the kernel (at least one): 43,686 at n = 6, and every order up to 5 in one
+_TABLE_BLOCK = 50_000
 ATTAIN_TOL = 1e-8
 VIOLATION_CAP = 50
 
@@ -102,14 +107,13 @@ def _classes(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The strongly connected classes on n >= 2 vertices: their canonical
     codes, ascending, and their weights n!/|Aut|, the number of labelled
     codes of each.  The classes are grown one vertex at a time, in this
-    process, and the last step counts |Aut| where it takes each canonical
-    code, so nothing is relabelled here; strong connectivity is read from
-    the batched reachability closure."""
+    process, and the last step labels only its strongly connected
+    candidates and counts |Aut| where it takes each canonical code, so
+    nothing is relabelled here."""
     classes = np.zeros(1, dtype=np.int64)  # the one digraph on one vertex
     for m in range(2, n + 1):
-        classes, automorphisms = _grow(m, classes)
-    strong = _reachability(_decode(n, classes)).all(axis=(1, 2))
-    return classes[strong], math.factorial(n) // automorphisms[strong]
+        classes, automorphisms = _grow(m, classes, strong=m == n)
+    return classes, math.factorial(n) // automorphisms
 
 
 # ---------------------------------------------------------------------------
@@ -160,29 +164,37 @@ def _scan_table(
     weight, invariants and radii; the widest certificate and the most
     iterations among them.  The four parameter columns are filled together
     by one pass over vertex subsets (_subset_invariants) when any parameter
-    is requested, and stay 0 when none is."""
-    adj = _decode(n, codes)
+    is requested, and stay 0 when none is.
+
+    The classes are decoded, measured and certified in blocks of a whole
+    number of the kernel's solve blocks, about _TABLE_BLOCK classes, so
+    every radius is bit for bit what one kernel call over all of them
+    gives."""
     rows = np.zeros(codes.size, dtype=_row_dtype(len(alphas)))
     rows["code"] = codes
     rows["weight"] = weights
-    outdeg = adj.sum(axis=2)
-    min_out = outdeg.min(axis=1)
-    rows["min_out"] = min_out
-    rows["max_out"] = outdeg.max(axis=1)
-    rows["delta0"] = np.minimum(min_out, adj.sum(axis=1).min(axis=1))
-    if parameters:
-        rows["girth"], rows["clique"], rows["vertex_conn"], rows["arc_conn"] = (
-            _subset_invariants(adj)
-        )
-
-    # certified radii, batched per alpha; a failure names its code
+    solve_block = _solve_block(n)
+    step = max(1, _TABLE_BLOCK // solve_block) * solve_block
     width, iterations = 0.0, 0
-    for ai, alpha in enumerate(alphas):
-        with _witnessed(lambda i: f"code {codes[i]}", alpha):
-            lam, lo_c, hi_c, iters = batch_cw_radius(_alpha_entries(adj, alpha), tol=tol)
-        rows["radius"][:, ai] = lam
-        width = max(width, float((hi_c - lo_c).max()))
-        iterations = max(iterations, int(iters.max()))
+    for s in range(0, codes.size, step):
+        block = rows[s:s + step]
+        adj = _decode(n, codes[s:s + step])
+        outdeg = adj.sum(axis=2)
+        min_out = outdeg.min(axis=1)
+        block["min_out"] = min_out
+        block["max_out"] = outdeg.max(axis=1)
+        block["delta0"] = np.minimum(min_out, adj.sum(axis=1).min(axis=1))
+        if parameters:
+            block["girth"], block["clique"], block["vertex_conn"], block["arc_conn"] = (
+                _subset_invariants(adj)
+            )
+        # certified radii, batched per alpha; a failure names its code
+        for ai, alpha in enumerate(alphas):
+            with _witnessed(lambda i: f"code {codes[s + i]}", alpha):
+                lam, lo_c, hi_c, iters = batch_cw_radius(_alpha_entries(adj, alpha), tol=tol)
+            block["radius"][:, ai] = lam
+            width = max(width, float((hi_c - lo_c).max()))
+            iterations = max(iterations, int(iters.max()))
     return rows, width, iterations
 
 
@@ -329,8 +341,8 @@ def _scan_alphas(n: int, alphas: Sequence[float]) -> tuple[float, ...]:
     """alphas as a tuple, once n and every alpha are checked for a scan or sweep."""
     if n == ENUM_CAP + 1:
         raise ValueError(
-            f"n = {n} cannot be scanned: the last growth step runs unblocked over "
-            "9,838,592 candidates, over 1 GB"
+            f"n = {n} cannot be scanned: its last growth step would label the "
+            "candidates of 1,540,944 six-vertex classes x 4,096 rows"
         )
     if not 2 <= n <= ENUM_CAP:
         raise ValueError(f"enumeration supports 2 <= n <= {ENUM_CAP}, got {n}")
@@ -538,27 +550,38 @@ def _extreme_at(
 def _attainers_fault(
     n: int,
     classes: Sequence[int],
-    stated: Sequence[Digraph],
+    stated: Sequence[tuple[Digraph, int]],
     allowed: Callable[[Digraph, int], bool] | None = None,
     value: int | None = None,
 ) -> tuple[str, Digraph] | None:
     """Why the attaining classes, given by ascending canonical codes, break
-    the statement, with the digraph at fault, or None.  Every stated digraph
-    must attain; every attaining class must be a stated digraph's or, with
-    allowed, pass allowed(G, value), an isomorphism invariant that is tested
-    on the class's canonical labelling.  A class's canonical code is its
-    smallest labelled code, so the first class at fault holds the smallest
-    labelled code at fault."""
-    stated_codes = canonical_codes(n, [code_of_digraph(s) for s in stated]).tolist()
+    the statement, with the digraph at fault, or None.  stated holds each
+    stated digraph with its canonical code (_stated_codes).  Every stated
+    digraph must attain; every attaining class must be a stated digraph's
+    or, with allowed, pass allowed(G, value), an isomorphism invariant that
+    is tested on the class's canonical labelling.  A class's canonical code
+    is its smallest labelled code, so the first class at fault holds the
+    smallest labelled code at fault."""
+    stated_codes = [canon for _, canon in stated]
     for code in classes:
         g = digraph_from_code(n, code)
         ok = code in stated_codes if allowed is None else allowed(g, value)
         if not ok:
             return f"code {code} attains but is not a digraph the statement allows", g
-    for i, (s, canon) in enumerate(zip(stated, stated_codes)):
+    for i, (s, canon) in enumerate(stated):
         if canon not in classes:
             return f"stated digraph {i + 1} of {len(stated)} does not attain", s
     return None
+
+
+def _stated_codes(
+    n: int, groups: Sequence[Sequence[Digraph]]
+) -> list[list[tuple[Digraph, int]]]:
+    """Each group of digraphs on n vertices as (digraph, canonical code)
+    pairs, the codes taken in one canonical_codes call for all groups."""
+    flat = [g for group in groups for g in group]
+    codes = iter(canonical_codes(n, [code_of_digraph(g) for g in flat]).tolist())
+    return [[(g, next(codes)) for g in group] for group in groups]
 
 
 def _scan_for(
@@ -652,10 +675,11 @@ def verify_theorem(
             return spectral_radius(family(n, v), alpha, tol=tol).radius
 
     points = [(a, read, v) for a in alphas for read in st.reads for v in st.values(n)]
+    stated = _stated_codes(n, [st.stated(n, v, alpha) for alpha, _, v in points])
     details: list[str] = []
     witnesses: list[Digraph] = []
     violated = False
-    for alpha, read, v in points:
+    for (alpha, read, v), attainers in zip(points, stated):
         where = f"alpha={alpha}, {read}={v}"
         ext = _extreme_at(stats, read, v, alpha, st.mode)
         want = None if ext is None else st.radius(n, v, alpha, certify)
@@ -668,7 +692,7 @@ def verify_theorem(
             )
         else:
             classes = () if ext is None else ext.classes
-            fault = _attainers_fault(n, classes, st.stated(n, v, alpha), st.allowed, v)
+            fault = _attainers_fault(n, classes, attainers, st.allowed, v)
         if fault is None:
             gap = "" if ext.gap is None else f"; runner-up gap {ext.gap:.3e}"
             details.append(
@@ -715,31 +739,32 @@ def explore_problem_4_1(
     if d is not None and not 1 <= d <= n - 1:
         raise ValueError(f"need 1 <= d <= n-1, got d={d} at n={n}")
     stats = _scan_for(n, alphas, ("clique",), scan, tol)
+    values = [d] if d is not None else range(1, n)
+    points = [(d_val, alpha) for d_val in values for alpha in alphas]
+    stated = _stated_codes(n, [[families.g0(n, d_val, alpha)] for d_val, alpha in points])
     rows = []
-    for d_val in ([d] if d is not None else range(1, n)):
-        for alpha in alphas:
-            cand = families.g0(n, d_val, alpha)
-            # g0 need not be strong (at d = 1 and alpha >= 1/2 it is the
-            # transitive tournament), so its radius comes block by block
-            with _witnessed(f"g0({n}, {d_val})", alpha):
-                g0_radius = spectral_radius_general(cand, alpha, tol=tol)
-            row = {
-                "n": n, "d": d_val, "alpha": alpha, "g0_radius": g0_radius,
-                "scan_max": None, "gap": None, "classes_match": None, "status": "empty",
-            }
-            ext = stats.group("clique", d_val, alpha, "max")
-            if ext is not None:
-                gap = ext.value - row["g0_radius"]
-                match = _attainers_fault(n, ext.classes, [cand]) is None
-                if not cand.strongly_connected:
-                    # the scan maximum ranges over strong digraphs only
-                    status = "not strong"
-                elif abs(gap) <= ATTAIN_TOL and match:
-                    status = "agrees"
-                else:
-                    status = "differs"
-                row.update(scan_max=ext.value, gap=gap, classes_match=match, status=status)
-            rows.append(row)
+    for (d_val, alpha), [(cand, canon)] in zip(points, stated):
+        # g0 need not be strong (at d = 1 and alpha >= 1/2 it is the
+        # transitive tournament), so its radius comes block by block
+        with _witnessed(f"g0({n}, {d_val})", alpha):
+            g0_radius = spectral_radius_general(cand, alpha, tol=tol)
+        row = {
+            "n": n, "d": d_val, "alpha": alpha, "g0_radius": g0_radius,
+            "scan_max": None, "gap": None, "classes_match": None, "status": "empty",
+        }
+        ext = stats.group("clique", d_val, alpha, "max")
+        if ext is not None:
+            gap = ext.value - row["g0_radius"]
+            match = _attainers_fault(n, ext.classes, [(cand, canon)]) is None
+            if not cand.strongly_connected:
+                # the scan maximum ranges over strong digraphs only
+                status = "not strong"
+            elif abs(gap) <= ATTAIN_TOL and match:
+                status = "agrees"
+            else:
+                status = "differs"
+            row.update(scan_max=ext.value, gap=gap, classes_match=match, status=status)
+        rows.append(row)
     return Problem41Report(n=n, rows=tuple(rows))
 
 
@@ -749,7 +774,7 @@ def subdivision_sweep(
     tol: float = DEFAULT_TOL,
 ) -> dict:
     """Subdivide every arc of every strongly connected non-cycle digraph on n
-    vertices and check the radius never increases (within 1e-9).
+    <= SWEEP_CAP vertices and check the radius never increases (within 1e-9).
 
     Every labelled (digraph, arc) pair is isomorphic to a pair of a class
     representative and one of its arcs, so the sweep runs on those pairs and
@@ -758,6 +783,11 @@ def subdivision_sweep(
     the labelled pairs by class weight, and violations name the
     representative's code.  At most VIOLATION_CAP violations are listed per
     alpha."""
+    if n == SWEEP_CAP + 1:
+        raise ValueError(
+            f"n = {n} cannot be swept: its 16,699,394 (representative, arc) pairs "
+            "would be one 6.5 GB stack of subdivided matrices"
+        )
     alphas = _scan_alphas(n, alphas)
     table, _, _ = _scan_table(n, *_classes(n), alphas, (), tol)
     table = table[table["max_out"] > 1]

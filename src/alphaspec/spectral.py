@@ -347,6 +347,12 @@ def _inverse_step(
     return z
 
 
+def _solve_block(n: int) -> int:
+    """Matrices of order n per block of _certify: at most _SOLVE_BLOCK
+    elements (read at call time), and at least one matrix."""
+    return max(1, _SOLVE_BLOCK // max(1, n * n))
+
+
 def _certify(
     mats: np.ndarray, tol: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -360,7 +366,7 @@ def _certify(
     check whose enclosure is at most tol wide; perron is that certifying
     vector, unit-sum.  Every _STALL_CHECKS checks, a matrix whose width has
     not narrowed since the last such check ends the kernel.  The stack runs
-    in blocks of at most _SOLVE_BLOCK elements, each to completion, and a
+    in blocks of _solve_block(n) matrices, each to completion, and a
     matrix still uncertified after _MAX_ITERS checks (read at call time)
     ends it.  A tol that is not > 0 (NaN included) raises ValueError
     (_kernel).
@@ -378,7 +384,7 @@ def _certify(
     out_hi = np.empty(b, dtype=np.float64)
     out_x = np.empty((b, n), dtype=np.float64)
     out_it = np.zeros(b, dtype=np.int64)
-    step = max(1, _SOLVE_BLOCK // max(1, n * n))
+    step = _solve_block(n)
     with _kernel(n, tol) as (f_lo, f_hi, floor_factor):
         for s in range(0, b, step):
             e = min(s + step, b)
@@ -546,7 +552,8 @@ def _component_enclosures(
     is the largest radius of the diagonal blocks of the strong components
     (whose diagonals keep the out-degrees counted in the whole digraph),
     enclosed by [max lo, max hi] over the blocks.  The blocks of each size
-    go through the kernel as one stack.
+    go through the kernel as one stack; a ConvergenceError names its
+    failing block by the index in adj of that block's digraph.
     """
     k, n, _ = adj.shape
     mats = _alpha_entries(adj, _check_alpha(alpha))
@@ -562,7 +569,11 @@ def _component_enclosures(
         b = owner[pick]
         verts = np.nonzero(same[b, least[pick]])[1].reshape(-1, size)
         blocks = mats[b[:, None, None], verts[:, :, None], verts[:, None, :]]
-        _, block_lo, block_hi, _, _ = _certify(blocks, tol)
+        try:
+            _, block_lo, block_hi, _, _ = _certify(blocks, tol)
+        except ConvergenceError as err:
+            err.index = int(b[err.index])  # the failing block's digraph in adj
+            raise
         np.maximum.at(lo, b, block_lo)
         np.maximum.at(hi, b, block_hi)
     return lo, hi

@@ -538,8 +538,8 @@ def test_scan_json_groups(capsys):
 
 
 def test_scan_gate_without_long_runs(capsys):
-    rc, _, err = run_cli(capsys, "scan", "--n", "6", "--alpha", "0", "--parameter", "girth")
-    assert rc == EXIT_USAGE and "n = 6 cannot be scanned" in err
+    rc, _, err = run_cli(capsys, "scan", "--n", "7", "--alpha", "0", "--parameter", "girth")
+    assert rc == EXIT_USAGE and "n = 7 cannot be scanned" in err
 
 
 @pytest.mark.parametrize(

@@ -46,6 +46,7 @@ from alphaspec.digraph import (
     _grow,
     _piece_tables,
     _relabel,
+    _strong,
     _subset_invariants,
     canonical_codes,
     code_of_digraph,
@@ -468,6 +469,25 @@ def test_decode_matches_the_adjacency_matrix_of_each_code():
         for a, code in zip(adj, codes.tolist()):
             assert np.array_equal(a, digraph_from_code(n, code).adjacency_matrix())
         assert _decode(n, np.zeros(0, dtype=np.int64)).shape == (0, n, n)
+
+
+def test_strong_matches_is_strongly_connected_on_each_code():
+    # every code at n = 1..3, seeded codes up to CANON_CAP (dense ones and
+    # sparse ones, an AND of two, so both answers occur), and no codes
+    rng = np.random.default_rng(1601)
+    for n in range(1, 9):
+        bits = n * (n - 1)
+        if n <= 3:
+            codes = np.arange(1 << bits)
+        else:
+            dense = rng.integers(0, 1 << bits, size=(2, 200), dtype=np.int64)
+            codes = np.concatenate([dense[0], dense[0] & dense[1]])
+        want = [is_strongly_connected(digraph_from_code(n, c)) for c in codes.tolist()]
+        got = _strong(n, codes)
+        assert got.dtype == bool and got.tolist() == want
+        if n >= 3:
+            assert 0 < sum(want) < len(want)
+        assert _strong(n, np.zeros(0, dtype=np.int64)).shape == (0,)
 
 
 def test_canonical_code_order_cap():

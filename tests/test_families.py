@@ -32,14 +32,14 @@ from alphaspec import (
     tournament,
     vertex_connectivity,
 )
-from alphaspec import families
+from alphaspec import families, spectral
 from alphaspec.digraph import (
     _decode,
     canonical_codes,
     code_of_digraph,
     digraph_from_code,
 )
-from alphaspec.spectral import DEFAULT_TOL, _component_enclosures
+from alphaspec.spectral import DEFAULT_TOL, ConvergenceError, _component_enclosures
 
 SQRT_GOLDEN = math.sqrt((1 + math.sqrt(5)) / 2)
 
@@ -391,6 +391,52 @@ def test_build_family_dispatch():
     assert build_family("circulant", n=5, steps=[1, 2]) == circulant(5, [1, 2])
     with pytest.raises(ValueError):
         build_family("noname", n=3)
+
+
+# one valid set of parameters per family, at an order that is a float
+_FLOAT_ORDER = {
+    "path": {"n": 5.0},
+    "cycle": {"n": 5.0},
+    "complete": {"n": 5.0},
+    "c_ng": {"n": 5.0, "g": 3},
+    "b_nd": {"n": 5.0, "d": 3},
+    "k_nkm": {"n": 5.0, "k": 2, "m": 1},
+    "tournament": {"kind": "transitive", "n": 5.0},
+    "g0": {"n": 5.0, "d": 2, "alpha": 0.0},
+    "h4": {"n": 8.0, "k": 1, "a": 3},
+    "circulant": {"n": 5.0, "steps": [1, 2]},
+}
+
+
+@pytest.mark.parametrize("name", families.FAMILIES)
+def test_generators_refuse_a_non_integer_order(name):
+    params = _FLOAT_ORDER[name]
+    with pytest.raises(ValueError, match=rf"^n must be an integer, got {params['n']}$"):
+        build_family(name, **params)
+    # numpy integers stay accepted, and build the same digraph as ints
+    as_int = {**params, "n": int(params["n"])}
+    as_numpy = {**params, "n": np.int64(params["n"])}
+    assert build_family(name, **as_numpy) == build_family(name, **as_int)
+
+
+def test_tournament_search_failure_names_its_class(monkeypatch):
+    # the one strong tournament class at n = 4 is a block of size 4; a
+    # kernel that stalls on it names that class, not the block's place
+    classes = families._tournament_classes(4)
+    strong = [c for c in classes.tolist() if is_strongly_connected(digraph_from_code(4, c))]
+    assert len(strong) == 1 and strong[0] != classes[0]
+    real = spectral._certify
+
+    def stalls_on_four(mats, tol):
+        if mats.shape[-1] == 4:
+            raise ConvergenceError(0.0, 1.0, 1, index=0)
+        return real(mats, tol)
+
+    monkeypatch.setattr(spectral, "_certify", stalls_on_four)
+    with pytest.raises(
+        ConvergenceError, match=rf"^tournament class {strong[0]} at alpha 0\.5: no certificate"
+    ):
+        tournament("extremal_bruteforce", 4, 0.5)
 
 
 def test_generators_are_deterministic():

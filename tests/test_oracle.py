@@ -43,7 +43,7 @@ from alphaspec.oracle import (
     subdivision_sweep,
     verify_theorem,
 )
-from alphaspec import oracle, spectral
+from alphaspec import digraph, oracle, spectral
 from alphaspec.digraph import _orbits, canonical_codes
 from alphaspec.spectral import DEFAULT_TOL, ConvergenceError
 
@@ -271,13 +271,14 @@ def test_scan_validation():
         run_scan(3, (0.0,), parameters=("girth", "treewidth"))
     with pytest.raises(ValueError):
         run_scan(1, (0.0,))
-    with pytest.raises(ValueError, match=r"2 <= n <= 5, got 7"):
-        run_scan(7, (0.0,))
-    with pytest.raises(ValueError):
-        run_scan(6, (0.0,))  # gated
-    # refused outright: the last n = 6 growth step takes over 1 GB
-    with pytest.raises(ValueError, match=r"9,838,592 candidates"):
-        run_scan(6, (0.0, 0.5))
+    with pytest.raises(ValueError, match=r"2 <= n <= 6, got 8"):
+        run_scan(8, (0.0,))
+    # refused outright: n = 7 grows from the 1,540,944 six-vertex classes
+    with pytest.raises(ValueError, match=r"1,540,944 six-vertex classes x 4,096 rows"):
+        run_scan(7, (0.0, 0.5))
+    # the sweep stops one order earlier, at its own reason
+    with pytest.raises(ValueError, match=r"16,699,394 \(representative, arc\) pairs"):
+        subdivision_sweep(6, (0.0, 0.5))
 
 
 def test_scan_deterministic_rerun(stats3):
@@ -761,6 +762,59 @@ def test_class_enumeration_counts():
         assert np.all(np.diff(reps) > 0)
 
 
+def test_six_vertex_classes():
+    # the whole n = 6 growth, about 10 s: the strongly connected classes
+    # (OEIS A035512) and their labelled digraphs (OEIS A003030)
+    reps, weights = oracle._classes(6)
+    assert reps.size == weights.size == 1_047_008
+    assert int(weights.sum()) == 734_774_776
+    assert np.all(np.diff(reps) > 0)
+
+
+def test_blocked_classes_and_table_equal_one_block(monkeypatch):
+    # n = 5 in 3 growth blocks (218 parents) and 3 table blocks (5,048
+    # classes), against one block of each; the kernel's solve block shrinks
+    # to 500 matrices so that a table block can hold a whole number of them
+    n, alphas = 5, (0.0, 0.5)
+    monkeypatch.setattr(spectral, "_SOLVE_BLOCK", 500 * n * n)
+    reps, weights = oracle._classes(n)
+    table, width, iterations = oracle._scan_table(
+        n, reps, weights, alphas, SCAN_PARAMETERS, DEFAULT_TOL
+    )
+    grown, kernel = [], []
+    real_canonical, real_kernel = digraph._canonical, oracle.batch_cw_radius
+
+    def canonical(m, codes):
+        grown.append(m)
+        return real_canonical(m, codes)
+
+    def counted(mats, tol):
+        kernel.append(len(mats))
+        return real_kernel(mats, tol=tol)
+
+    monkeypatch.setattr(digraph, "_canonical", canonical)
+    monkeypatch.setattr(oracle, "batch_cw_radius", counted)
+    monkeypatch.setattr(digraph, "_GROW_BLOCK", 80)
+    monkeypatch.setattr(oracle, "_TABLE_BLOCK", 2000)
+    blocked_reps, blocked_weights = oracle._classes(n)
+    blocked = oracle._scan_table(n, reps, weights, alphas, SCAN_PARAMETERS, DEFAULT_TOL)
+    assert grown.count(n) == 3
+    assert kernel == [2000, 2000, 2000, 2000, 1048, 1048]
+    assert np.array_equal(blocked_reps, reps) and np.array_equal(blocked_weights, weights)
+    assert blocked[0].tobytes() == table.tobytes()
+    assert blocked[1:] == (width, iterations)
+    # a failure in the third table block names its class, not the block's first
+
+    def stalls_in_the_last_block(mats, tol):
+        if len(mats) == 1048:
+            raise ConvergenceError(0.0, 1.0, 1, index=5)
+        return real_kernel(mats, tol=tol)
+
+    monkeypatch.setattr(oracle, "batch_cw_radius", stalls_in_the_last_block)
+    with pytest.raises(ConvergenceError, match=rf"^code {reps[4005]} at alpha 0\.0: "):
+        oracle._scan_table(n, reps, weights, alphas, (), DEFAULT_TOL)
+
+
 def test_class_weights_are_orbit_sizes():
     # the labelled enumeration, kept here as the reference: every strongly
     # connected code, grouped by canonical code
@@ -884,9 +938,10 @@ def test_subdivision_sweep_caps_violations_per_alpha(monkeypatch):
 
 
 def test_subdivision_sweep_range_check():
-    # the sweep accepts what run_scan accepts, and refuses the rest with
-    # run_scan's message; a repeated alpha would be swept and counted twice
-    cases = [(1, (0.0,)), (6, (0.0,)), (7, (0.0,)), (3, (0.0, 0.0))]
+    # the sweep accepts what run_scan accepts up to n = 5, and refuses the
+    # rest with run_scan's message, but n = 6, which run_scan accepts; a
+    # repeated alpha would be swept and counted twice
+    cases = [(1, (0.0,)), (7, (0.0,)), (8, (0.0,)), (3, (0.0, 0.0))]
     cases += [(3, (alpha,)) for alpha in (-0.5, 1.0, 1.5)]
     for n, alphas in cases:
         with pytest.raises(ValueError) as scan_err:
@@ -894,7 +949,7 @@ def test_subdivision_sweep_range_check():
         with pytest.raises(ValueError) as sweep_err:
             subdivision_sweep(n, alphas)
         assert str(sweep_err.value) == str(scan_err.value)
-    with pytest.raises(ValueError, match="n = 6 cannot be scanned"):
+    with pytest.raises(ValueError, match="n = 6 cannot be swept"):
         subdivision_sweep(6)
     with pytest.raises(ValueError, match="duplicate alpha values"):
         subdivision_sweep(3, (0.0, 0.0))
@@ -971,6 +1026,23 @@ def test_stated_radius_failure_names_the_member_and_alpha(monkeypatch, scan4):
     monkeypatch.setattr(oracle, "spectral_radius", _stalls)
     with pytest.raises(ConvergenceError, match=r"^c_ng\(4, 2\) at alpha 0\.5: no certificate"):
         verify_theorem("T3.1", 4, (0.5,), scan=scan4)
+
+
+def test_stated_digraphs_are_labelled_in_one_call(monkeypatch, scan5):
+    # one canonical_codes call per verify_theorem and per explore, for
+    # every checked point's stated digraphs at once
+    calls = []
+    real = oracle.canonical_codes
+
+    def counted(n, codes):
+        calls.append(len(codes))
+        return real(n, codes)
+
+    monkeypatch.setattr(oracle, "canonical_codes", counted)
+    verdict = verify_theorem("T5.3", 5, (0.0, 0.5), scan=scan5)
+    assert verdict.status == "confirmed" and calls == [9]  # K(5, k, m) per point
+    report = explore_problem_4_1(5, alphas=(0.0, 0.5), scan=scan5)
+    assert len(report.rows) == 8 and calls == [9, 8]
 
 
 def test_explore_failure_names_the_construction_and_alpha(monkeypatch, scan4):

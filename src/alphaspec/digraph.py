@@ -3,16 +3,17 @@
 Loops are forbidden, antiparallel pairs (digons) are allowed.  The adjacency
 structure is kept both as a frozenset of arcs (the identity of the digraph)
 and as per-vertex neighbour bitmasks, which the routines on one digraph run
-on; routines on stacks of digraphs run on (k, n, n) adjacency arrays.
-A digraph is also an integer code, one bit per off-diagonal cell, and its
-canonical code (n <= 8) is the identity of its isomorphism class.
+on; routines on stacks of digraphs take 1-d arrays of integer codes, one
+bit per off-diagonal cell.  A canonical code (n <= 8) is the identity of
+an isomorphism class.  One closure on out-neighbour masks,
+_strongly_connected, answers every strong-connectivity question.
 """
 from __future__ import annotations
 
 import itertools
 import operator
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -77,7 +78,7 @@ class Digraph:
     @cached_property
     def strongly_connected(self) -> bool:
         """True when every ordered vertex pair is joined by a directed path."""
-        return self.n == 1 or _is_strong(self.out_masks, self.in_masks, self.n)
+        return _strongly_connected(dict(enumerate(self.out_masks)))
 
     @cached_property
     def sorted_arcs(self) -> tuple[tuple[int, int], ...]:
@@ -187,27 +188,19 @@ def _bits(mask: int):
         yield b.bit_length() - 1
 
 
-def _reach(rows: Sequence[int], start_mask: int) -> int:
-    """Set of vertices reachable from the seed mask, seed included."""
-    seen = start_mask
-    frontier = start_mask
-    while frontier:
-        nxt = 0
-        m = frontier
-        while m:
-            b = m & -m
-            m ^= b
-            nxt |= rows[b.bit_length() - 1]
-        frontier = nxt & ~seen
-        seen |= frontier
-    return seen
-
-
-def _is_strong(rows: Sequence[int], cols: Sequence[int], n: int) -> bool:
-    full = (1 << n) - 1
-    if _reach(rows, 1) != full:
-        return False
-    return _reach(cols, 1) == full
+def _strongly_connected(masks: dict):
+    """Whether the digraph given as {vertex: bit mask of its out-neighbours}
+    is strongly connected on those vertices: a bool for Python int masks
+    (one digraph, any order), a bool array for equal-shaped unsigned arrays
+    with a bit for every vertex (one digraph per entry).  Warshall's
+    closure (J. ACM 1962), in place: vertex v at a time, every mask that
+    holds v gains v's mask, so each mask ends holding what its vertex
+    reaches."""
+    for v in masks:
+        for u in masks:
+            masks[u] |= (masks[u] >> v & 1) * masks[v]
+    full = sum(1 << v for v in masks)
+    return reduce(operator.and_, [(m | 1 << v) == full for v, m in masks.items()])
 
 
 def _girth(rows: Sequence[int], cols: Sequence[int], n: int) -> int | None:
@@ -576,8 +569,8 @@ def _orbits(n: int, classes) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# stacks of codes: decoding, reachability, invariants by vertex subsets, and
-# growing classes by a vertex
+# stacks of codes: decoding, strong connectivity, invariants by vertex
+# subsets, and growing classes by a vertex
 
 def _decode(n: int, codes: np.ndarray) -> np.ndarray:
     """(codes, n, n) uint8 adjacency stack of a 1-d integer array of codes:
@@ -595,43 +588,36 @@ def _decode(n: int, codes: np.ndarray) -> np.ndarray:
     return adj.reshape(k, n, n)
 
 
-def _strong(n: int, codes: np.ndarray) -> np.ndarray:
-    """Whether the digraph of each of a 1-d int64 array of codes is strongly
-    connected (n <= CANON_CAP).  Each vertex's out-neighbours are a uint8
-    mask, read off the code's row of n - 1 cells with a 0 put in at the
-    diagonal; Warshall's closure adds to every mask the masks of the
-    vertices it holds, one vertex v at a time, and then every vertex must
-    reach every other."""
+def _masks(n: int, codes: np.ndarray) -> dict:
+    """{vertex: uint8 array of its out-neighbour masks} over a 1-d int64
+    array of codes (n <= CANON_CAP): each mask is read off the code's row
+    of n - 1 cells with a 0 put in at the diagonal."""
     width = n - 1
-    masks = []
+    masks = {}
     for i in range(n):
         row = ((codes >> (i * width)) & ((1 << width) - 1)).astype(np.uint8)
-        masks.append((row & ((1 << i) - 1)) | ((row >> i) << (i + 1)))
-    for v in range(n):
-        for mask in masks:
-            mask |= (mask >> v & 1) * masks[v]
-    full = (1 << n) - 1
-    return np.logical_and.reduce([(mask | (1 << i)) == full for i, mask in enumerate(masks)])
+        masks[i] = (row & ((1 << i) - 1)) | ((row >> i) << (i + 1))
+    return masks
 
 
-def _reachability(adj: np.ndarray) -> np.ndarray:
-    """(k, n, n) bool: entry [b, i, j] is whether digraph b of the adjacency
-    stack has a directed path from i to j; every vertex reaches itself.
-    I | A squared ceil(log2(n - 1)) times covers every path of length up to
-    n - 1.  A digraph is strongly connected when its entries are all True,
-    and i, j share a strong component when [b, i, j] and [b, j, i] are."""
-    n = adj.shape[-1]
-    reach = adj.astype(bool) | np.eye(n, dtype=bool)
-    for _ in range(max(n - 2, 0).bit_length()):
-        reach = np.matmul(reach, reach)
-    return reach
+def _strong(n: int, codes: np.ndarray) -> np.ndarray:
+    """Whether the digraph of each of a 1-d int64 array of codes is strongly
+    connected (n <= CANON_CAP), by one closure over the whole array."""
+    return _strongly_connected(_masks(n, codes))
 
 
-def _subset_invariants(adj: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Girth, clique number, vertex connectivity and arc connectivity of each
-    strongly connected digraph D of a (k, n, n) adjacency stack, n >= 2, as
-    four (k,) arrays.  One pass over the vertex subsets W, each read on the
-    whole stack, with strong connectivity from _reachability:
+# set bits of each byte value
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+
+
+def _subset_invariants(n: int, codes: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Girth, clique number, vertex connectivity and arc connectivity of the
+    strongly connected digraph D of each of a 1-d int64 array of codes on
+    2 <= n <= CANON_CAP vertices, as four (k,) arrays.  One pass over the
+    vertex subsets W, each read on every code's out-neighbour masks at once
+    (_masks); D[W] is strongly connected when the closure of the masks of
+    W's vertices, cut down to W, says so (_strongly_connected), and arcs
+    are counted by a byte popcount table:
 
     * girth is the least |W| >= 2 with D[W] strong: a shortest cycle's
       vertices induce a strong subdigraph, and a strong one on s vertices
@@ -643,24 +629,28 @@ def _subset_invariants(adj: np.ndarray) -> tuple[np.ndarray, ...]:
 
     The 2^n subsets suit the scan's orders; girth, clique_number,
     vertex_connectivity and arc_connectivity serve digraphs of any order."""
-    k, n, _ = adj.shape
+    masks = _masks(n, codes)
+    k = codes.size
     girth = np.full(k, n)  # D itself is strong
     clique = np.ones(k, dtype=np.int64)
     weak = np.zeros(k, dtype=np.int64)  # largest |W| >= 2 with D[W] not strong
     arc = np.full(k, n * (n - 1))
+    full = (1 << n) - 1
     for size in range(1, n):
         for w in itertools.combinations(range(n), size):
-            rows = adj[:, w]
-            rest = [v for v in range(n) if v not in w]
-            np.minimum(arc, rows[:, :, rest].sum(axis=(1, 2), dtype=np.int64), out=arc)
+            inside = sum(1 << v for v in w)
+            leaving = sum(_POPCOUNT[masks[v] & (full ^ inside)] for v in w)
+            np.minimum(arc, leaving, out=arc)
             if size == 1:
                 continue
-            sub = rows[:, :, w]
-            strong = _reachability(sub).all(axis=(1, 2))
+            sub = {v: masks[v] & inside for v in w}
+            arcs = sum(_POPCOUNT[m] for m in sub.values())  # before the closure fills sub
+            clique[arcs == size * (size - 1)] = size
+            strong = _strongly_connected(sub)
             np.minimum(girth, np.where(strong, size, n), out=girth)
-            clique[sub.sum(axis=(1, 2)) == size * (size - 1)] = size
             weak[~strong] = size
-    clique[adj.sum(axis=(1, 2)) == n * (n - 1)] = n
+    arcs = sum(_POPCOUNT[m] for m in masks.values())
+    clique[arcs == n * (n - 1)] = n
     return girth, clique, np.where(weak > 0, n - weak, n - 1), arc
 
 

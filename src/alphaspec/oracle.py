@@ -186,7 +186,7 @@ def _scan_table(
         block["delta0"] = np.minimum(min_out, adj.sum(axis=1).min(axis=1))
         if parameters:
             block["girth"], block["clique"], block["vertex_conn"], block["arc_conn"] = (
-                _subset_invariants(adj)
+                _subset_invariants(n, codes[s:s + step])
             )
         # certified radii, batched per alpha; a failure names its code
         for ai, alpha in enumerate(alphas):
@@ -731,9 +731,11 @@ def explore_problem_4_1(
     """Gap table: block-construction radius vs. scanned maximum per clique number.
 
     With d=None every clique number 1..n-1 is tabulated.  A row's status is
-    "agrees", "differs", "empty" (no scanned digraph has that clique number)
-    or "not strong": g0 is not strongly connected, while the scan maximum
-    ranges over strong digraphs only.
+    "agrees" (g0's class attains the scan maximum, perhaps tied with other
+    classes; classes_match says whether it is the only one), "differs",
+    "empty" (no scanned digraph has that clique number) or "not strong": g0
+    is not strongly connected, while the scan maximum ranges over strong
+    digraphs only.
     """
     alphas = tuple(float(a) for a in alphas)
     if d is not None and not 1 <= d <= n - 1:
@@ -755,11 +757,11 @@ def explore_problem_4_1(
         ext = stats.group("clique", d_val, alpha, "max")
         if ext is not None:
             gap = ext.value - row["g0_radius"]
-            match = _attainers_fault(n, ext.classes, [(cand, canon)]) is None
+            match = ext.classes == (canon,)
             if not cand.strongly_connected:
                 # the scan maximum ranges over strong digraphs only
                 status = "not strong"
-            elif abs(gap) <= ATTAIN_TOL and match:
+            elif abs(gap) <= ATTAIN_TOL and canon in ext.classes:
                 status = "agrees"
             else:
                 status = "differs"

@@ -44,7 +44,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .digraph import Digraph, NotStronglyConnected, _reachability
+from .digraph import Digraph, NotStronglyConnected
 
 __all__ = [
     "AlphaMatrix",
@@ -557,7 +557,10 @@ def _component_enclosures(
     """
     k, n, _ = adj.shape
     mats = _alpha_entries(adj, _check_alpha(alpha))
-    reach = _reachability(adj)
+    # Warshall's closure on the stack: [b, i, j] is whether i reaches j
+    reach = adj.astype(bool) | np.eye(n, dtype=bool)
+    for v in range(n):
+        reach |= reach[:, :, v, None] & reach[:, v, None, :]
     same = reach & reach.transpose(0, 2, 1)  # [b, i, j]: i and j share a component
     # one block per component of each digraph, named by its least vertex
     owner, least = np.nonzero(same.argmax(axis=2) == np.arange(n))

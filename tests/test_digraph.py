@@ -52,6 +52,7 @@ from alphaspec.digraph import (
     code_of_digraph,
     digraph_from_code,
 )
+from alphaspec.oracle import _classes
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +251,22 @@ def test_strong_connectivity_n4_seeded_codes():
         assert is_strongly_connected(g) == oracle_strong(g)
 
 
+@pytest.mark.parametrize("n", [9, 16, 63, 64, 70])
+def test_strong_connectivity_past_one_byte_and_64_bits(n):
+    # the closure on Python int masks, at orders its uint8 stacks never
+    # reach, and across the int64 boundary; arc probabilities around
+    # log(n)/n give both answers
+    rng = np.random.default_rng(1700 + n)
+    flags = []
+    for scale in (0.5, 1.0, 1.5, 2.5):
+        for _ in range(6):
+            m = rng.random((n, n)) < scale * math.log(n) / n
+            g = from_arcs(n, [tuple(a) for a in np.argwhere(m).tolist() if a[0] != a[1]])
+            flags.append(is_strongly_connected(g))
+            assert flags[-1] == oracle_strong(g)
+    assert True in flags and False in flags
+
+
 def test_single_vertex_is_strong():
     g = from_arcs(1, [])
     assert is_strongly_connected(g)
@@ -359,8 +376,8 @@ def test_connectivity_on_families():
 def subset_invariants(graphs):
     """[girth, clique, kappa, lambda] per digraph of one order, from the
     batched pass over vertex subsets."""
-    adj = np.array([g.adjacency_matrix() for g in graphs], dtype=np.uint8)
-    return np.column_stack(_subset_invariants(adj)).tolist()
+    codes = np.array([code_of_digraph(g) for g in graphs], dtype=np.int64)
+    return np.column_stack(_subset_invariants(graphs[0].n, codes)).tolist()
 
 
 def test_subset_invariants_on_cycles_and_complete_digraphs():
@@ -369,6 +386,19 @@ def test_subset_invariants_on_cycles_and_complete_digraphs():
     for n in range(2, 8):
         cases = [(cycle(n), [n, 2 if n == 2 else 1, 1, 1]), (complete(n), [2, n, n - 1, n - 1])]
         assert subset_invariants([g for g, _ in cases]) == [want for _, want in cases], n
+
+
+def test_subset_invariants_match_the_public_functions_on_every_strong_5_class():
+    # exhaustive at the largest order the tier-1 scans reach: the closure
+    # over every subset against BFS, Bron-Kerbosch and unit max-flow
+    classes, _ = _classes(5)
+    assert classes.size == 5048
+    graphs = [digraph_from_code(5, c) for c in classes.tolist()]
+    want = [
+        [girth(g), clique_number(g), vertex_connectivity(g), arc_connectivity(g)]
+        for g in graphs
+    ]
+    assert subset_invariants(graphs) == want
 
 
 @pytest.mark.parametrize("n", [6, 7])
@@ -471,7 +501,7 @@ def test_decode_matches_the_adjacency_matrix_of_each_code():
         assert _decode(n, np.zeros(0, dtype=np.int64)).shape == (0, n, n)
 
 
-def test_strong_matches_is_strongly_connected_on_each_code():
+def test_strong_matches_the_oracle_on_each_code():
     # every code at n = 1..3, seeded codes up to CANON_CAP (dense ones and
     # sparse ones, an AND of two, so both answers occur), and no codes
     rng = np.random.default_rng(1601)
@@ -482,7 +512,7 @@ def test_strong_matches_is_strongly_connected_on_each_code():
         else:
             dense = rng.integers(0, 1 << bits, size=(2, 200), dtype=np.int64)
             codes = np.concatenate([dense[0], dense[0] & dense[1]])
-        want = [is_strongly_connected(digraph_from_code(n, c)) for c in codes.tolist()]
+        want = [oracle_strong(digraph_from_code(n, c)) for c in codes.tolist()]
         got = _strong(n, codes)
         assert got.dtype == bool and got.tolist() == want
         if n >= 3:

@@ -43,7 +43,7 @@ from alphaspec.oracle import (
     subdivision_sweep,
     verify_theorem,
 )
-from alphaspec import digraph, oracle, spectral
+from alphaspec import digraph, families, oracle, spectral
 from alphaspec.digraph import _orbits, canonical_codes
 from alphaspec.spectral import DEFAULT_TOL, ConvergenceError
 
@@ -1094,6 +1094,23 @@ def test_explore_labels_a_construction_that_is_not_strong(request, n):
     assert above["g0_radius"] == pytest.approx(0.75 * (n - 1), abs=DEFAULT_TOL)
     assert above["gap"] < -0.5
     assert abs(half["gap"]) <= ATTAIN_TOL
+
+
+def test_explore_reads_a_tie_with_other_classes_as_agreeing(scan5, monkeypatch):
+    # at n = 5, d = 2, alpha = 0.5 g0's class ties with one other class of
+    # clique number 2 (both at 2 + sqrt(6)/2): g0 attains, but is not the
+    # only attaining class
+    [row] = explore_problem_4_1(5, d=2, alphas=(0.5,), scan=scan5).rows
+    assert len(scan5.group("clique", 2, 0.5, "max").classes) == 2
+    assert row["status"] == "agrees" and row["classes_match"] is False, row
+    assert row["gap"] == pytest.approx(0.0, abs=ATTAIN_TOL)
+    # a strong g0 of the same clique number that does not attain still differs
+    low = cycle(5).add_arcs([(1, 0)])
+    assert clique_number(low) == 2 and is_strongly_connected(low)
+    monkeypatch.setattr(families, "g0", lambda n, d, alpha: low)
+    [row] = explore_problem_4_1(5, d=2, alphas=(0.5,), scan=scan5).rows
+    assert row["status"] == "differs" and row["classes_match"] is False, row
+    assert row["gap"] > ATTAIN_TOL
 
 
 def test_explore_with_a_scan_refuses_repeated_alphas(stats3):

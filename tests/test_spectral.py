@@ -34,6 +34,7 @@ from alphaspec import (
     spectral_radius,
     spectral_radius_general,
     tournament,
+    union,
 )
 from alphaspec import spectral
 from alphaspec.oracle import digraph_from_code
@@ -500,6 +501,19 @@ def test_general_on_transitive_tournament():
     g = tournament("transitive", 3)
     assert spectral_radius_general(g, 0.75) == pytest.approx(1.5, abs=TOL)
     assert spectral_radius_general(g, 0.0) == pytest.approx(0.0, abs=TOL)
+
+
+def test_general_encloses_the_largest_block_past_64_vertices():
+    # K5 beside a 65-cycle, with one arc from the cycle into the K5: the
+    # components' closure runs on 70 vertices, far past the scans' orders.
+    # The K5 block's rows sum to 4 at every alpha; the cycle block's stay
+    # at most 1 + alpha, and its arc into the K5 raises only its own diagonal
+    g = union(complete(5), cycle(65)).add_arcs([(5, 0)])
+    assert not g.strongly_connected
+    for alpha in (0.0, 0.5):
+        lo, hi = spectral._component_enclosures(g.adjacency[None], alpha, TOL)
+        assert lo[0] <= 4.0 <= hi[0]
+        assert spectral_radius_general(g, alpha) == pytest.approx(4.0, abs=TOL)
 
 
 def test_general_matches_eigvals_on_random_codes():
